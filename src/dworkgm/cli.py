@@ -23,6 +23,14 @@ def _parse_weights(text: str) -> dwork.Weights:
     return dwork.validate_weights(parts)
 
 
+def _parse_sweep(text: str) -> tuple[int, int]:
+    try:
+        n_max, w_max = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'n_max,w_max', got {text!r}")
+    return n_max, w_max
+
+
 def _parse_fractions(text: str) -> list[Fraction]:
     if not text.strip():
         return []
@@ -236,8 +244,7 @@ def _random_property_checks(seed: int, trials: int = 40) -> dict[str, bool]:
 
 def _cmd_check(args) -> int:
     if args.sweep:
-        n_max, w_max = (int(x) for x in args.sweep.split(","))
-        tuples = dwork.primitive_sweep(n_max, w_max)
+        tuples = dwork.primitive_sweep(*args.sweep)
     else:
         tuples = [_parse_weights(args.weights)]
     all_ok = True
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant suite for one tuple")
     p.add_argument("--weights", default="")
-    p.add_argument("--sweep", default="",
+    p.add_argument("--sweep", type=_parse_sweep, default=None,
                    help="run the primitive sweep 'n_max,w_max' instead")
     p.add_argument("--seed", type=int, default=20240809,
                    help="seed for the randomized property sweeps")

@@ -117,14 +117,19 @@ def gamma_n(w: WeightsLike) -> Fraction:
 
 
 def _integer_nthroot(x: int, n: int) -> tuple[int, bool]:
+    """Floor of the n-th root of x >= 0, and whether it is exact.
+
+    Integer Newton iteration from the upper bound 2^ceil(bits/n); the
+    iterates decrease strictly until they reach the floor root.
+    """
     if x == 0:
         return 0, True
-    r = max(1, int(round(x ** (1.0 / n))))
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r, r ** n == x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r, r ** n == x
+        r = s
 
 
 @dataclass(frozen=True)
@@ -405,8 +410,7 @@ def ft_identity_holds(pair: FTPair) -> bool:
 
 def _indicial_checks(h: HypModule, gamma: Fraction) -> dict[str, bool]:
     # One mobius pass shared between the infinity exponents and the
-    # regularity flags; the Fuchs condition says the indicial polynomial
-    # keeps full degree.
+    # regularity flags.
     op = hyp_operator(h)
     mob = weyl.mobius_infinity(op)
     ind0 = weyl.indicial_polynomial(op, "zero")
@@ -416,8 +420,8 @@ def _indicial_checks(h: HypModule, gamma: Fraction) -> dict[str, bool]:
         "indicial_zero": ind0.has_roots_exactly(h.alpha.reps),
         "indicial_infinity": ind_mob.has_roots_exactly(-b for b in h.beta.reps),
         "singular_support_gamma": finite == (gamma,) and not other,
-        "regular": (ind0.degree == op.order()
-                    and ind_mob.degree == mob.order()),
+        "regular": (weyl.fuchs_regular_at_zero(op)
+                    and weyl.fuchs_regular_at_zero(mob)),
     }
 
 

@@ -44,10 +44,6 @@ def canonical_rep(x: Scalar) -> Fraction:
     return Fraction(r, x.denominator) if r else _ONE
 
 
-def congruent(x: Scalar, y: Scalar) -> bool:
-    return (Fraction(x) - Fraction(y)).denominator == 1
-
-
 class ExpMultiset:
     """Multiset of rational exponent representatives, compared modulo Z.
 
@@ -112,9 +108,6 @@ class ExpMultiset:
             for c in self.canonical()
             for a in range(e)
         )
-
-    def class_multiplicity(self, x: Scalar) -> int:
-        return self.classes().get(canonical_rep(x), 0)
 
     def remove_class(self, x: Scalar, count: int = 1) -> "ExpMultiset":
         """Drop ``count`` members of the class of x (largest representatives)."""
@@ -262,9 +255,6 @@ class KummerModule:
     @property
     def is_trivial(self) -> bool:
         return self.alpha.denominator == 1
-
-    def operator(self) -> WeylOp:
-        return weyl.euler_op() - WeylOp.constant(self.alpha)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, KummerModule):

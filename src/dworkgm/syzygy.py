@@ -28,6 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
+from .weyl import format_terms
+
 Scalar = Union[int, Fraction]
 
 
@@ -210,26 +212,10 @@ class MultiPoly:
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for exps, v in sorted(self._c.items(), key=lambda kv: _grlex(kv[0]),
-                              reverse=True):
-            mono = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    mono.append(f"x{i + 1}")
-                elif e > 1:
-                    mono.append(f"x{i + 1}^{e}")
-            a = abs(Fraction(v))
-            if a != 1 or not mono:
-                mono.insert(0, str(a))
-            term = "*".join(mono)
-            if not parts:
-                parts.append(term if v > 0 else "-" + term)
-            else:
-                parts.append((" + " if v > 0 else " - ") + term)
-        return "".join(parts)
+        return format_terms(
+            (v, [(f"x{i + 1}", e) for i, e in enumerate(exps)])
+            for exps, v in sorted(self._c.items(), key=lambda kv: _grlex(kv[0]),
+                                  reverse=True))
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"
@@ -352,33 +338,28 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _rank_mod(rows: list[list[int]], ncols: int, p: int = 1_000_003) -> int:
-    import numpy as np
-
-    if not rows or ncols == 0:
-        return 0
-    a = np.array(rows, dtype=np.int64) % p
-    nrows = a.shape[0]
-    r = 0
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
     for c in range(ncols):
         piv = None
-        for i in range(r, nrows):
-            if a[i, c]:
+        for i in range(rank, len(work)):
+            if work[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[r + 1:, c].copy()
-        nz = col != 0
-        if nz.any():
-            a[r + 1:][nz] = (a[r + 1:][nz] - np.outer(col[nz], a[r])) % p
-        r += 1
-        if r == nrows:
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        pivot_row = work[rank] = [x * inv % p for x in work[rank]]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][c]
+            if factor:
+                work[i] = [(x - factor * y) % p
+                           for x, y in zip(work[i], pivot_row)]
+        rank += 1
+        if rank == len(work):
             break
-    return r
+    return rank
 
 
 def _rank_exact(rows: list[list[int]], ncols: int) -> int:

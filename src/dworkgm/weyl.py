@@ -135,17 +135,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e - 1: v * e for e, v in self._c.items() if e != 0}
-        return out
-
-    def invert_variable(self) -> "LaurentPoly":
-        """The substitution t -> 1/t (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._c == other._c
@@ -197,10 +186,6 @@ class WeylOp:
     @staticmethod
     def constant(c: Scalar) -> "WeylOp":
         return WeylOp([LaurentPoly.term(c)])
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "WeylOp":
-        return WeylOp([p])
 
     @staticmethod
     def t(exponent: int = 1) -> "WeylOp":
@@ -322,26 +307,10 @@ class WeylOp:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._p:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self._p) - 1, -1, -1):
-            p = self._p[k]
-            for m, c in sorted(p._c.items(), reverse=True):
-                mono = []
-                if m:
-                    mono.append("t" if m == 1 else f"t^{m}")
-                if k:
-                    mono.append("d" if k == 1 else f"d^{k}")
-                a = abs(c)
-                if a != 1 or not mono:
-                    mono.insert(0, str(a))
-                term = "*".join(mono)
-                if not parts:
-                    parts.append(term if c > 0 else "-" + term)
-                else:
-                    parts.append((" + " if c > 0 else " - ") + term)
-        return "".join(parts)
+        return format_terms(
+            (c, [("t", m), ("d", k)])
+            for k in range(len(self._p) - 1, -1, -1)
+            for m, c in sorted(self._p[k]._c.items(), reverse=True))
 
     def __repr__(self) -> str:
         return f"<WeylOp {self}>"
@@ -354,26 +323,6 @@ _W_ONE = WeylOp([_LP_ONE])
 def euler_op() -> WeylOp:
     """The Euler operator D = t*d."""
     return WeylOp([_LP_ZERO, LaurentPoly.term(1, 1)])
-
-
-def op_add(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a + b
-
-
-def op_mul(a: WeylOp, b: WeylOp) -> WeylOp:
-    return a * b
-
-
-def _stirling2(n: int) -> list[list[int]]:
-    """Table S[k][j] of Stirling numbers of the second kind, k <= n."""
-    table = [[1]]
-    for k in range(1, n + 1):
-        row = [0] * (k + 1)
-        prev = table[k - 1]
-        for j in range(1, k + 1):
-            row[j] = prev[j - 1] + (j * prev[j] if j < k else 0)
-        table.append(row)
-    return table
 
 
 def euler_product(constants: Iterable[Scalar]) -> WeylOp:
@@ -396,14 +345,20 @@ def euler_product(constants: Iterable[Scalar]) -> WeylOp:
             nxt[i + 1] += v
             nxt[i] -= v * ci
         poly = nxt
-    stirling = _stirling2(n)
+    numerators = [0] * (n + 1)
+    stirling = [1]  # row k of the Stirling numbers S(k, j), j <= k
+    power = 1  # scale ** k
+    for k in range(n + 1):
+        if k:
+            stirling = [0] + [stirling[j - 1] + j * stirling[j]
+                              for j in range(1, k)] + [1]
+        scaled = poly[k] * power
+        for j, s in enumerate(stirling):
+            numerators[j] += scaled * s
+        power *= scale
     denominator = scale ** n
-    coeffs = []
-    for j in range(n + 1):
-        numerator = sum(poly[k] * stirling[k][j] * scale ** k
-                        for k in range(j, n + 1))
-        coeffs.append(LaurentPoly.term(Fraction(numerator, denominator), j))
-    return WeylOp(coeffs)
+    return WeylOp(LaurentPoly.term(Fraction(numerator, denominator), j)
+                  for j, numerator in enumerate(numerators))
 
 
 def euler_factorization(d: int) -> WeylOp:
@@ -632,28 +587,27 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
     """
     if op.is_zero:
         return op
-    rising = [[1]]  # rising[k][i]: coefficient of u^i d^i in prod_{j<k} (D+j)
-    for k in range(op.order()):
-        prev = rising[-1]
-        nxt = [0] * (len(prev) + 1)
-        for i, r in enumerate(prev):
+    rising = [1]  # coefficient of u^i d^i in prod_{j<k} (D+j)
+    acc: dict[int, dict[int, Fraction]] = {}
+    for k, p in enumerate(op.coeffs()):
+        for m, c in p.items():
+            if k % 2:
+                c = -c
+            for i, r in enumerate(rising):
+                if not r:
+                    continue
+                target = acc.setdefault(i, {})
+                e = k - m + i
+                s = target.get(e, 0) + c * r
+                if s:
+                    target[e] = s
+                else:
+                    del target[e]
+        nxt = [0] * (len(rising) + 1)
+        for i, r in enumerate(rising):
             nxt[i + 1] += r
             nxt[i] += r * (i + k)
-        rising.append(nxt)
-    acc: dict[int, dict[int, Fraction]] = {}
-    for k, m, c in op.monomials():
-        if k % 2:
-            c = -c
-        for i, r in enumerate(rising[k]):
-            if not r:
-                continue
-            target = acc.setdefault(i, {})
-            e = k - m + i
-            s = target.get(e, 0) + c * r
-            if s:
-                target[e] = s
-            else:
-                del target[e]
+        rising = nxt
     if not acc:
         return _W_ZERO
     out = [_LP_ZERO] * (max(acc) + 1)
@@ -668,22 +622,6 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
 # Indicial polynomials
 # ---------------------------------------------------------------------------
 
-def _falling_factorials(kmax: int) -> list[list[int]]:
-    """Coefficient lists (ascending) of F_k(s) = s(s-1)...(s-k+1), k <= kmax.
-
-    Integer coefficients (signed Stirling numbers of the first kind).
-    """
-    table = [[1]]
-    for k in range(kmax):
-        prev = table[-1]
-        nxt = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i + 1] += c          # s * prev
-            nxt[i] -= c * k          # -k * prev
-        table.append(nxt)
-    return table
-
-
 def _weight_parts(op: WeylOp) -> dict[int, list[Fraction]]:
     """Group the operator by t-weight, as polynomials in s = Euler operator.
 
@@ -693,13 +631,18 @@ def _weight_parts(op: WeylOp) -> dict[int, list[Fraction]]:
     """
     if op.is_zero:
         raise ValueError("zero operator")
-    fall = _falling_factorials(op.order())
+    fall = [1]  # ascending coefficients of s(s-1)...(s-k+1)
     parts: dict[int, list[Fraction]] = {}
-    for k, m, c in op.monomials():
-        w = m - k
-        acc = parts.setdefault(w, [Fraction(0)] * (op.order() + 1))
-        for i, f in enumerate(fall[k]):
-            acc[i] += c * f
+    for k, p in enumerate(op.coeffs()):
+        for m, c in p.items():
+            acc = parts.setdefault(m - k, [Fraction(0)] * (op.order() + 1))
+            for i, f in enumerate(fall):
+                acc[i] += c * f
+        nxt = [0] * (len(fall) + 1)
+        for i, f in enumerate(fall):
+            nxt[i + 1] += f  # s * fall
+            nxt[i] -= f * k  # -k * fall
+        fall = nxt
     return {w: acc for w, acc in parts.items() if any(acc)}
 
 
@@ -759,26 +702,33 @@ class IndicialPolynomial:
         return format_poly(self.coeffs, "s")
 
 
-def format_poly(coeffs: Iterable[Fraction], var: str) -> str:
-    """Print a univariate polynomial (ascending coefficients) in the grammar."""
+def format_terms(terms: Iterable[tuple[Scalar, list[tuple[str, int]]]]) -> str:
+    """Print a sum of terms c * x^e * y^f * ... in the grammar.
+
+    Each term is a coefficient and its monomial as (variable, exponent)
+    factors, given in print order.  Zero coefficients and zero exponents are
+    skipped, and a unit coefficient is shown only on a constant term.
+    """
     parts: list[str] = []
-    cs = list(coeffs)
-    for e in range(len(cs) - 1, -1, -1):
-        c = cs[e]
+    for c, factors in terms:
         if not c:
             continue
-        mono = []
-        if e:
-            mono.append(var if e == 1 else f"{var}^{e}")
+        mono = [v if e == 1 else f"{v}^{e}" for v, e in factors if e]
         a = abs(c)
         if a != 1 or not mono:
             mono.insert(0, str(a))
-        term = "*".join(mono)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append((" + " if c > 0 else " - ") + term)
-    return "".join(parts) if parts else "0"
+        if parts:
+            parts.append(" + " if c > 0 else " - ")
+        elif c < 0:
+            parts.append("-")
+        parts.append("*".join(mono))
+    return "".join(parts) or "0"
+
+
+def format_poly(coeffs: Iterable[Fraction], var: str) -> str:
+    """Print a univariate polynomial (ascending coefficients) in the grammar."""
+    cs = list(coeffs)
+    return format_terms((cs[e], [(var, e)]) for e in range(len(cs) - 1, -1, -1))
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -887,9 +837,13 @@ class SingularSupport:
     regular_at_infinity: bool
 
 
-def _fuchs_regular_at_zero(op: WeylOp) -> bool:
-    # Fuchs condition: ord_0(p_k) - k >= ord_0(p_r) - r for every k, i.e.
-    # the indicial polynomial at 0 has full degree r.
+def fuchs_regular_at_zero(op: WeylOp) -> bool:
+    """Fuchs condition: ord_0(p_k) - k >= ord_0(p_r) - r for every k.
+
+    Equivalently the indicial polynomial at 0 has full degree r: within one
+    t-weight the d-degrees k give distinct s-degrees, so the minimal-weight
+    part reaches degree r exactly when ord_0(p_r) - r is minimal.
+    """
     r = op.order()
     bound = op.coeff(r).order() - r
     for k, p in enumerate(op.coeffs()):
@@ -922,6 +876,6 @@ def singular_support(op: WeylOp) -> SingularSupport:
     return SingularSupport(
         finite_rational=finite,
         other_factors=factors,
-        regular_at_zero=_fuchs_regular_at_zero(op),
-        regular_at_infinity=_fuchs_regular_at_zero(mobius_infinity(op)),
+        regular_at_zero=fuchs_regular_at_zero(op),
+        regular_at_infinity=fuchs_regular_at_zero(mobius_infinity(op)),
     )

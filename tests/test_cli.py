@@ -105,6 +105,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("sweep", ["a,b", "3", "1,2,3"])
+def test_bad_sweep_is_usage_error(sweep):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--sweep", sweep])
+    assert exc.value.code == 2
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "dworkgm.cli", "report", "--weights", "1,2",

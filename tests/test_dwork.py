@@ -50,6 +50,20 @@ def test_singular_fibers_examples():
     sf = singular_fibers((1, 2, 3))
     assert sf.rational_roots == ()
     assert sf.poly_str == "1/432*t^6 - 1"
+    # d^d exceeds the float range from d = 144 on
+    sf = singular_fibers((200, 1))
+    assert sf.degree == 201 and sf.rational_roots == ()
+    assert singular_fibers((1,) * 150).rational_roots == (F(-150), F(150))
+
+
+def test_integer_nthroot_exact_at_perfect_powers():
+    for n in range(2, 202):
+        for r in (2, 3, 7, 200, 201, 10**6 + 3):
+            assert dwork._integer_nthroot(r**n - 1, n) == (r - 1, False)
+            assert dwork._integer_nthroot(r**n, n) == (r, True)
+            assert dwork._integer_nthroot(r**n + 1, n) == (r, False)
+    assert dwork._integer_nthroot(0, 5) == (0, True)
+    assert dwork._integer_nthroot(12345, 1) == (12345, True)
 
 
 def test_c_set_examples():

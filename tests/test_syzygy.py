@@ -1,4 +1,7 @@
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +129,9 @@ def test_partial_factorization_identity():
 def test_generation_oracle_examples():
     assert generation_oracle((1, 1, 1), 8)
     assert generation_oracle((2, 1, 1), 8)
+    # rows with coefficients beyond 64 bits, such as binomial(70, 35)
+    assert generation_oracle((70, 1, 1), 72)
+    assert generation_oracle((60, 2, 1, 1), 66)
 
 
 def test_generation_oracle_one_variable_any_bound():
@@ -156,3 +162,20 @@ def test_modular_and_exact_ranks_agree():
     for _ in range(30):
         rows = [[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)]
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
+    # entries beyond 64 bits, as in the syzygy rows of (70, 1, 1)
+    big = math.comb(70, 35)
+    for _ in range(30):
+        rows = [[rng.choice((0, 1, -big, big, big * big + 1, -(2**63) - 1))
+                 for _ in range(7)] for _ in range(5)]
+        assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
+
+
+def test_syzygy_runs_without_numpy():
+    # numpy is not a dependency; a None entry in sys.modules makes any
+    # attempt to import it fail
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from dworkgm.cli import main\n"
+            "sys.exit(main(['syzygy', '--weights', '70,1,1', '--bound', '72']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
