@@ -1,7 +1,8 @@
 """Command-line front end: deterministic text and JSON emitters.
 
 Exit codes: 0 success, 1 domain error (with a machine-readable error object
-on stderr), 2 usage error.
+on stderr), 2 usage error, 3 internal invariant failure (a program bug, with
+an error object of type InvariantError on stderr).
 """
 
 from __future__ import annotations
@@ -336,10 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("check needs --weights or --sweep")
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, syzygy.InvariantError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error), file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, syzygy.InvariantError) else 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ from .weyl import format_terms
 Scalar = Union[int, Fraction]
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in this program, not bad input."""
+
+
 class ExactDivisionError(ArithmeticError):
     """The requested polynomial division is not exact."""
 
@@ -304,7 +308,7 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
         slot_i = (xs[i] * xs[j] * sigma * partials[j]).exact_divide(f)
         slot_j = (xs[i] * xs[j] * sigma * partials[i]).exact_divide(f)
         if slot_i != xs[i] * ls[j] or slot_j != xs[j] * ls[i]:
-            raise ArithmeticError(
+            raise InvariantError(
                 f"Koszul quotient for pair ({i + 1},{j + 1}) does not match "
                 f"the simplified form x_i*l_j")
         components = [MultiPoly.zero(n) for _ in range(n + 1)]
@@ -429,7 +433,7 @@ def syzygy_dimension_table(w, degree_bound: int) -> list[DegreeDims]:
     gens = jacobian_generators(weights)
     vectors = syzygy_generators(weights)
     if not all(v.dot(gens).is_zero for v in vectors):
-        raise ArithmeticError("generators are not syzygies")
+        raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
     results = []
     for m in range(degree_bound + 1):

@@ -22,12 +22,16 @@ lists.  On top of the ring arithmetic this module provides:
   * singular-point detection for the leading coefficient, with Fuchs-type
     regularity flags at zero and infinity.
 
+The transforms clear denominators and run on integers, as ``euler_product``
+does, and build each output Fraction once.
+
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,6 +324,27 @@ _W_ZERO = WeylOp()
 _W_ONE = WeylOp([_LP_ONE])
 
 
+def _numerators(op: WeylOp) -> tuple[int, list[tuple[int, int, int]]]:
+    """Clear denominators: (L, [(k, m, n), ...]) with op = sum n/L * t^m d^k
+    and L the lcm of the coefficient denominators."""
+    # reduce, not lcm(*...): argument tuples of every length would fill the
+    # interpreter's tuple free lists and raise the peak RSS.
+    scale = functools.reduce(
+        math.lcm, (c.denominator for p in op._p for c in p._c.values()), 1)
+    return scale, [(k, m, c.numerator * (scale // c.denominator))
+                   for k, p in enumerate(op._p) for m, c in p._c.items()]
+
+
+def _from_numerators(acc: Mapping[int, Mapping[int, int]], scale: int) -> WeylOp:
+    """The operator sum acc[k][m]/L * t^m d^k, with L = scale; zeros dropped."""
+    out = []
+    for k in range(max(acc, default=-1) + 1):
+        lp = LaurentPoly.__new__(LaurentPoly)
+        lp._c = {m: Fraction(n, scale) for m, n in acc.get(k, {}).items() if n}
+        out.append(lp)
+    return WeylOp(out)
+
+
 def euler_op() -> WeylOp:
     """The Euler operator D = t*d."""
     return WeylOp([_LP_ZERO, LaurentPoly.term(1, 1)])
@@ -544,30 +569,19 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
         if not p.is_zero and p.order() < 0:
             raise ValueError("operator contains t^-1; the Fourier substitution "
                              "is defined only for polynomial coefficients")
-    acc: dict[int, dict[int, Fraction]] = {}
-    for k, m, c in op.monomials():
-        # c*t^m*d^k  ->  c * d^m * (-t)^k      (forward)
-        #            ->  c * (-d)^m * t^k      (inverse)
+    scale, monos = _numerators(op)
+    acc: dict[int, dict[int, int]] = {}
+    for k, m, n in monos:
+        # n*t^m*d^k  ->  n * d^m * (-t)^k      (forward)
+        #            ->  n * (-d)^m * t^k      (inverse)
         if (k if direction == "forward" else m) % 2:
-            c = -c
-        falling = 1
+            n = -n
+        # n * C(m,j) * k(k-1)...(k-j+1), updated by exact division
         for j in range(min(m, k) + 1):
             target = acc.setdefault(m - j, {})
-            e = k - j
-            s = target.get(e, 0) + c * (math.comb(m, j) * falling)
-            if s:
-                target[e] = s
-            else:
-                del target[e]
-            falling *= k - j
-    if not acc:
-        return _W_ZERO
-    out = [_LP_ZERO] * (max(acc) + 1)
-    for order, coeffs in acc.items():
-        lp = LaurentPoly.__new__(LaurentPoly)
-        lp._c = coeffs
-        out[order] = lp
-    return WeylOp(out)
+            target[k - j] = target.get(k - j, 0) + n
+            n = n * (m - j) * (k - j) // (j + 1)
+    return _from_numerators(acc, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -581,69 +595,53 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
     equivalently d_t -> -u^2 d_u; it is an involution on normal forms.
     The result is expressed in the (u, d_u) pair under the same names.
 
-    Monomial rule: t^m d^k maps to (-1)^k u^(k-m) * (D)(D+1)...(D+k-1),
-    where the rising Euler product in normal form is sum_i r_i u^i d^i with
-    the integer recurrence r'_i = r_(i-1) + (i + k) * r_i.
+    Monomial rule: t^m d^k maps to (-1)^k u^(k-m) * (D)(D+1)...(D+k-1).
+    The monomials of one t-weight m-k share the factor u^(k-m) on the left,
+    so their images are summed by Horner's rule in the normal form
+    sum_i r_i u^i d^i, where right multiplication by D + k is the integer
+    recurrence r'_i = r_(i-1) + (i + k) * r_i.
     """
-    if op.is_zero:
-        return op
-    rising = [1]  # coefficient of u^i d^i in prod_{j<k} (D+j)
-    acc: dict[int, dict[int, Fraction]] = {}
-    for k, p in enumerate(op.coeffs()):
-        for m, c in p.items():
-            if k % 2:
-                c = -c
-            for i, r in enumerate(rising):
-                if not r:
-                    continue
-                target = acc.setdefault(i, {})
-                e = k - m + i
-                s = target.get(e, 0) + c * r
-                if s:
-                    target[e] = s
-                else:
-                    del target[e]
-        nxt = [0] * (len(rising) + 1)
-        for i, r in enumerate(rising):
-            nxt[i + 1] += r
-            nxt[i] += r * (i + k)
-        rising = nxt
-    if not acc:
-        return _W_ZERO
-    out = [_LP_ZERO] * (max(acc) + 1)
-    for order, coeffs in acc.items():
-        lp = LaurentPoly.__new__(LaurentPoly)
-        lp._c = coeffs
-        out[order] = lp
-    return WeylOp(out)
+    scale, monos = _numerators(op)
+    parts: dict[int, dict[int, int]] = {}  # t-weight m-k -> {k: +-n}
+    for k, m, n in monos:
+        parts.setdefault(m - k, {})[k] = -n if k % 2 else n
+    acc: dict[int, dict[int, int]] = {}
+    for w, part in parts.items():
+        # Horner: r <- r*(D + k) + part[k], from the top k down to 0
+        top = max(part)
+        r = [part[top]]
+        for k in range(top - 1, -1, -1):
+            r = ([part.get(k, 0) + k * r[0]]
+                 + [r[i - 1] + (i + k) * r[i] for i in range(1, len(r))]
+                 + [r[-1]])
+        for i, c in enumerate(r):
+            acc.setdefault(i, {})[i - w] = c
+    return _from_numerators(acc, scale)
 
 
 # ---------------------------------------------------------------------------
 # Indicial polynomials
 # ---------------------------------------------------------------------------
 
-def _weight_parts(op: WeylOp) -> dict[int, list[Fraction]]:
-    """Group the operator by t-weight, as polynomials in s = Euler operator.
+def _min_weight_part(op: WeylOp) -> list[int]:
+    """The part of minimal t-weight, as a polynomial in s = Euler operator.
 
     A monomial t^m d^k has weight m-k and contributes its coefficient times
     the falling factorial s(s-1)...(s-k+1), because t^k d^k equals that
-    product of Euler factors.
+    product of Euler factors.  Returned as ascending integer coefficients,
+    L times the rational ones for the common denominator L.  The part is
+    never zero: its monomial of largest k alone reaches s-degree k.
     """
-    if op.is_zero:
-        raise ValueError("zero operator")
-    fall = [1]  # ascending coefficients of s(s-1)...(s-k+1)
-    parts: dict[int, list[Fraction]] = {}
-    for k, p in enumerate(op.coeffs()):
-        for m, c in p.items():
-            acc = parts.setdefault(m - k, [Fraction(0)] * (op.order() + 1))
-            for i, f in enumerate(fall):
-                acc[i] += c * f
-        nxt = [0] * (len(fall) + 1)
-        for i, f in enumerate(fall):
-            nxt[i + 1] += f  # s * fall
-            nxt[i] -= f * k  # -k * fall
-        fall = nxt
-    return {w: acc for w, acc in parts.items() if any(acc)}
+    _, monos = _numerators(op)
+    weight = min(m - k for k, m, _ in monos)
+    part = {k: n for k, m, n in monos if m - k == weight}
+    # Horner: q <- q*(s - k) + part[k], from the top k down to 0
+    top = max(part)
+    q = [part[top]]
+    for k in range(top - 1, -1, -1):
+        q = ([part.get(k, 0) - k * q[0]]
+             + [q[i - 1] - k * q[i] for i in range(1, len(q))] + [q[-1]])
+    return q
 
 
 def _trim(coeffs: list[Fraction]) -> list[Fraction]:
@@ -688,15 +686,22 @@ class IndicialPolynomial:
 
         Direct product comparison; independent of any factorization routine.
         """
-        prod = [Fraction(1)]
-        for v in values:
-            v = Fraction(v)
-            nxt = [Fraction(0)] * (len(prod) + 1)
+        vs = [Fraction(v) for v in values]
+        if len(vs) != self.degree:
+            return False
+        # prod (L*s - L*v) = L^n * prod (s - v), in integers
+        scale = functools.reduce(math.lcm, (v.denominator for v in vs), 1)
+        prod = [1]
+        for v in vs:
+            root = v.numerator * (scale // v.denominator)
+            nxt = [0] * (len(prod) + 1)
             for i, c in enumerate(prod):
-                nxt[i + 1] += c
-                nxt[i] -= c * v
+                nxt[i + 1] += c * scale
+                nxt[i] -= c * root
             prod = nxt
-        return tuple(prod) == self.coeffs
+        top = scale ** len(vs)
+        return all(p * c.denominator == top * c.numerator
+                   for p, c in zip(prod, self.coeffs))
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "s")
@@ -806,15 +811,12 @@ def indicial_polynomial(op: WeylOp, place: str = "zero") -> IndicialPolynomial:
     if place not in ("zero", "infinity"):
         raise ValueError(f"unknown place {place!r}")
     if place == "infinity":
-        inner = indicial_polynomial(mobius_infinity(op), "zero")
-        flipped = _trim([c if i % 2 == 0 else -c
-                         for i, c in enumerate(inner.coeffs)])
-        lead = flipped[-1]
-        return IndicialPolynomial(tuple(c / lead for c in flipped), "infinity")
-    parts = _weight_parts(op)
-    q = _trim(list(parts[min(parts)]))
+        q = _min_weight_part(mobius_infinity(op))
+        q = [c if i % 2 == 0 else -c for i, c in enumerate(q)]  # s -> -s
+    else:
+        q = _min_weight_part(op)
     lead = q[-1]
-    return IndicialPolynomial(tuple(c / lead for c in q), "zero")
+    return IndicialPolynomial(tuple(Fraction(c, lead) for c in q), place)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,18 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 
 from dworkgm import hypergeom
+
+
+def package_env():
+    """Environment for a child Python that imports dworkgm from where the
+    tests import it, whether or not PYTHONPATH names that place."""
+    src = str(pathlib.Path(hypergeom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_hyp_data(count, seed, max_type=5, max_den=12):

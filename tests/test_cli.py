@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import package_env
 from dworkgm.cli import main
 
 
@@ -96,6 +97,20 @@ def test_domain_error_exit_code_and_object(capsys):
     assert "error" in json.loads(err)
 
 
+def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
+    from dworkgm import syzygy
+
+    assert not issubclass(syzygy.InvariantError, (ValueError, ArithmeticError))
+    real_l_poly = syzygy.l_poly
+    monkeypatch.setattr(syzygy, "l_poly", lambda w, i: real_l_poly(w, i) * 2)
+    code, out, err = run_cli(capsys, "syzygy", "--weights", "1,1,1")
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvariantError"
+    assert "Koszul quotient" in error["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report"])  # missing --weights
@@ -116,6 +131,6 @@ def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "dworkgm.cli", "report", "--weights", "1,2",
          "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gamma"] == "4/27"

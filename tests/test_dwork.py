@@ -262,6 +262,13 @@ def test_full_report_permutation_invariant():
         assert json.dumps(full_report(perm)) == reference
 
 
+@pytest.mark.parametrize("w", [(299, 1), (150, 97, 53), (100, 100, 99, 1)])
+def test_large_degree_report_passes_every_check(w):
+    r = full_report(w)
+    assert {"indicial_zero", "indicial_infinity", "fourier_pair"} <= set(r["checks"])
+    assert all(r["checks"].values())
+
+
 def test_base_case_reproduces_rank_and_singularity():
     r = full_report((1, 2))
     assert r["g_block"]["rank"] == 2  # d - 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import package_env
 from dworkgm.syzygy import (ExactDivisionError, MultiPoly, SyzygyVector,
                             family_poly, generation_oracle, jacobian_generators,
                             l_poly, partial_factorization_holds, syzygy_dimension_table,
@@ -177,5 +178,5 @@ def test_syzygy_runs_without_numpy():
             "from dworkgm.cli import main\n"
             "sys.exit(main(['syzygy', '--weights', '70,1,1', '--bound', '72']))")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr

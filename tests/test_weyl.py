@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dworkgm.weyl import (LaurentPoly, ParseError, WeylOp, euler_factorization,
-                          euler_op, euler_product, fourier, indicial_polynomial,
-                          mobius_infinity, parse_op, singular_support)
+from conftest import random_hyp_data
+from dworkgm.hypergeom import hyp_operator
+from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
+                          euler_factorization, euler_op, euler_product, fourier,
+                          indicial_polynomial, mobius_infinity, parse_op,
+                          singular_support)
 
 
 def rand_op(rng, localized=False, terms=4):
@@ -18,6 +21,24 @@ def rand_op(rng, localized=False, terms=4):
             coeffs.append(LaurentPoly())
         coeffs[k] = coeffs[k] + LaurentPoly.term(c, m)
     return WeylOp(coeffs)
+
+
+def substitute(op, t_image, d_image):
+    """sum c * t_image^m * d_image^k over the monomials c*t^m*d^k of op, built
+    one monomial at a time from WeylOp multiplication and addition only."""
+    out = WeylOp.zero()
+    for k, m, c in op.monomials():
+        out = out + WeylOp.constant(c) * t_image ** m * d_image ** k
+    return out
+
+
+def oracle_operators(seed):
+    """Seeded sparse operators with unrelated denominators, then dense
+    hypergeometric operators with parameter denominators up to 12."""
+    rng = random.Random(seed)
+    ops = [rand_op(rng, localized=True) for _ in range(150)]
+    ops += [hyp_operator(h) for h in random_hyp_data(30, seed=seed, max_den=12)]
+    return ops
 
 
 # -- parser ------------------------------------------------------------------
@@ -142,6 +163,15 @@ def test_fourier_inverse_round_trip():
         assert fourier(fourier(a, "inverse"), "forward") == a
 
 
+def test_fourier_matches_monomial_substitution():
+    t, d = WeylOp.t(), WeylOp.d()
+    for op in oracle_operators(11):
+        op = WeylOp.t(6) * op  # polynomial coefficients
+        # c*t^m*d^k -> c*d^m*(-t)^k forward, c*(-d)^m*t^k inverse
+        assert fourier(op) == substitute(op, d, t * -1)
+        assert fourier(op, "inverse") == substitute(op, d * -1, t)
+
+
 def test_fourier_rejects_laurent():
     with pytest.raises(ValueError, match="t\\^-1"):
         fourier(parse_op("t^-1"))
@@ -154,6 +184,16 @@ def test_mobius_examples():
     assert mobius_infinity(euler_op() - WeylOp.constant(alpha)) == \
         parse_op("-D - 3/4")
     assert mobius_infinity(parse_op("t")) == parse_op("t^-1")
+
+
+def test_mobius_matches_monomial_substitution():
+    # c*t^m*d^k -> c*t^(-m)*(-t^2*d)^k
+    for op in oracle_operators(12):
+        image = WeylOp.zero()
+        for k, m, c in op.monomials():
+            image = image + (WeylOp.constant(c) * WeylOp.t(-m)
+                             * (WeylOp.t(2) * WeylOp.d() * -1) ** k)
+        assert mobius_infinity(op) == image
 
 
 def test_mobius_involution():
@@ -214,6 +254,37 @@ def test_has_roots_exactly_is_product_comparison():
     assert ind.has_roots_exactly([2, Fraction(1, 3)])
     assert not ind.has_roots_exactly([2, Fraction(2, 3)])
     assert not ind.has_roots_exactly([2])
+
+
+def test_has_roots_exactly_edge_cases():
+    one = IndicialPolynomial((Fraction(1),), "zero")
+    linear = IndicialPolynomial((Fraction(-1, 2), Fraction(1)), "zero")
+    assert one.has_roots_exactly([])
+    assert not linear.has_roots_exactly([])
+    assert not one.has_roots_exactly([Fraction(1, 2)])
+    # multiset length differs from the degree
+    assert linear.has_roots_exactly([Fraction(1, 2)])
+    assert not linear.has_roots_exactly([Fraction(1, 2)] * 2)
+    # s^2 + s - 1/2 shares its two low coefficients with s - 1/2
+    quadratic = IndicialPolynomial((Fraction(-1, 2), Fraction(1), Fraction(1)),
+                                   "zero")
+    assert not quadratic.has_roots_exactly([Fraction(1, 2)])
+    # coprime denominators: (s - 1/7)(s - 1/11)(s - 1/13)
+    roots = [Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)]
+    coeffs = (Fraction(-1, 1001), Fraction(31, 1001), Fraction(-311, 1001),
+              Fraction(1))
+    cubic = IndicialPolynomial(coeffs, "zero")
+    assert cubic.has_roots_exactly(roots)
+    assert cubic.has_roots_exactly(reversed(roots))  # any iterable, any order
+    assert indicial_polynomial(
+        parse_op("(D - 1/7)*(D - 1/11)*(D - 1/13)"), "zero") == cubic
+    # a near miss: one coefficient off by 1/1001
+    for i in range(3):
+        near = list(coeffs)
+        near[i] += Fraction(1, 1001)
+        assert not IndicialPolynomial(tuple(near), "zero").has_roots_exactly(roots)
+    assert not cubic.has_roots_exactly([Fraction(1, 7), Fraction(1, 11),
+                                        Fraction(2, 13)])
 
 
 def test_indicial_roots_with_irrational_part():
