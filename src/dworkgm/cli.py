@@ -29,6 +29,10 @@ def _parse_sweep(text: str) -> tuple[int, int]:
         n_max, w_max = (int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'n_max,w_max', got {text!r}")
+    if n_max < 1 or w_max < 1:
+        # either bound below 1 leaves the sweep empty: nothing would be checked
+        raise argparse.ArgumentTypeError(
+            f"n_max and w_max must be at least 1, got {text!r}")
     return n_max, w_max
 
 

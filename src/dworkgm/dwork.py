@@ -248,8 +248,9 @@ class GBlock:
         }
 
 
-def _constant_quotient(w: Weights) -> FactorList:
-    return FactorList((kummer(Fraction(a, w.e)), w.n) for a in range(1, w.e + 1))
+def _kummer_sum(e: int, mult: int) -> FactorList:
+    """K(a/e) for a = 1..e, each with multiplicity mult."""
+    return FactorList((kummer(Fraction(a, e)), mult) for a in range(1, e + 1))
 
 
 def g_block(w: WeightsLike) -> GBlock:
@@ -273,7 +274,7 @@ def g_block(w: WeightsLike) -> GBlock:
         )
         exps_zero = base.exps_zero.pushforward(e)
         exps_inf = base.exps_infinity.pushforward(e)
-    quotient = _constant_quotient(w)
+    quotient = _kummer_sum(w.e, w.n)
     sequences = (
         ExactSeq(left="G", middle="H^0(K)", right=str(quotient)),
         ExactSeq(left=h.display(), middle="G", right=str(kblock)),
@@ -317,11 +318,8 @@ def k_table(w: WeightsLike) -> dict[int, FactorList | Extension]:
     n, e = w.n, w.e
     table: dict[int, FactorList | Extension] = {}
     for i in range(-(n - 1), 0):
-        mult = math.comb(n, i + n - 1)
-        table[i] = FactorList(
-            (kummer(Fraction(a, e)), mult) for a in range(1, e + 1)
-        )
-    table[0] = Extension(sub=g_block(w), quotient=_constant_quotient(w))
+        table[i] = _kummer_sum(e, math.comb(n, i + n - 1))
+    table[0] = Extension(sub=g_block(w), quotient=_kummer_sum(e, n))
     return table
 
 
@@ -338,13 +336,8 @@ def m_table(w: WeightsLike) -> dict[int, FactorList]:
     e1 = w.e_chain[-2]
     table: dict[int, FactorList] = {}
     for i in range(-(n - 2), 0):
-        mult = math.comb(n - 1, i + n - 2)
-        table[i] = FactorList(
-            (kummer(Fraction(a, e1)), mult) for a in range(1, e1 + 1)
-        )
-    deg0 = [(kummer(Fraction(a, e1)), n - 2) for a in range(1, e1 + 1)]
-    deg0 += [(kummer(Fraction(a, d1)), 1) for a in range(1, d1 + 1)]
-    table[0] = FactorList(deg0)
+        table[i] = _kummer_sum(e1, math.comb(n - 1, i + n - 2))
+    table[0] = _kummer_sum(e1, n - 2) + _kummer_sum(d1, 1)
     return table
 
 

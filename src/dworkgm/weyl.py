@@ -22,8 +22,12 @@ lists.  On top of the ring arithmetic this module provides:
   * singular-point detection for the leading coefficient, with Fuchs-type
     regularity flags at zero and infinity.
 
-The transforms clear denominators and run on integers, as ``euler_product``
-does, and build each output Fraction once.
+Products and transforms alike clear denominators (``_numerators``), run on
+integer numerators and build each output Fraction once
+(``_from_numerators``).  Two private helpers hold the algebra they share:
+``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__`` and ``fourier``, and
+``_times_euler`` multiplies by a*D + b on the right, for ``euler_product``
+and ``mobius_infinity``.
 
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
@@ -115,26 +119,12 @@ class LaurentPoly:
         out._c = {e: -v for e, v in self._c.items()}
         return out
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {} if not other else {e: v * other for e, v in self._c.items()}
-            return out
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = c.get(e, 0) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
+    def __mul__(self, other: Scalar) -> "LaurentPoly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        other = Fraction(other)
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
+        out._c = {} if not other else {e: v * other for e, v in self._c.items()}
         return out
 
     __rmul__ = __mul__
@@ -251,41 +241,14 @@ class WeylOp:
             return WeylOp([p * other for p in self._p])
         if not isinstance(other, WeylOp):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return _W_ZERO
-        acc: list[dict[int, Fraction]] = [
-            {} for _ in range(len(self._p) + len(other._p) - 1)
-        ]
-        for i, p in enumerate(self._p):
-            if p.is_zero:
-                continue
-            pc = p._c
-            for j, q in enumerate(other._p):
-                if q.is_zero:
-                    continue
-                # d^i q = sum_k C(i,k) q^(k) d^(i-k)
-                deriv = q._c
-                for k in range(i + 1):
-                    if not deriv:
-                        break
-                    cmb = math.comb(i, k)
-                    target = acc[i - k + j]
-                    for e1, v1 in pc.items():
-                        prod = v1 * cmb
-                        for e2, v2 in deriv.items():
-                            e = e1 + e2
-                            s = target.get(e, 0) + prod * v2
-                            if s:
-                                target[e] = s
-                            else:
-                                del target[e]
-                    deriv = {e - 1: v * e for e, v in deriv.items() if e}
-        out = []
-        for c in acc:
-            lp = LaurentPoly.__new__(LaurentPoly)
-            lp._c = c
-            out.append(lp)
-        return WeylOp(out)
+        # n1*t^m1*d^k1 * n2*t^m2*d^k2 = n1*n2 * t^m1 * (d^k1 t^m2) * d^k2
+        scale1, monos1 = _numerators(self)
+        scale2, monos2 = _numerators(other)
+        acc: dict[int, dict[int, int]] = {}
+        for k1, m1, n1 in monos1:
+            for k2, m2, n2 in monos2:
+                _leibniz(acc, n1 * n2, k1, m2, m1, k2)
+        return _from_numerators(acc, scale1 * scale2)
 
     def __rmul__(self, other: Scalar) -> "WeylOp":
         if isinstance(other, (int, Fraction)):
@@ -345,6 +308,29 @@ def _from_numerators(acc: Mapping[int, Mapping[int, int]], scale: int) -> WeylOp
     return WeylOp(out)
 
 
+def _leibniz(acc: dict[int, dict[int, int]], n: int, a: int, b: int,
+             t_shift: int, d_shift: int) -> None:
+    """Add n * t^t_shift * (d^a t^b) * d^d_shift to acc[k][m], the integer
+    coefficient of t^m d^k, by the Leibniz rule
+    d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j)."""
+    # n * C(a,j) * b(b-1)...(b-j+1), updated by exact division; for b >= 0
+    # it vanishes past j = b
+    for j in range(a + 1 if b < 0 else min(a, b) + 1):
+        target = acc.setdefault(a - j + d_shift, {})
+        m = b - j + t_shift
+        target[m] = target.get(m, 0) + n
+        n = n * (a - j) * (b - j) // (j + 1)
+
+
+def _times_euler(r: list[int], a: int, b: int) -> list[int]:
+    """sum r_j t^j d^j times a*D + b on the right, in the same basis:
+    t^j d^j * D = t^(j+1) d^(j+1) + j * t^j d^j, so
+    r'_j = a * r_(j-1) + (a*j + b) * r_j."""
+    return ([b * r[0]]
+            + [a * r[j - 1] + (a * j + b) * r[j] for j in range(1, len(r))]
+            + [a * r[-1]])
+
+
 def euler_op() -> WeylOp:
     """The Euler operator D = t*d."""
     return WeylOp([_LP_ZERO, LaurentPoly.term(1, 1)])
@@ -353,37 +339,18 @@ def euler_op() -> WeylOp:
 def euler_product(constants: Iterable[Scalar]) -> WeylOp:
     """Normal form of prod (D - c) over the given constants.
 
-    Computed in the commuting D-basis (an integer polynomial after clearing
-    denominators) and converted by D^k = sum_j S(k, j) t^j d^j, which is much
-    cheaper than repeated operator multiplication.
+    With L the lcm of the denominators, the product is prod (L*D - L*c)
+    divided by L^n.  It is built by the Horner recurrence of
+    ``_times_euler`` in the basis t^j d^j, one factor at a time, so every
+    product is a big integer times a small one.
     """
     cs = [Fraction(c) for c in constants]
-    n = len(cs)
-    if n == 0:
-        return _W_ONE
-    scale = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * scale) for c in cs]
-    poly = [1]
-    for ci in ints:
-        nxt = [0] * (len(poly) + 1)
-        for i, v in enumerate(poly):
-            nxt[i + 1] += v
-            nxt[i] -= v * ci
-        poly = nxt
-    numerators = [0] * (n + 1)
-    stirling = [1]  # row k of the Stirling numbers S(k, j), j <= k
-    power = 1  # scale ** k
-    for k in range(n + 1):
-        if k:
-            stirling = [0] + [stirling[j - 1] + j * stirling[j]
-                              for j in range(1, k)] + [1]
-        scaled = poly[k] * power
-        for j, s in enumerate(stirling):
-            numerators[j] += scaled * s
-        power *= scale
-    denominator = scale ** n
-    return WeylOp(LaurentPoly.term(Fraction(numerator, denominator), j)
-                  for j, numerator in enumerate(numerators))
+    scale = functools.reduce(math.lcm, (c.denominator for c in cs), 1)
+    r = [1]
+    for c in cs:
+        r = _times_euler(r, scale, -c.numerator * (scale // c.denominator))
+    return _from_numerators({j: {j: n} for j, n in enumerate(r)},
+                            scale ** len(cs))
 
 
 def euler_factorization(d: int) -> WeylOp:
@@ -560,8 +527,8 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
     This is a ring automorphism of the unlocalized Weyl algebra; the inverse
     direction is the inverse map t -> -d, d -> t.  Operators containing t^-1
     are rejected, since the substitution is only defined on polynomial
-    coefficients.  Each monomial maps through the two-sided Leibniz expansion
-    d^m t^k = sum_j C(m,j) * k(k-1)...(k-j+1) * t^(k-j) d^(m-j).
+    coefficients.  Each monomial maps to a multiple of d^m t^k, which
+    ``_leibniz`` brings to normal form.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -576,11 +543,7 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
         #            ->  n * (-d)^m * t^k      (inverse)
         if (k if direction == "forward" else m) % 2:
             n = -n
-        # n * C(m,j) * k(k-1)...(k-j+1), updated by exact division
-        for j in range(min(m, k) + 1):
-            target = acc.setdefault(m - j, {})
-            target[k - j] = target.get(k - j, 0) + n
-            n = n * (m - j) * (k - j) // (j + 1)
+        _leibniz(acc, n, m, k, 0, 0)
     return _from_numerators(acc, scale)
 
 
@@ -599,7 +562,7 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
     The monomials of one t-weight m-k share the factor u^(k-m) on the left,
     so their images are summed by Horner's rule in the normal form
     sum_i r_i u^i d^i, where right multiplication by D + k is the integer
-    recurrence r'_i = r_(i-1) + (i + k) * r_i.
+    recurrence of ``_times_euler``.
     """
     scale, monos = _numerators(op)
     parts: dict[int, dict[int, int]] = {}  # t-weight m-k -> {k: +-n}
@@ -611,9 +574,8 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
         top = max(part)
         r = [part[top]]
         for k in range(top - 1, -1, -1):
-            r = ([part.get(k, 0) + k * r[0]]
-                 + [r[i - 1] + (i + k) * r[i] for i in range(1, len(r))]
-                 + [r[-1]])
+            r = _times_euler(r, 1, k)
+            r[0] += part.get(k, 0)
         for i, c in enumerate(r):
             acc.setdefault(i, {})[i - w] = c
     return _from_numerators(acc, scale)

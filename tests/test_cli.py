@@ -120,7 +120,7 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("sweep", ["a,b", "3", "1,2,3"])
+@pytest.mark.parametrize("sweep", ["a,b", "3", "1,2,3", "0,4", "2,0"])
 def test_bad_sweep_is_usage_error(sweep):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--sweep", sweep])

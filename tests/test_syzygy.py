@@ -171,6 +171,24 @@ def test_modular_and_exact_ranks_agree():
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
 
 
+def test_exact_rank_fallback_gives_the_same_table(monkeypatch):
+    # a modular rank of 0 makes the two one-sided bounds disagree in every
+    # degree with a nonzero domain, so those degrees take exact elimination
+    from dworkgm import syzygy
+    expected = syzygy_dimension_table((2, 1, 1), 7)
+    rank_exact = syzygy._rank_exact
+    exact_calls = []
+
+    def counting_rank_exact(rows, ncols):
+        exact_calls.append(ncols)
+        return rank_exact(rows, ncols)
+
+    monkeypatch.setattr(syzygy, "_rank_mod", lambda rows, ncols: 0)
+    monkeypatch.setattr(syzygy, "_rank_exact", counting_rank_exact)
+    assert syzygy_dimension_table((2, 1, 1), 7) == expected
+    assert exact_calls
+
+
 def test_syzygy_runs_without_numpy():
     # numpy is not a dependency; a None entry in sys.modules makes any
     # attempt to import it fail

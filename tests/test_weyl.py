@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,18 @@ def test_ring_laws_on_random_operators():
         a, b, c = (rand_op(rng, localized=True, terms=3) for _ in range(3))
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+def test_d_power_times_t_power_matches_leibniz_closed_form():
+    # d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j), built
+    # from the constructors alone, with no operator multiplication
+    for a in range(7):
+        for b in range(-4, 7):
+            coeffs = [LaurentPoly() for _ in range(a + 1)]
+            for j in range(a + 1):
+                falling = math.prod(b - i for i in range(j))
+                coeffs[a - j] = LaurentPoly.term(math.comb(a, j) * falling, b - j)
+            assert WeylOp.d(a) * WeylOp.t(b) == WeylOp(coeffs)
 
 
 def test_euler_factorization_small():
