@@ -151,9 +151,10 @@ def _cmd_weyl(args) -> int:
 def _cmd_syzygy(args) -> int:
     w = _parse_weights(args.weights)
     bound = args.bound if args.bound is not None else w.d + 4
-    vectors = syzygy.syzygy_generators(w.w)
-    verified = syzygy.verify_syzygies(w.w)
-    table = syzygy.syzygy_dimension_table(w.w, bound)
+    gens = syzygy.jacobian_generators(w.w)
+    vectors = syzygy.syzygy_generators(w.w, _gens=gens)
+    verified = syzygy.verify_syzygies(w.w, _parts=(gens, vectors))
+    table = syzygy.syzygy_dimension_table(w.w, bound, _parts=(gens, vectors))
     doc = {
         "weights": list(w.w),
         "generators": [

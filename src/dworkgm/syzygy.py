@@ -19,6 +19,15 @@ Ranks are computed mod a large prime first; since the generator span is
 contained in the syzygy space over Q, matching modular bounds certify the
 rational equality exactly, and any mismatch falls back to dense exact
 rational row reduction.
+
+``MultiPoly`` keys each monomial x_1^{e_1} ... x_n^{e_n} by one int that
+packs n + 1 fields of 16 bits, most significant first:
+[e_1 + ... + e_n | e_1 | ... | e_n].  A product of monomials is the sum of
+their keys, integer order is grlex order, and the dimension table builds its
+matrix rows by adding a shift key.  The top bit of each field is a guard bit
+for exact division, so every monomial degree must stay below
+``DEGREE_LIMIT`` = 2^15; the constructor and products raise ValueError
+beyond it.
 """
 
 from __future__ import annotations
@@ -45,15 +54,51 @@ class ExactDivisionError(ArithmeticError):
 # Multivariate polynomials over the rationals
 # ---------------------------------------------------------------------------
 
-def _grlex(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+# Packed monomial keys (see the module docstring): fields of _BITS bits whose
+# top bit, the guard bit of exact_divide, stays clear.
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+DEGREE_LIMIT = 1 << (_BITS - 1)
+
+
+def _pack(exps) -> int:
+    key = degree = 0
+    for e in exps:
+        e = int(e)
+        if e < 0:
+            raise ValueError("negative exponent in a polynomial")
+        key = (key << _BITS) | e
+        degree += e
+    if degree >= DEGREE_LIMIT:
+        raise ValueError(f"monomial degree {degree} is not below {DEGREE_LIMIT}")
+    return (degree << (_BITS * len(exps))) | key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> (_BITS * (nvars - 1 - i))) & _MASK for i in range(nvars))
+
+
+def _unit(i: int, nvars: int) -> int:
+    """The key of x_{i+1}: one in its own field and one in the degree field."""
+    return (1 << (_BITS * nvars)) | (1 << (_BITS * (nvars - 1 - i)))
+
+
+def _make(nvars: int, c: dict) -> "MultiPoly":
+    out = MultiPoly.__new__(MultiPoly)
+    out.nvars, out._c = nvars, c
+    return out
 
 
 class MultiPoly:
     """Polynomial in x_1..x_n with exact rational coefficients.
 
-    Stored as a sparse map from exponent vectors to coefficients; zero
-    coefficients are never kept.
+    Stored as a sparse map from packed monomial keys to coefficients; zero
+    coefficients are never kept.  A key holds the total degree and then the
+    exponents of x_1..x_n in fixed 16-bit fields, most significant first, so
+    key order is grlex order and a product of monomials is a sum of keys.
+    Every monomial degree, given or produced by a product, must stay below
+    DEGREE_LIMIT (2^15); a larger one raises ValueError.  The constructor and
+    ``items()`` speak exponent tuples.
     """
 
     __slots__ = ("nvars", "_c")
@@ -64,9 +109,9 @@ class MultiPoly:
         if coeffs:
             for exps, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
                 if v:
-                    key = tuple(int(e) for e in exps)
-                    if len(key) != nvars:
+                    if len(exps) != nvars:
                         raise ValueError("exponent vector of wrong length")
+                    key = _pack(exps)
                     c[key] = c.get(key, 0) + v
         self._c = {k: v for k, v in c.items() if v}
 
@@ -74,7 +119,7 @@ class MultiPoly:
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
+        return _make(nvars, {})
 
     @staticmethod
     def constant(nvars: int, value: Scalar) -> "MultiPoly":
@@ -82,17 +127,14 @@ class MultiPoly:
 
     @staticmethod
     def variable(i: int, nvars: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return MultiPoly(nvars, {tuple(exps): 1})
+        if not 0 <= i < nvars:
+            raise IndexError("variable index out of range")
+        return _make(nvars, {_unit(i, nvars): 1})
 
     @staticmethod
     def sigma(nvars: int) -> "MultiPoly":
         """x_1 + ... + x_n."""
-        out = MultiPoly.zero(nvars)
-        for i in range(nvars):
-            out = out + MultiPoly.variable(i, nvars)
-        return out
+        return _make(nvars, {_unit(i, nvars): 1 for i in range(nvars)})
 
     # -- structure -----------------------------------------------------------
 
@@ -101,7 +143,9 @@ class MultiPoly:
         return not self._c
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Scalar]]:
-        return iter(sorted(self._c.items(), key=lambda kv: _grlex(kv[0])))
+        """(exponent tuple, coefficient) pairs in increasing grlex order."""
+        n, c = self.nvars, self._c
+        return ((_unpack(k, n), c[k]) for k in sorted(c))
 
     def __len__(self) -> int:
         return len(self._c)
@@ -109,11 +153,11 @@ class MultiPoly:
     def degree(self) -> int:
         if not self._c:
             raise ValueError("degree of the zero polynomial")
-        return max(sum(e) for e in self._c)
+        return max(self._c) >> (_BITS * self.nvars)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._c}
-        return len(degrees) <= 1
+        shift = _BITS * self.nvars
+        return len({k >> shift for k in self._c}) <= 1
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -133,36 +177,33 @@ class MultiPoly:
                 c[k] = s
             else:
                 c.pop(k, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out._c = self.nvars, c
-        return out
+        return _make(self.nvars, c)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out._c = self.nvars, {k: -v for k, v in self._c.items()}
-        return out
+        return _make(self.nvars, {k: -v for k, v in self._c.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            out = MultiPoly.__new__(MultiPoly)
-            out.nvars = self.nvars
-            out._c = {} if not other else {k: v * other for k, v in self._c.items()}
-            return out
+            return _make(self.nvars, {k: v * other for k, v in self._c.items()}
+                         if other else {})
+        a, b = self._c, other._c
+        if not a or not b:
+            return _make(self.nvars, {})
+        # every product key is at most the sum of the two largest keys, so
+        # one check on that degree keeps every field of every sum in range
+        if (max(a) + max(b)) >> (_BITS * self.nvars) >= DEGREE_LIMIT:
+            raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
         c: dict = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = c.get(k, 0) + v1 * v2
-                if s:
-                    c[k] = s
-                else:
-                    c.pop(k, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out._c = self.nvars, c
-        return out
+        get = c.get
+        b_items = b.items()
+        for k1, v1 in a.items():
+            for k2, v2 in b_items:
+                k = k1 + k2
+                c[k] = get(k, 0) + v1 * v2
+        return _make(self.nvars, {k: v for k, v in c.items() if v})
 
     __rmul__ = __mul__
 
@@ -176,12 +217,14 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to x_{i+1} (0-based index)."""
+        shift = _BITS * (self.nvars - 1 - i)
+        unit = _unit(i, self.nvars)
         c = {}
         for k, v in self._c.items():
-            if k[i]:
-                key = k[:i] + (k[i] - 1,) + k[i + 1:]
-                c[key] = c.get(key, 0) + v * k[i]
-        return MultiPoly(self.nvars, c)
+            e = (k >> shift) & _MASK
+            if e:
+                c[k - unit] = v * e
+        return _make(self.nvars, c)
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact quotient self / divisor; raises ExactDivisionError otherwise."""
@@ -189,37 +232,42 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return MultiPoly.zero(self.nvars)
-        dlead = max(divisor._c, key=_grlex)
+        # the top bit of each field: it survives (lt | guards) - dlead in
+        # every field exactly when lt >= dlead fieldwise
+        guards = sum(1 << (_BITS * i + _BITS - 1) for i in range(self.nvars + 1))
+        dlead = max(divisor._c)
         dcoeff = divisor._c[dlead]
+        dterms = divisor._c.items()
         rem = dict(self._c)
         quo: dict = {}
         while rem:
-            lt = max(rem, key=_grlex)
-            diff = tuple(a - b for a, b in zip(lt, dlead))
-            if any(e < 0 for e in diff):
+            lt = max(rem)
+            diff = (lt | guards) - dlead
+            if diff & guards != guards:
                 raise ExactDivisionError("division is not exact")
+            diff ^= guards
             rc = rem[lt]
             if isinstance(rc, int) and isinstance(dcoeff, int) and rc % dcoeff == 0:
                 c = rc // dcoeff
             else:
                 c = Fraction(rc) / Fraction(dcoeff)
             quo[diff] = c
-            for k, v in divisor._c.items():
-                key = tuple(a + b for a, b in zip(diff, k))
+            for k, v in dterms:
+                key = diff + k
                 s = rem.get(key, 0) - c * v
                 if s:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return MultiPoly(self.nvars, quo)
+        return _make(self.nvars, quo)
 
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
+        n, c = self.nvars, self._c
         return format_terms(
-            (v, [(f"x{i + 1}", e) for i, e in enumerate(exps)])
-            for exps, v in sorted(self._c.items(), key=lambda kv: _grlex(kv[0]),
-                                  reverse=True))
+            (c[k], [(f"x{i + 1}", e) for i, e in enumerate(_unpack(k, n))])
+            for k in sorted(c, reverse=True))
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"
@@ -270,7 +318,7 @@ class SyzygyVector:
 
     def dot(self, generators: Sequence[MultiPoly]) -> MultiPoly:
         acc = MultiPoly.zero(generators[0].nvars)
-        for a, g in zip(self.components, generators):
+        for a, g in zip(self.components, generators, strict=True):
             acc = acc + a * g
         return acc
 
@@ -305,8 +353,9 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
     )
     out = [euler]
     for i, j in combinations(range(n), 2):
-        slot_i = (xs[i] * xs[j] * sigma * partials[j]).exact_divide(f)
-        slot_j = (xs[i] * xs[j] * sigma * partials[i]).exact_divide(f)
+        xx_sigma = xs[i] * xs[j] * sigma
+        slot_i = (xx_sigma * partials[j]).exact_divide(f)
+        slot_j = (xx_sigma * partials[i]).exact_divide(f)
         if slot_i != xs[i] * ls[j] or slot_j != xs[j] * ls[i]:
             raise InvariantError(
                 f"Koszul quotient for pair ({i + 1},{j + 1}) does not match "
@@ -319,26 +368,38 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
     return out
 
 
-def verify_syzygies(w) -> bool:
-    """True iff every generator dots to zero against (f, f'_1, ..., f'_n)."""
+def _syzygy_parts(w) -> tuple[list[MultiPoly], list[SyzygyVector]]:
+    """The Jacobian generators and the syzygy generators, built once."""
     gens = jacobian_generators(w)
-    return all(v.dot(gens).is_zero for v in syzygy_generators(w, _gens=gens))
+    return gens, syzygy_generators(w, _gens=gens)
+
+
+def verify_syzygies(w, _parts=None) -> bool:
+    """True iff every generator dots to zero against (f, f'_1, ..., f'_n).
+
+    ``_parts`` is the pair (jacobian_generators(w), syzygy_generators(w)),
+    for callers that have built it already.
+    """
+    gens, vectors = _parts if _parts is not None else _syzygy_parts(w)
+    return all(v.dot(gens).is_zero for v in vectors)
 
 
 # ---------------------------------------------------------------------------
 # Degree-bounded generation oracle
 # ---------------------------------------------------------------------------
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+def _monomial_keys(nvars: int, degree: int) -> list[int]:
+    """Packed keys of the monomials of one degree, in increasing order."""
     if degree < 0:
         return []
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in _monomials(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+
+    def extend(prefix: int, left: int, fields: int) -> list[int]:
+        if fields == 1:
+            return [(prefix << _BITS) | left]
+        return [key for e in range(left + 1)
+                for key in extend((prefix << _BITS) | e, left - e, fields - 1)]
+
+    return extend(degree, degree, nvars)
 
 
 def _rank_mod(rows: list[list[int]], ncols: int, p: int = 1_000_003) -> int:
@@ -393,17 +454,15 @@ def _rank_exact(rows: list[list[int]], ncols: int) -> int:
 
 
 def _int_coeff(v: Scalar) -> int:
-    f = Fraction(v)
-    if f.denominator != 1:
+    if isinstance(v, int):
+        return v
+    if v.denominator != 1:
         raise ValueError("expected an integer coefficient")
-    return f.numerator
+    return v.numerator
 
 
-def _poly_row(poly: MultiPoly, index: dict[tuple[int, ...], int]) -> list[int]:
-    row = [0] * len(index)
-    for exps, v in poly._c.items():
-        row[index[exps]] = _int_coeff(v)
-    return row
+def _int_terms(poly: MultiPoly) -> list[tuple[int, int]]:
+    return [(k, _int_coeff(v)) for k, v in poly._c.items()]
 
 
 @dataclass
@@ -417,54 +476,60 @@ class DegreeDims:
         return self.syzygy_dim == self.generated_dim
 
 
-def syzygy_dimension_table(w, degree_bound: int) -> list[DegreeDims]:
+def syzygy_dimension_table(w, degree_bound: int,
+                           _parts=None) -> list[DegreeDims]:
     """Per-degree syzygy-space and generator-span dimensions up to the bound.
 
     A degree-m syzygy is a vector (a_0, ..., a_n) with deg a_0 = m - d and
     deg a_i = m - d + 1 such that a_0*f + sum a_i*f'_i = 0.  Both dimensions
     are exact: modular ranks certify equality when the two one-sided bounds
-    meet, otherwise exact rational elimination decides.
+    meet, otherwise exact rational elimination decides.  ``_parts`` is as in
+    ``verify_syzygies``.
     """
     weights = _weights(w)
     d = sum(weights)
     if degree_bound < d:
         raise ValueError(f"degree bound must be at least d = {d}")
     n = len(weights) - 1
-    gens = jacobian_generators(weights)
-    vectors = syzygy_generators(weights)
-    if not all(v.dot(gens).is_zero for v in vectors):
+    gens, vectors = _parts if _parts is not None else _syzygy_parts(weights)
+    if not verify_syzygies(weights, _parts=(gens, vectors)):
         raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
+    gen_terms = [_int_terms(g) for g in gens]
+    vec_terms = [(d if v.kind == "euler" else d + 1,
+                  [_int_terms(c) for c in v.components]) for v in vectors]
+    keys = [_monomial_keys(n, k) for k in range(degree_bound + 1)]
+
+    def basis(k: int) -> list[int]:
+        return keys[k] if k >= 0 else []
+
     results = []
     for m in range(degree_bound + 1):
-        target = _monomials(n, m)
-        target_index = {mono: k for k, mono in enumerate(target)}
-        # evaluation map: (a_0..a_n) -> a_0 f + sum a_i f'_i, on monomial bases
-        slot_bases = [_monomials(n, m - deg) for deg in slot_degrees]
+        target = {key: col for col, key in enumerate(keys[m])}
+        # evaluation map: (a_0..a_n) -> a_0 f + sum a_i f'_i; the row of
+        # a_i = x^s puts the coefficients of x^s * f'_i at their columns
         eval_rows = []
-        for gen_poly, basis in zip(gens, slot_bases):
-            for mono in basis:
-                shifted = MultiPoly(n, {tuple(a + b for a, b in zip(exps, mono)): v
-                                        for exps, v in gen_poly._c.items()})
-                eval_rows.append(_poly_row(shifted, target_index))
+        for terms, deg in zip(gen_terms, slot_degrees):
+            for shift in basis(m - deg):
+                row = [0] * len(target)
+                for k, v in terms:
+                    row[target[k + shift]] = v
+                eval_rows.append(row)
         dom_dim = len(eval_rows)
         # span of the generators inside the domain coordinates
-        offsets = []
+        slot_columns = []
         total = 0
-        for basis in slot_bases:
-            offsets.append(total)
-            total += len(basis)
-        slot_index = [{mono: k for k, mono in enumerate(basis)}
-                      for basis in slot_bases]
+        for deg in slot_degrees:
+            slot_basis = basis(m - deg)
+            slot_columns.append({key: total + i for i, key in enumerate(slot_basis)})
+            total += len(slot_basis)
         span_rows = []
-        for vec in vectors:
-            vec_degree = d if vec.kind == "euler" else d + 1
-            for mono in _monomials(n, m - vec_degree):
+        for vec_degree, components in vec_terms:
+            for shift in basis(m - vec_degree):
                 row = [0] * total
-                for slot, comp in enumerate(vec.components):
-                    for exps, v in comp._c.items():
-                        key = tuple(a + b for a, b in zip(exps, mono))
-                        row[offsets[slot] + slot_index[slot][key]] = _int_coeff(v)
+                for columns, terms in zip(slot_columns, components):
+                    for k, v in terms:
+                        row[columns[k + shift]] = v
                 span_rows.append(row)
         syz_mod = dom_dim - _rank_mod(eval_rows, len(target))
         span_mod = _rank_mod(span_rows, total)

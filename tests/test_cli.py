@@ -56,6 +56,20 @@ def test_syzygy_subcommand(capsys):
     assert doc["verified"] and doc["generation"]["generated"]
 
 
+def test_syzygy_subcommand_builds_the_generators_once(capsys, monkeypatch):
+    from dworkgm import syzygy
+    real = syzygy.jacobian_generators
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(syzygy, "jacobian_generators", counting)
+    code, _, _ = run_cli(capsys, "syzygy", "--weights", "1,1,1", "--bound", "8")
+    assert code == 0 and len(calls) == 1
+
+
 def test_arrangement_subcommand(capsys):
     code, out, _ = run_cli(capsys, "arrangement", "--n", "3",
                            "--weights", "1,1,1,1", "--json")

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import package_env
-from dworkgm.syzygy import (ExactDivisionError, MultiPoly, SyzygyVector,
-                            family_poly, generation_oracle, jacobian_generators,
-                            l_poly, partial_factorization_holds, syzygy_dimension_table,
+from dworkgm.syzygy import (DEGREE_LIMIT, ExactDivisionError, MultiPoly,
+                            SyzygyVector, family_poly, generation_oracle,
+                            jacobian_generators, l_poly,
+                            partial_factorization_holds, syzygy_dimension_table,
                             syzygy_generators, verify_syzygies)
+from dworkgm.weyl import format_terms
 
 F = Fraction
 
@@ -44,6 +46,114 @@ def test_inexact_division_is_distinguished():
 def test_poly_str_grammar_fragment():
     assert str(x1 ** 2 * x2 + x1 * x2 ** 2) == "x1^2*x2 + x1*x2^2"
     assert str(MultiPoly.zero(2)) == "0"
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(1, -1): 1})
+
+
+def test_degree_beyond_a_key_field_is_rejected():
+    top = MultiPoly(1, {(DEGREE_LIMIT - 1,): 1})
+    assert top.degree() == DEGREE_LIMIT - 1
+    # each exponent fits its field, but the total degree does not
+    with pytest.raises(ValueError):
+        MultiPoly(2, {(DEGREE_LIMIT - 1, 1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(1, {(DEGREE_LIMIT,): 1})
+
+
+def test_product_beyond_a_key_field_is_rejected():
+    half = DEGREE_LIMIT // 2
+    a = MultiPoly(2, {(half, 0): 1, (0, 1): 3})
+    assert (a * MultiPoly(2, {(0, half - 1): 2})).degree() == DEGREE_LIMIT - 1
+    with pytest.raises(ValueError):
+        a * MultiPoly(2, {(0, half): 2})
+
+
+# -- the packed representation against a tuple-keyed reference -------------------
+
+def _ref_clean(c):
+    return {k: v for k, v in c.items() if v}
+
+
+def _ref_add(a, b):
+    c = dict(a)
+    for k, v in b.items():
+        c[k] = c.get(k, 0) + v
+    return _ref_clean(c)
+
+
+def _ref_mul(a, b):
+    c = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            c[k] = c.get(k, 0) + v1 * v2
+    return _ref_clean(c)
+
+
+def _ref_partial(a, i):
+    return _ref_clean({k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i]
+                       for k, v in a.items() if k[i]})
+
+
+def _ref_grlex(a):
+    return sorted(a, key=lambda e: (sum(e), e))
+
+
+def _ref_divide(a, b):
+    """The quotient a / b by grlex long division, None when not exact."""
+    lead = _ref_grlex(b)[-1]
+    rem, quo = dict(a), {}
+    while rem:
+        lt = _ref_grlex(rem)[-1]
+        diff = tuple(x - y for x, y in zip(lt, lead))
+        if min(diff) < 0:
+            return None
+        quo[diff] = F(rem[lt]) / F(b[lead])
+        rem = _ref_add(rem, _ref_mul({diff: -quo[diff]}, b))
+    return quo
+
+
+def _rand_terms(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(0, 5) for _ in range(nvars))
+        terms[exps] = rng.choice((rng.randint(-6, 6), F(rng.randint(-6, 6),
+                                                         rng.randint(1, 4))))
+    return _ref_clean(terms)
+
+
+def test_packed_keys_match_tuple_reference():
+    rng = random.Random(2024)
+    inexact = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        a, b = _rand_terms(rng, nvars), _rand_terms(rng, nvars)
+        pa, pb = MultiPoly(nvars, a), MultiPoly(nvars, b)
+        assert dict(pa.items()) == a
+        assert [e for e, _ in pa.items()] == _ref_grlex(a)
+        assert str(pa) == format_terms(
+            (a[e], [(f"x{i + 1}", k) for i, k in enumerate(e)])
+            for e in reversed(_ref_grlex(a)))
+        assert dict((pa + pb).items()) == _ref_add(a, b)
+        assert dict((pa - pb).items()) == _ref_add(a, {k: -v for k, v in b.items()})
+        assert dict((pa * pb).items()) == _ref_mul(a, b)
+        for i in range(nvars):
+            assert dict(pa.partial(i).items()) == _ref_partial(a, i)
+        if not b:
+            continue
+        product = _ref_mul(a, b)
+        assert dict(MultiPoly(nvars, product).exact_divide(pb).items()) == a
+        quotient = _ref_divide(a, b)
+        if quotient is None:
+            inexact += 1
+            with pytest.raises(ExactDivisionError):
+                pa.exact_divide(pb)
+        else:
+            assert dict(pa.exact_divide(pb).items()) == quotient
+    assert inexact > 100
 
 
 # -- the family polynomial ------------------------------------------------------
@@ -96,6 +206,15 @@ def test_generator_count():
 def test_verify_worked_examples():
     assert verify_syzygies((1, 1, 1))
     assert verify_syzygies((2, 3, 1, 2))
+
+
+def test_dot_needs_one_component_per_generator():
+    gens = jacobian_generators((1, 1, 1))
+    euler = syzygy_generators((1, 1, 1), _gens=gens)[0]
+    with pytest.raises(ValueError):
+        SyzygyVector(euler.components + (x1,), "euler").dot(gens)
+    with pytest.raises(ValueError):
+        SyzygyVector(euler.components[:-1], "euler").dot(gens)
 
 
 def test_perturbed_euler_fails():
@@ -156,6 +275,22 @@ def test_dimension_table_first_syzygy_degrees():
     assert table[d + 1].syzygy_dim == 3 and table[d + 1].generated_dim == 3
 
 
+def test_dimension_tables_pinned():
+    # recorded from the tuple-keyed implementation; degrees absent here have
+    # both dimensions zero
+    pinned = {
+        ((3, 2, 2, 1), 12): {8: 1, 9: 6, 10: 14, 11: 25, 12: 39},
+        ((40, 1, 1, 1), 45): {43: 1, 44: 6, 45: 14},
+        ((6, 5, 4, 3, 2), 22): {20: 1, 21: 10, 22: 30},
+    }
+    for (w, bound), dims in pinned.items():
+        table = syzygy_dimension_table(w, bound)
+        assert [row.degree for row in table] == list(range(bound + 1))
+        for row in table:
+            expected = dims.get(row.degree, 0)
+            assert (row.syzygy_dim, row.generated_dim) == (expected, expected)
+
+
 def test_modular_and_exact_ranks_agree():
     # force the exact path on a small instance and compare
     from dworkgm.syzygy import _rank_exact, _rank_mod
@@ -169,6 +304,13 @@ def test_modular_and_exact_ranks_agree():
         rows = [[rng.choice((0, 1, -big, big, big * big + 1, -(2**63) - 1))
                  for _ in range(7)] for _ in range(5)]
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
+
+
+def test_int_coeff():
+    from dworkgm.syzygy import _int_coeff
+    assert _int_coeff(-7) == -7 and type(_int_coeff(F(6, 3))) is int
+    with pytest.raises(ValueError):
+        _int_coeff(F(1, 2))
 
 
 def test_exact_rank_fallback_gives_the_same_table(monkeypatch):
