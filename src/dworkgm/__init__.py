@@ -4,7 +4,7 @@ Dwork families, verified against operator, syzygy and arrangement oracles."""
 from .weyl import (LaurentPoly, WeylOp, ParseError, parse_op, euler_op,
                    euler_factorization, fourier, mobius_infinity,
                    indicial_polynomial, singular_support)
-from .hypergeom import (ExpMultiset, HypModule, KummerModule, FactorList,
+from .hypergeom import (ExpMultiset, HypModule, FactorList, preimage_classes,
                         cancel, make_hyp, hyp_operator, is_irreducible,
                         exponents, kummer_twist, power_pullback,
                         power_pushforward, euler_char, puncture_fiber_cohomology)

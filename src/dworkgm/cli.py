@@ -153,8 +153,10 @@ def _cmd_syzygy(args) -> int:
     bound = args.bound if args.bound is not None else w.d + 4
     gens = syzygy.jacobian_generators(w.w)
     vectors = syzygy.syzygy_generators(w.w, _gens=gens)
-    verified = syzygy.verify_syzygies(w.w, _parts=(gens, vectors))
+    # the table verifies the generators first: a non-syzygy raises
+    # InvariantError (exit 3), so reaching the next line means verified
     table = syzygy.syzygy_dimension_table(w.w, bound, _parts=(gens, vectors))
+    verified = True
     doc = {
         "weights": list(w.w),
         "generators": [
@@ -181,7 +183,7 @@ def _cmd_syzygy(args) -> int:
             lines.append(f"  degree {row.degree}: syzygies {row.syzygy_dim}, "
                          f"generated {row.generated_dim}")
     _emit(doc, args.json, lines)
-    return 0 if verified and doc["generation"]["generated"] else 1
+    return 0 if doc["generation"]["generated"] else 1
 
 
 def _cmd_arrangement(args) -> int:
@@ -336,6 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact numbers print in full, whatever their size (Python 3.10.7+
+    # refuses to convert an int of more than 4300 digits to text by default)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "check" and not args.sweep and not args.weights:

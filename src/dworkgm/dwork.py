@@ -34,10 +34,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import arrangement, weyl
-from .hypergeom import (ExpMultiset, FactorList, HypModule, KummerModule,
-                        PushforwardHyp, euler_char, hyp_factor, hyp_operator,
-                        is_irreducible, kummer, make_hyp, power_pullback,
-                        structure)
+from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
+                        euler_char, hyp_operator, is_irreducible, make_hyp,
+                        power_pullback, preimage_classes)
 from .weyl import WeylOp, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
@@ -213,7 +212,7 @@ class GBlock:
     ``kummer_block`` lists the Kummer composition factors of G (the classes
     of the C set in the primitive case, their e-fold preimages otherwise);
     ``c_set`` always records the combinatorial C set of the weights
-    themselves.
+    themselves.  ``base`` is the block of the primitive tuple w/e when e > 1.
     """
 
     rank: int
@@ -225,10 +224,11 @@ class GBlock:
     chi: int
     finite_singularity: Fraction
     sequences: tuple[ExactSeq, ExactSeq]
+    base: "GBlock | None" = None
 
     @property
     def base_hyp(self) -> HypModule:
-        return self.hyp.base if isinstance(self.hyp, PushforwardHyp) else self.hyp
+        return self.hyp if self.base is None else self.base.hyp
 
     def hyp_display(self) -> object:
         if isinstance(self.hyp, PushforwardHyp):
@@ -249,8 +249,8 @@ class GBlock:
 
 
 def _kummer_sum(e: int, mult: int) -> FactorList:
-    """K(a/e) for a = 1..e, each with multiplicity mult."""
-    return FactorList((kummer(Fraction(a, e)), mult) for a in range(1, e + 1))
+    """K(a/e) for a = 1..e, the preimage of O, each with multiplicity mult."""
+    return FactorList(dict.fromkeys(preimage_classes(1, e), mult))
 
 
 def g_block(w: WeightsLike) -> GBlock:
@@ -258,9 +258,10 @@ def g_block(w: WeightsLike) -> GBlock:
     w = validate_weights(w)
     d, e = w.d, w.e
     cs = c_set(w)
+    base = None
     if w.primitive:
         h: HypModule | PushforwardHyp = invariant_hyp(w)
-        kblock = FactorList(kummer(c) for c in cs)
+        kblock = FactorList(cs)
         exps_zero = ExpMultiset(
             Fraction(j, wi) for wi in w for j in range(1, wi + 1)
         ).remove_class(1)
@@ -268,10 +269,9 @@ def g_block(w: WeightsLike) -> GBlock:
     else:
         base = g_block(w.reduced())
         h = PushforwardHyp(e=e, base=base.hyp)
-        kblock = FactorList(
-            kummer((f.param + a) / e)
-            for f in base.kummer_block for a in range(e)
-        )
+        kblock = FactorList({x: mult
+                             for c, mult in base.kummer_block.classes.items()
+                             for x in preimage_classes(c, e)})
         exps_zero = base.exps_zero.pushforward(e)
         exps_inf = base.exps_infinity.pushforward(e)
     quotient = _kummer_sum(w.e, w.n)
@@ -289,6 +289,7 @@ def g_block(w: WeightsLike) -> GBlock:
         chi=-1,
         finite_singularity=gamma_n(w),
         sequences=sequences,
+        base=base,
     )
 
 
@@ -343,12 +344,7 @@ def m_table(w: WeightsLike) -> dict[int, FactorList]:
 
 def structure_multiplicities(table: dict[int, FactorList]) -> dict[int, int]:
     """Multiplicity of the structure-sheaf factor in each degree."""
-    out = {}
-    for i, fl in table.items():
-        mult = dict(fl.items()).get(structure(), 0)
-        if mult:
-            out[i] = mult
-    return out
+    return {i: fl.classes[1] for i, fl in table.items() if fl.classes[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -448,37 +444,31 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     d, e, n = w.d, w.e, w.n
     cs = gb.c_set
     checks: dict[str, bool] = {}
+    chi_block = euler_char(FactorList(gb.kummer_block.classes, [gb.base_hyp])) == -1
     if w.primitive:
         h = gb.hyp
-        cs_exps = ExpMultiset(cs.canonical())
-        checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs_exps
-        checks["exps_infinity_identity"] = gb.exps_infinity == h.beta + cs_exps
+        checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs
+        checks["exps_infinity_identity"] = gb.exps_infinity == h.beta + cs
         checks["alpha_count"] = len(h.alpha) == d - 1 - len(cs)
         checks["irreducible"] = is_irreducible(h)
-        checks["chi_block"] = euler_char(FactorList([hyp_factor(h)]) + gb.kummer_block) == -1
+        checks["chi_block"] = chi_block
+        # pulled back along z -> z^-d, every class of C becomes O
         checks["cn_sent_to_structure"] = all(
-            (d * c).denominator == 1
-            and power_pullback(KummerModule(c), -d) == structure()
-            for c in cs
-        )
+            c == 1 for c in cs.scaled(-d).canonical())
         checks.update(_indicial_checks(h, gamma_n(w)))
     else:
-        base_gb = g_block(w.reduced())
+        kclasses = gb.kummer_block.classes
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
         checks["exps_zero_identity"] = (
-            gb.exps_zero == gb.hyp.exponents("zero")
-            + ExpMultiset(f.param for f in gb.kummer_block)
-        )
+            gb.exps_zero.classes() == gb.hyp.exponents("zero").classes() + kclasses)
         checks["exps_infinity_identity"] = (
-            gb.exps_infinity == gb.hyp.exponents("infinity")
-            + ExpMultiset(f.param for f in gb.kummer_block)
-        )
+            gb.exps_infinity.classes()
+            == gb.hyp.exponents("infinity").classes() + kclasses)
         checks["pushforward_exponents"] = (
-            gb.exps_zero == base_gb.exps_zero.pushforward(e)
-            and gb.exps_infinity == base_gb.exps_infinity.pushforward(e)
+            gb.exps_zero == gb.base.exps_zero.pushforward(e)
+            and gb.exps_infinity == gb.base.exps_infinity.pushforward(e)
         )
-        checks["chi_block"] = euler_char(
-            FactorList([hyp_factor(gb.base_hyp)]) + gb.kummer_block) == -1
+        checks["chi_block"] = chi_block
     checks["rank"] = gb.rank == d - e and len(gb.exps_zero) == d - e \
         and len(gb.exps_infinity) == d - e
     checks["fourier_pair"] = ft_identity_holds(ft)

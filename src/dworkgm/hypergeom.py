@@ -12,12 +12,20 @@ up as 1.  Multisets keep the representatives they were built from (the
 operator realization depends on them), while equality, cancellation and all
 class bookkeeping happen class-wise.
 
+A Kummer module K_a has one representation: the canonical representative
+of its class a, with class 1 standing for the structure sheaf O.  A
+composition-factor list (``FactorList``) counts such classes and
+hypergeometric factors with multiplicity; a punctual factor is the type-(0, 0)
+datum at its point.  ``preimage_classes`` is the one computation of the e
+classes x with e*x congruent to a given class, which every pushforward along
+z -> z^e goes through; a class pulls back along z -> z^d by ``scaled(d)``.
+
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
 exponents at zero and infinity, Kummer twists, pullback and pushforward
 along power maps of the punctured line, Euler characteristics of composition
 factor lists, and the two-term local computation used for fibers over the
-puncture.  Everything is immutable and pure.
+puncture.  Everything is pure, and immutable once built.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from . import weyl
 from .weyl import WeylOp
@@ -42,6 +50,18 @@ def canonical_rep(x: Scalar) -> Fraction:
     r = x.numerator % x.denominator
     # numerator and denominator are coprime, so r/den is already reduced
     return Fraction(r, x.denominator) if r else _ONE
+
+
+def preimage_classes(c: Scalar, e: int) -> list[Fraction]:
+    """The e classes x in (0, 1] with e*x congruent to c: (c + a)/e, a = 0..e-1.
+
+    With c canonical in (0, 1] each (c + a)/e is canonical already; the
+    preimages of distinct classes are disjoint.
+    """
+    if e < 1:
+        raise ValueError("pushforward order must be a positive integer")
+    c = canonical_rep(c)
+    return [(c + a) / e for a in range(e)]
 
 
 class ExpMultiset:
@@ -100,14 +120,8 @@ class ExpMultiset:
         return ExpMultiset(r * k for r in self._reps)
 
     def pushforward(self, e: int) -> "ExpMultiset":
-        """Classes x with e*x congruent to one of ours: (c + a)/e, a = 0..e-1."""
-        if e < 1:
-            raise ValueError("pushforward order must be positive")
-        return ExpMultiset(
-            canonical_rep((c + a) / e)
-            for c in self.canonical()
-            for a in range(e)
-        )
+        """Classes x with e*x congruent to one of ours, with multiplicity."""
+        return ExpMultiset(x for c in self._reps for x in preimage_classes(c, e))
 
     def remove_class(self, x: Scalar, count: int = 1) -> "ExpMultiset":
         """Drop ``count`` members of the class of x (largest representatives)."""
@@ -239,163 +253,77 @@ def kummer_twist(h: HypModule, eta: Scalar) -> HypModule:
                      beta=h.beta.shifted(eta))
 
 
-@dataclass(frozen=True)
-class KummerModule:
-    """Rank-one datum t^alpha; alpha matters modulo Z only."""
-
-    alpha: Fraction
-
-    def __init__(self, alpha: Scalar):
-        object.__setattr__(self, "alpha", Fraction(alpha))
-
-    @property
-    def class_rep(self) -> Fraction:
-        return canonical_rep(self.alpha)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.alpha.denominator == 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, KummerModule):
-            return self.class_rep == other.class_rep
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.class_rep)
-
-    def __str__(self) -> str:
-        return "O" if self.is_trivial else f"K({self.class_rep})"
-
-
 # ---------------------------------------------------------------------------
 # Composition-factor lists
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factor:
-    """Composition-factor tag: Structure, Kummer(class), Delta(point), Hyp."""
-
-    kind: str
-    param: object = None
-
-    def __str__(self) -> str:
-        if self.kind == "structure":
-            return "O"
-        if self.kind == "kummer":
-            return f"K({self.param})"
-        if self.kind == "delta":
-            return f"Delta({self.param})"
-        return str(self.param)
-
-    def sort_key(self) -> tuple:
-        order = {"hyp": 0, "delta": 1, "kummer": 2, "structure": 3}
-        if isinstance(self.param, Fraction):
-            return (order[self.kind], 0, self.param)
-        return (order[self.kind], 1, str(self.param) if self.param is not None else "")
-
-
-def structure() -> Factor:
-    return Factor("structure")
-
-
-def kummer(alpha: Scalar) -> Factor:
-    """Kummer factor; an integral class is the structure sheaf."""
-    rep = canonical_rep(alpha)
-    if rep == 1:
-        return structure()
-    return Factor("kummer", rep)
-
-
-def delta(point: Scalar) -> Factor:
-    return Factor("delta", Fraction(point))
-
-
-def hyp_factor(h: HypModule) -> Factor:
-    return Factor("hyp", h)
-
-
 class FactorList:
-    """Multiset of composition factors, equal up to permutation and mod-Z
-    identification of Kummer classes."""
+    """Multiset of composition factors: Kummer classes and hypergeometric data.
 
-    __slots__ = ("_c",)
+    ``classes`` counts the Kummer classes K_a by their canonical
+    representative in (0, 1], class 1 being the structure sheaf O; ``hyps``
+    counts the hypergeometric factors, a punctual factor being the type-(0, 0)
+    datum at its point.  Multiplicities are counted, never enumerated.  Either
+    argument is an iterable of members or a mapping member -> multiplicity;
+    Kummer classes are identified modulo Z.  Treat both counters as read-only.
+    """
 
-    def __init__(self, factors: Iterable[Factor | tuple[Factor, int]] = ()):
-        c: Counter = Counter()
-        for f in factors:
-            if isinstance(f, tuple):
-                factor, mult = f
-                c[factor] += mult
-            else:
-                c[f] += 1
-        self._c = +c
+    __slots__ = ("classes", "hyps")
 
-    def items(self) -> list[tuple[Factor, int]]:
-        return sorted(self._c.items(), key=lambda kv: kv[0].sort_key())
-
-    def __len__(self) -> int:
-        return sum(self._c.values())
-
-    def __iter__(self) -> Iterator[Factor]:
-        for f, mult in self.items():
-            yield from [f] * mult
+    def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = (),
+                 hyps: Iterable[HypModule] | Mapping[HypModule, int] = ()):
+        counts: Counter = Counter()
+        for x, mult in Counter(classes).items():
+            counts[canonical_rep(x)] += mult
+        self.classes = +counts
+        self.hyps = +Counter(hyps)
 
     def __add__(self, other: "FactorList") -> "FactorList":
         out = FactorList.__new__(FactorList)
-        out._c = self._c + other._c
+        out.classes = self.classes + other.classes
+        out.hyps = self.hyps + other.hyps
         return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FactorList):
-            return self._c == other._c
+            return self.classes == other.classes and self.hyps == other.hyps
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash((frozenset(self.classes.items()), frozenset(self.hyps.items())))
 
     def rank(self) -> int:
-        """Generic rank: 1 per Kummer/structure factor, n per type-(n, n) hyp."""
-        total = 0
-        for f, mult in self._c.items():
-            if f.kind in ("structure", "kummer"):
-                total += mult
-            elif f.kind == "hyp":
-                total += f.param.type[0] * mult
-        return total
+        """Generic rank: 1 per Kummer class, n per type-(n, n) hyp."""
+        return (sum(self.classes.values())
+                + sum(h.type[0] * mult for h, mult in self.hyps.items()))
 
     def __str__(self) -> str:
-        if not self._c:
+        """Hyp factors first, then K(a) by ascending a, then O, with ^mult."""
+        parts = [(str(h), mult) for h, mult in
+                 sorted(self.hyps.items(), key=lambda item: str(item[0]))]
+        parts += [("O" if c == 1 else f"K({c})", self.classes[c])
+                  for c in sorted(self.classes)]
+        if not parts:
             return "0"
-        parts = []
-        for f, mult in self.items():
-            parts.append(str(f) if mult == 1 else f"{f}^{mult}")
-        return " + ".join(parts)
+        return " + ".join(s if mult == 1 else f"{s}^{mult}" for s, mult in parts)
 
     def __repr__(self) -> str:
         return f"FactorList({self})"
 
 
-def euler_char(factors: FactorList | Iterable[Factor]) -> int:
+def euler_char(factors: FactorList) -> int:
     """Euler-Poincare characteristic of a composition-factor list.
 
-    Structure and Kummer factors contribute 0, punctual factors -1, and an
-    irreducible hypergeometric factor -1 (of any type, punctual type (0, 0)
-    included).  Reducible hypergeometric entries are rejected: the list must
+    Kummer classes (the structure sheaf included) contribute 0 and an
+    irreducible hypergeometric factor -1, of any type, punctual type (0, 0)
+    included.  Reducible hypergeometric entries are rejected: the list must
     consist of composition factors.  Additive under concatenation.
     """
     total = 0
-    for f in factors:
-        if f.kind in ("structure", "kummer"):
-            continue
-        if f.kind == "delta":
-            total -= 1
-        elif f.kind == "hyp":
-            if not is_irreducible(f.param):
-                raise ValueError(f"reducible factor in composition list: {f.param}")
-            total -= 1
-        else:
-            raise ValueError(f"unknown factor kind {f.kind!r}")
+    for h, mult in factors.hyps.items():
+        if not is_irreducible(h):
+            raise ValueError(f"reducible factor in composition list: {h}")
+        total -= mult
     return total
 
 
@@ -441,39 +369,29 @@ class PushforwardHyp:
         return self.display()
 
 
-def power_pullback(module: KummerModule | HypModule, d: int) -> Factor | HypPullback:
-    """Pullback along z -> z^d (d nonzero).
-
-    Kummer data transform as K_a -> K_{d*a}, collapsing to the structure
-    sheaf when d*a is an integer.  Hypergeometric data are handled as
-    exponent bookkeeping only.
-    """
+def power_pullback(h: HypModule, d: int) -> HypPullback:
+    """Pullback of a hypergeometric datum along z -> z^d (d nonzero), as
+    exponent bookkeeping only.  A Kummer class pulls back by
+    ``ExpMultiset.scaled``: K_a -> K_{d*a}."""
     if d == 0:
         raise ValueError("pullback power must be nonzero")
-    if isinstance(module, KummerModule):
-        return kummer(module.alpha * d)
-    if isinstance(module, HypModule):
-        return HypPullback(power=d,
-                           alpha=module.alpha.scaled(d),
-                           beta=module.beta.scaled(d))
-    raise TypeError(f"unsupported module {module!r}")
+    return HypPullback(power=d, alpha=h.alpha.scaled(d), beta=h.beta.scaled(d))
 
 
-def power_pushforward(module: KummerModule | HypModule, e: int) -> FactorList | PushforwardHyp:
+def power_pushforward(module: Scalar | HypModule, e: int) -> FactorList | PushforwardHyp:
     """Direct image along z -> z^e (e >= 1).
 
-    [e]_+ K_a = sum of K_{(a+j)/e} over j = 0..e-1; an irreducible
-    hypergeometric datum yields the pushforward pair.
+    The Kummer class a goes to the sum of K_x over the e classes x with
+    e*x congruent to a; an irreducible hypergeometric datum yields the
+    pushforward pair.
     """
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
-    if isinstance(module, KummerModule):
-        return FactorList(kummer((module.alpha + j) / e) for j in range(e))
-    if isinstance(module, HypModule):
-        if not is_irreducible(module):
-            raise ValueError("pushforward pair is defined for irreducible data")
-        return PushforwardHyp(e=e, base=module)
-    raise TypeError(f"unsupported module {module!r}")
+    if not isinstance(module, HypModule):
+        return FactorList(preimage_classes(module, e))
+    if not is_irreducible(module):
+        raise ValueError("pushforward pair is defined for irreducible data")
+    return PushforwardHyp(e=e, base=module)
 
 
 def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, FactorList]:
@@ -491,6 +409,5 @@ def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, Fact
     if (d_prev * alpha).denominator != 1:
         raise ValueError(f"{d_prev}*alpha = {d_prev * alpha} is not an integer")
     if alpha.denominator == 1:
-        return {-1: FactorList([structure()]),
-                0: FactorList([structure(), structure()])}
-    return {0: FactorList([kummer(alpha)])}
+        return {-1: FactorList([1]), 0: FactorList({1: 2})}
+    return {0: FactorList([alpha])}

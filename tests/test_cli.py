@@ -58,16 +58,49 @@ def test_syzygy_subcommand(capsys):
 
 def test_syzygy_subcommand_builds_the_generators_once(capsys, monkeypatch):
     from dworkgm import syzygy
-    real = syzygy.jacobian_generators
-    calls = []
+    calls = {"jacobian_generators": 0, "verify_syzygies": 0}
 
-    def counting(w):
-        calls.append(w)
-        return real(w)
+    def counting(name):
+        real = getattr(syzygy, name)
 
-    monkeypatch.setattr(syzygy, "jacobian_generators", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(syzygy, name, counting(name))
     code, _, _ = run_cli(capsys, "syzygy", "--weights", "1,1,1", "--bound", "8")
-    assert code == 0 and len(calls) == 1
+    assert code == 0
+    assert calls == {"jacobian_generators": 1, "verify_syzygies": 1}
+
+
+def test_syzygy_subcommand_rejects_a_non_syzygy(capsys, monkeypatch):
+    from dworkgm import syzygy
+    real = syzygy.syzygy_generators
+
+    def broken(w, _gens=None):
+        first, *rest = real(w, _gens=_gens)
+        doubled = (first.components[0] + first.components[0],) + first.components[1:]
+        return [syzygy.SyzygyVector(doubled, first.kind)] + rest
+
+    monkeypatch.setattr(syzygy, "syzygy_generators", broken)
+    code, out, err = run_cli(capsys, "syzygy", "--weights", "1,1,1", "--bound", "8")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvariantError" and "not syzygies" in error["message"]
+
+
+def test_numbers_beyond_the_default_int_string_limit(capsys):
+    big = "1" + "0" * 4400
+    code, out, _ = run_cli(capsys, "weyl", "parse", "--op", f"{big}*d")
+    assert code == 0 and out == f"{big}*d\n"
+    sevens = "7" * 4400
+    code, out, _ = run_cli(capsys, "hyp", "exponents", "--gamma", f"1/{sevens}",
+                           "--alpha", "0", "--beta", "1/2", "--json")
+    assert code == 0
+    assert json.loads(out) == {"hyp": f"Hyp(gamma=1/{sevens}; alpha=[1]; beta=[1/2])",
+                               "exponents_zero": ["1"], "exponents_infinity": ["1/2"]}
 
 
 def test_arrangement_subcommand(capsys):

@@ -8,7 +8,7 @@ from dworkgm.dwork import (Extension, c_set, consistency_checks,
                            ft_pair, ft_sign, full_report, g_block, gamma_n,
                            invariant_hyp, k_table, m_table, singular_fibers,
                            structure_multiplicities, validate_weights)
-from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp, kummer, structure
+from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp
 
 F = Fraction
 
@@ -135,7 +135,7 @@ def test_g_block_pushforward_pair():
     assert gb.exps_zero == g_block((1, 2, 3)).exps_zero.pushforward(2)
     # the Kummer block is the pushforward of the primitive C set
     assert gb.kummer_block == FactorList(
-        kummer(c) for c in (F(1, 6), F(2, 3), F(1, 4), F(3, 4), F(1, 3), F(5, 6)))
+        [F(1, 6), F(2, 3), F(1, 4), F(3, 4), F(1, 3), F(5, 6)])
 
 
 # -- cohomology tables -----------------------------------------------------------------
@@ -143,9 +143,9 @@ def test_g_block_pushforward_pair():
 def test_k_table_small():
     kt = k_table((1, 1, 1))
     assert set(kt) == {-1, 0}
-    assert kt[-1] == FactorList([structure()])
+    assert kt[-1] == FactorList([1])
     assert isinstance(kt[0], Extension)
-    assert kt[0].quotient == FactorList([(structure(), 2)])
+    assert kt[0].quotient == FactorList({1: 2})
 
 
 def test_k_table_classical_ranks():
@@ -156,7 +156,7 @@ def test_k_table_classical_ranks():
 
 def test_k_table_nonprimitive():
     kt = k_table((2, 4, 6))
-    assert kt[-1] == FactorList([kummer(F(1, 2)), structure()])
+    assert kt[-1] == FactorList([F(1, 2), 1])
 
 
 def test_k_table_base_case():
@@ -169,15 +169,14 @@ def test_m_table_examples():
     for w2 in (1, 2, 5):
         mt = m_table((1, 2, w2))
         assert set(mt) == {0}
-        assert mt[0] == FactorList([kummer(F(1, 3)), kummer(F(2, 3)), structure()])
+        assert mt[0] == FactorList([F(1, 3), F(2, 3), 1])
 
     mt = m_table((1, 1, 1, 1))
-    assert mt[-1] == FactorList([structure()])
-    assert mt[0] == FactorList([structure(), kummer(F(1, 3)), kummer(F(2, 3)),
-                                structure()])
+    assert mt[-1] == FactorList([1])
+    assert mt[0] == FactorList([1, F(1, 3), F(2, 3), 1])
 
     mt = m_table((2, 2, 2, 3))
-    assert mt[-1] == FactorList([kummer(F(1, 2)), structure()])
+    assert mt[-1] == FactorList([F(1, 2), 1])
 
 
 def test_m_table_needs_three_weights():

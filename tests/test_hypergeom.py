@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dworkgm import weyl
-from dworkgm.hypergeom import (ExpMultiset, FactorList, KummerModule,
-                               PushforwardHyp, cancel, canonical_rep, delta,
-                               euler_char, exponents, hyp_factor, hyp_operator,
-                               is_irreducible, kummer, kummer_twist,
+from dworkgm.hypergeom import (ExpMultiset, FactorList, PushforwardHyp, cancel,
+                               canonical_rep, euler_char, exponents, hyp_operator,
+                               is_irreducible, kummer_twist, preimage_classes,
                                puncture_fiber_cohomology, make_hyp, power_pullback,
-                               power_pushforward, structure)
+                               power_pushforward)
 from conftest import random_hyp_data
 
 F = Fraction
@@ -175,11 +174,12 @@ def test_twist_preserves_irreducibility_and_shifts_exponents():
 # -- power maps -----------------------------------------------------------------------
 
 def test_pullback_examples():
-    assert power_pullback(KummerModule(F(1, 2)), -6) == structure()
-    assert power_pullback(KummerModule(F(1, 3)), 1) == kummer(F(1, 3))
-    assert power_pullback(KummerModule(F(1, 3)), 2) == kummer(F(2, 3))
+    # a Kummer class pulls back by scaling, K_a -> K_{d*a}
+    assert ExpMultiset([F(1, 2)]).scaled(-6) == ExpMultiset([1])
+    assert ExpMultiset([F(1, 3)]).scaled(1) == ExpMultiset([F(1, 3)])
+    assert ExpMultiset([F(1, 3)]).scaled(2) == ExpMultiset([F(2, 3)])
     with pytest.raises(ValueError):
-        power_pullback(KummerModule(F(1, 3)), 0)
+        power_pullback(make_hyp(1, [F(1, 3)], [F(1, 2)]), 0)
 
 
 def test_pullback_hyp_is_bookkeeping():
@@ -191,11 +191,29 @@ def test_pullback_hyp_is_bookkeeping():
 
 
 def test_pushforward_examples():
-    assert power_pushforward(KummerModule(0), 3) == \
-        FactorList([kummer(F(1, 3)), kummer(F(2, 3)), structure()])
-    assert power_pushforward(KummerModule(F(2, 5)), 1) == FactorList([kummer(F(2, 5))])
-    assert power_pushforward(KummerModule(F(1, 2)), 2) == \
-        FactorList([kummer(F(1, 4)), kummer(F(3, 4))])
+    assert power_pushforward(0, 3) == FactorList([F(1, 3), F(2, 3), 1])
+    assert power_pushforward(F(2, 5), 1) == FactorList([F(2, 5)])
+    assert power_pushforward(F(1, 2), 2) == FactorList([F(1, 4), F(3, 4)])
+    with pytest.raises(ValueError):
+        power_pushforward(F(1, 2), 0)
+
+
+def test_preimage_classes():
+    assert preimage_classes(0, 3) == [F(1, 3), F(2, 3), 1]
+    assert preimage_classes(F(-3, 2), 2) == [F(1, 4), F(3, 4)]
+    assert preimage_classes(F(2, 5), 1) == [F(2, 5)]
+    with pytest.raises(ValueError):
+        preimage_classes(1, 0)
+    rng = random.Random(5)
+    for _ in range(50):
+        c = F(rng.randint(-12, 12), rng.randint(1, 9))
+        e = rng.randint(1, 6)
+        xs = preimage_classes(c, e)
+        assert len(set(xs)) == e
+        assert all(canonical_rep(x) == x for x in xs)
+        assert ExpMultiset(xs).scaled(e) == ExpMultiset([c] * e)
+        assert ExpMultiset([c, F(1, 7)]).pushforward(e) == \
+            ExpMultiset(xs + preimage_classes(F(1, 7), e))
 
 
 def test_pushforward_hyp_pair():
@@ -213,63 +231,80 @@ def test_pushforward_scaling_recovers_classes():
     for _ in range(100):
         alpha = F(rng.randint(-12, 12), rng.randint(1, 9))
         e = rng.randint(1, 5)
-        pushed = power_pushforward(KummerModule(alpha), e)
-        recovered = ExpMultiset(
-            canonical_rep((f.param if f.kind == "kummer" else F(1)) * e)
-            for f in pushed
-        )
+        pushed = power_pushforward(alpha, e)
+        recovered = ExpMultiset(pushed.classes.elements()).scaled(e)
         assert recovered == ExpMultiset([alpha] * e)
 
 
 def test_pushforward_preserves_euler_char():
-    kummers = FactorList([kummer(F(1, 2)), kummer(F(1, 3))])
+    kummers = FactorList([F(1, 2), F(1, 3)])
     pushed = FactorList([])
-    for f in kummers:
-        pushed = pushed + power_pushforward(KummerModule(f.param), 4)
+    for c in kummers.classes:
+        pushed = pushed + power_pushforward(c, 4)
     assert euler_char(kummers) == euler_char(pushed) == 0
     h = make_hyp(F(1, 27), [0, 0], [F(1, 3), F(2, 3)])
     pair = power_pushforward(h, 3)
-    assert euler_char(FactorList([hyp_factor(pair.base)])) == -1
+    assert euler_char(FactorList(hyps=[pair.base])) == -1
 
 
 # -- Euler characteristics ---------------------------------------------------------------
 
 def test_euler_char_examples():
-    assert euler_char(FactorList([kummer(F(1, 2)), kummer(F(1, 3))])) == 0
+    assert euler_char(FactorList([F(1, 2), F(1, 3)])) == 0
     h = make_hyp(F(1, 27), [0, 0], [F(1, 3), F(2, 3)])
-    assert euler_char(FactorList([hyp_factor(h)])) == -1
+    assert euler_char(FactorList(hyps=[h])) == -1
     assert euler_char(FactorList([])) == 0
-    assert euler_char(FactorList([delta(F(1, 7))])) == -1
+    # a punctual factor is the type-(0, 0) datum at its point
+    assert euler_char(FactorList(hyps=[make_hyp(F(1, 7))])) == -1
+    assert euler_char(FactorList(hyps={h: 3})) == -3
 
 
 def test_euler_char_additive():
-    a = FactorList([kummer(F(1, 2)), delta(1)])
-    b = FactorList([hyp_factor(make_hyp(2, [0], [F(1, 2)]))])
+    a = FactorList([F(1, 2)], [make_hyp(1)])
+    b = FactorList(hyps=[make_hyp(2, [0], [F(1, 2)])])
     assert euler_char(a + b) == euler_char(a) + euler_char(b)
 
 
 def test_euler_char_rejects_reducible():
     with pytest.raises(ValueError, match="reducible"):
-        euler_char(FactorList([hyp_factor(make_hyp(1, [F(1, 2)], [F(3, 2)]))]))
+        euler_char(FactorList(hyps=[make_hyp(1, [F(1, 2)], [F(3, 2)])]))
 
 
 def test_factor_list_equality_mod_z():
-    assert FactorList([kummer(F(1, 2)), structure()]) == \
-        FactorList([kummer(F(3, 2)), kummer(1)])
+    assert FactorList([F(1, 2), 1]) == FactorList([F(3, 2), 0])
+    assert FactorList([F(1, 2), 1]) == FactorList({F(-1, 2): 1, 2: 1})
+    assert FactorList([F(1, 2), F(1, 2)]) != FactorList([F(1, 2)])
+    assert FactorList(hyps=[make_hyp(1)]) != FactorList([1])
+
+
+def test_factor_list_display_order():
+    h = make_hyp(F(1, 27), [0, 0], [F(1, 3), F(2, 3)])
+    fl = FactorList({0: 2, F(3, 4): 1, F(1, 3): 5}, [make_hyp(2), h])
+    assert str(fl) == ("Hyp(gamma=1/27; alpha=[1, 1]; beta=[1/3, 2/3]) + "
+                       "Hyp(gamma=2; alpha=[]; beta=[]) + "
+                       "K(1/3)^5 + K(3/4) + O^2")
+    assert str(FactorList()) == "0"
+    assert fl.rank() == 2 + 0 + 5 + 1 + 2
+
+
+def test_factor_list_counts_without_enumerating():
+    big = 10 ** 30
+    fl = FactorList({1: big, F(1, 2): big}) + FactorList({1: 1})
+    assert fl.rank() == 2 * big + 1
+    assert str(fl) == f"K(1/2)^{big} + O^{big + 1}"
 
 
 # -- fiber over the puncture -----------------------------------------------------------
 
 def test_puncture_fiber_integral_case():
     table = puncture_fiber_cohomology(1, (1, 1, 2))
-    assert table == {-1: FactorList([structure()]),
-                     0: FactorList([structure(), structure()])}
+    assert table == {-1: FactorList([1]), 0: FactorList([1, 1])}
     assert puncture_fiber_cohomology(0, (1, 1, 2)) == table
 
 
 def test_puncture_fiber_kummer_case():
     table = puncture_fiber_cohomology(F(1, 2), (1, 1, 2))
-    assert table == {0: FactorList([kummer(F(1, 2))])}
+    assert table == {0: FactorList([F(1, 2)])}
 
 
 def test_puncture_fiber_precondition():
