@@ -308,19 +308,22 @@ class Extension:
         return self.sub.rank + self.quotient.rank()
 
 
-def k_table(w: WeightsLike) -> dict[int, FactorList | Extension]:
+def k_table(w: WeightsLike, _block: GBlock | None = None
+            ) -> dict[int, FactorList | Extension]:
     """Cohomology table of the K complex: Kummer sums in degrees -(n-1)..-1
     and the extension descriptor in degree 0; empty elsewhere.
 
     For n = 1 the single degree-zero entry carries the base-case data (total
-    rank d, unique finite singularity at gamma).
+    rank d, unique finite singularity at gamma).  ``_block``, when given, is
+    ``g_block(w)`` already assembled.
     """
     w = validate_weights(w)
     n, e = w.n, w.e
     table: dict[int, FactorList | Extension] = {}
     for i in range(-(n - 1), 0):
         table[i] = _kummer_sum(e, math.comb(n, i + n - 1))
-    table[0] = Extension(sub=g_block(w), quotient=_kummer_sum(e, n))
+    table[0] = Extension(sub=g_block(w) if _block is None else _block,
+                         quotient=_kummer_sum(e, n))
     return table
 
 
@@ -517,17 +520,19 @@ def _invariant_statement(w: Weights, gb: GBlock) -> dict:
     }
 
 
-def full_report(w: WeightsLike) -> dict:
+def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
     """Assemble the complete structural report as a JSON-ready mapping.
 
     The report is invariant under permutations of the weights (all formulas
     depend on the multiset only); the weights are echoed in sorted order.
+    ``_block``, when given, is ``g_block(w)`` already assembled: the report
+    of a non-primitive tuple passes its ``GBlock.base`` to the base report.
     """
     w = validate_weights(w)
     n, d, e = w.n, w.d, w.e
     gamma = gamma_n(w)
     fibers = singular_fibers(w)
-    kt = k_table(w)
+    kt = k_table(w, _block)
     gb = kt[0].sub
     ft = ft_pair(w)
     gjson = gb.as_json()
@@ -559,7 +564,7 @@ def full_report(w: WeightsLike) -> dict:
     if not w.primitive:
         report["pushforward"] = {
             "e": e,
-            "base_report": full_report(w.reduced()),
+            "base_report": full_report(w.reduced(), gb.base),
         }
     report["checks"] = consistency_checks(w, _parts=(gb, kt, ft))
     return report

@@ -617,9 +617,11 @@ class IndicialPolynomial:
     """Monic polynomial in s over the rationals, tagged with its place.
 
     Its degree equals the rank of the slope-zero part at the place, and its
-    roots are the local exponents.  Roots are extracted exactly: rational
-    roots with multiplicity, everything else reported as monic irreducible
-    factors.
+    roots are the local exponents.  ``roots`` extracts them exactly by
+    factorisation over Q (``_rational_root_split``): rational roots with
+    multiplicity, everything else reported as monic irreducible factors.
+    ``has_roots_exactly`` checks a claimed root multiset by a product
+    comparison that uses no factorisation.
     """
 
     coeffs: tuple[Fraction, ...]  # ascending, monic
@@ -712,8 +714,14 @@ def _rational_root_split(
 ) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[Fraction, ...]]]:
     """Split a rational polynomial into rational roots and irreducible factors.
 
-    Zero roots and degree <= 2 pieces are peeled off directly; higher-degree
-    parts go through sympy's exact factorization over Q.
+    Returns the rational roots with multiplicity, in increasing order, and
+    the monic irreducible factors of degree >= 2, each listed once per
+    multiplicity.  Zero roots and a rest of degree <= 2 are handled in
+    closed form; a rest of degree >= 3 goes to the exact factoriser
+    ``_factor.factor_over_q`` (rational roots by p-adic lifting, Zassenhaus
+    for the rest).  Factors are ordered by degree, then multiplicity, then
+    the coefficients, highest first, of the primitive integer factor with
+    positive leading coefficient.
     """
     coeffs = _trim(list(coeffs))
     if not coeffs:
@@ -742,19 +750,14 @@ def _rational_root_split(
             for r in ((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)):
                 roots[r] = roots.get(r, 0) + 1
     else:
-        import sympy
+        # Imported on first use: reports and sweeps never get here, and
+        # their start-up then pays nothing for the factoriser.
+        from ._factor import factor_over_q
 
-        s = sympy.Symbol("s")
-        poly = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])), s)
-        for factor, mult in poly.factor_list()[1]:
-            fc = [Fraction(str(c)) for c in reversed(factor.all_coeffs())]
-            if len(fc) == 2:
-                r = -fc[0] / fc[1]
-                roots[r] = roots.get(r, 0) + mult
-            else:
-                lead = fc[-1]
-                monic = tuple(c / lead for c in fc)
-                leftovers.extend([monic] * mult)
+        found, factors = factor_over_q(coeffs)
+        roots.update(found)  # no zero root is left to collide with
+        for f, m in factors:
+            leftovers.extend([tuple(Fraction(c, f[-1]) for c in f)] * m)
     ordered = tuple(sorted(roots.items()))
     return ordered, leftovers
 

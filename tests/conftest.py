@@ -41,3 +41,24 @@ def random_hyp_data(count, seed, max_type=5, max_den=12):
         assert hypergeom.is_irreducible(h)
         out.append(h)
     return out
+
+
+def sympy_root_split(coeffs):
+    """sympy's answer to ``weyl._rational_root_split``: factor the whole
+    polynomial over Q, read the linear factors as rational roots with
+    multiplicity and list every other factor, made monic, once per
+    multiplicity in sympy's order.  sympy is a test dependency only."""
+    import sympy
+
+    s = sympy.Symbol("s")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], s)
+    roots, leftovers = {}, []
+    for factor, mult in poly.factor_list()[1]:
+        fc = [Fraction(int(c.p), int(c.q)) for c in reversed(factor.all_coeffs())]
+        if len(fc) == 2:
+            r = -fc[0] / fc[1]
+            roots[r] = roots.get(r, 0) + mult
+        else:
+            leftovers.extend([tuple(c / fc[-1] for c in fc)] * mult)
+    return tuple(sorted(roots.items())), leftovers

@@ -255,6 +255,21 @@ def test_full_report_nonprimitive_wraps_base():
     assert all(r["checks"].values())
 
 
+def test_full_report_nonprimitive_builds_the_base_block_once(monkeypatch):
+    calls = []
+    for name in ("g_block", "invariant_hyp"):
+        real = getattr(dwork, name)
+
+        def counted(w, _real=real, _name=name):
+            calls.append((_name, tuple(validate_weights(w).w)))
+            return _real(w)
+
+        monkeypatch.setattr(dwork, name, counted)
+    full_report((2, 4, 6))
+    assert calls.count(("g_block", (1, 2, 3))) == 1
+    assert calls.count(("invariant_hyp", (1, 2, 3))) == 1
+
+
 def test_full_report_permutation_invariant():
     reference = json.dumps(full_report((1, 2, 3)))
     for perm in ((3, 2, 1), (2, 1, 3), (2, 3, 1)):
