@@ -28,8 +28,9 @@ arrangement-cohomology tables.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -167,11 +168,13 @@ def c_set(w: WeightsLike) -> ExpMultiset:
     """
     w = validate_weights(w)
     d = w.d
-    found = set()
-    for k in range(1, d):
-        if any((k * wi) % d == 0 for wi in w):
-            found.add(Fraction(k, d))
-    return ExpMultiset(sorted(found))
+    return ExpMultiset([k for k in range(1, d) if any(k * wi % d == 0 for wi in w)], d)
+
+
+def _weight_exponents(w: Weights, k: int = 1) -> ExpMultiset:
+    """The list (k*j/w_i : i = 0..n, j = 1..w_i) over the lcm of the weights."""
+    n = functools.reduce(math.lcm, w.w)
+    return ExpMultiset([k * j * (n // wi) for wi in w for j in range(1, wi + 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +191,8 @@ def invariant_hyp(w: WeightsLike) -> HypModule:
     if not w.primitive:
         raise ValueError("the invariant datum is defined for primitive weights; "
                          "use the pushforward pair for gcd > 1")
-    alpha = [Fraction(j, wi) for wi in w for j in range(1, wi + 1)]
-    beta = [Fraction(k, w.d) for k in range(1, w.d + 1)]
-    return make_hyp(gamma_n(w), alpha, beta, reduce=True)
+    beta = ExpMultiset(range(1, w.d + 1), w.d)
+    return make_hyp(gamma_n(w), _weight_exponents(w), beta, reduce=True)
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,6 @@ class ExactSeq:
     middle: str
     right: str
     split: str = "unknown"
-
-    def as_json(self) -> dict:
-        return {"left": self.left, "middle": self.middle,
-                "right": self.right, "split": self.split}
 
 
 @dataclass(frozen=True)
@@ -244,7 +242,7 @@ class GBlock:
             "exps_infinity": [str(c) for c in self.exps_infinity.canonical()],
             "chi": self.chi,
             "finite_singularity": str(self.finite_singularity),
-            "sequences": [s.as_json() for s in self.sequences],
+            "sequences": [asdict(s) for s in self.sequences],
         }
 
 
@@ -262,10 +260,8 @@ def g_block(w: WeightsLike) -> GBlock:
     if w.primitive:
         h: HypModule | PushforwardHyp = invariant_hyp(w)
         kblock = FactorList(cs)
-        exps_zero = ExpMultiset(
-            Fraction(j, wi) for wi in w for j in range(1, wi + 1)
-        ).remove_class(1)
-        exps_inf = ExpMultiset(Fraction(k, d) for k in range(1, d))
+        exps_zero = _weight_exponents(w).remove_class(1)
+        exps_inf = ExpMultiset(range(1, d), d)
     else:
         base = g_block(w.reduced())
         h = PushforwardHyp(e=e, base=base.hyp)
@@ -383,7 +379,7 @@ def ft_pair(w: WeightsLike) -> FTPair:
     """
     w = validate_weights(w)
     g, d = gamma_n(w), w.d
-    params = [Fraction(d * j, wi) for wi in w for j in range(1, wi + 1)]
+    params = _weight_exponents(w, d)
     # the composite d*t is D + 1, so prod(d*t + c) = prod(D - (-1 - c))
     p = weyl.euler_product(params) * g - WeylOp.t(d)
     q = WeylOp.d(d) - weyl.euler_product([-1 - c for c in params]) * g
@@ -462,11 +458,9 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     else:
         kclasses = gb.kummer_block.classes
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
-        checks["exps_zero_identity"] = (
-            gb.exps_zero.classes() == gb.hyp.exponents("zero").classes() + kclasses)
-        checks["exps_infinity_identity"] = (
-            gb.exps_infinity.classes()
-            == gb.hyp.exponents("infinity").classes() + kclasses)
+        for place, exps in (("zero", gb.exps_zero), ("infinity", gb.exps_infinity)):
+            checks[f"exps_{place}_identity"] = (
+                exps.classes() == gb.hyp.exponents(place).classes() + kclasses)
         checks["pushforward_exponents"] = (
             gb.exps_zero == gb.base.exps_zero.pushforward(e)
             and gb.exps_infinity == gb.base.exps_infinity.pushforward(e)

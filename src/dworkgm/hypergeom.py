@@ -9,16 +9,16 @@ Exponents matter modulo the integers: two representatives are congruent when
 their difference is an integer, and the canonical display representative of
 each class lies in the half-open interval (0, 1], so the trivial class shows
 up as 1.  Multisets keep the representatives they were built from (the
-operator realization depends on them), while equality, cancellation and all
-class bookkeeping happen class-wise.
+operator realization depends on them) as integers over one denominator N,
+and all class bookkeeping works on residues mod N.  Floats are refused.
 
 A Kummer module K_a has one representation: the canonical representative
 of its class a, with class 1 standing for the structure sheaf O.  A
 composition-factor list (``FactorList``) counts such classes and
 hypergeometric factors with multiplicity; a punctual factor is the type-(0, 0)
-datum at its point.  ``preimage_classes`` is the one computation of the e
-classes x with e*x congruent to a given class, which every pushforward along
-z -> z^e goes through; a class pulls back along z -> z^d by ``scaled(d)``.
+datum at its point.  Along z -> z^e a class c pushes forward to the e classes
+x with e*x congruent to c, (c + a)/e for a = 0..e-1 (``preimage_classes``, and
+``ExpMultiset.pushforward`` on residues); it pulls back by ``scaled(e)``.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
@@ -30,6 +30,8 @@ puncture.  Everything is pure, and immutable once built.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,9 +46,15 @@ Scalar = Union[int, Fraction]
 _ONE = Fraction(1)
 
 
+def _exact(x: Scalar) -> Fraction:
+    if isinstance(x, float):  # 0.1 is not 1/10
+        raise TypeError(f"exponent bookkeeping is exact; got the float {x!r}")
+    return Fraction(x)
+
+
 def canonical_rep(x: Scalar) -> Fraction:
     """Representative of x mod Z inside (0, 1]; the trivial class maps to 1."""
-    x = Fraction(x)
+    x = _exact(x)
     r = x.numerator % x.denominator
     # numerator and denominator are coprime, so r/den is already reduced
     return Fraction(r, x.denominator) if r else _ONE
@@ -61,89 +69,115 @@ def preimage_classes(c: Scalar, e: int) -> list[Fraction]:
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
     c = canonical_rep(c)
-    return [(c + a) / e for a in range(e)]
+    p, q = c.numerator, c.denominator
+    return [Fraction(p + a * q, q * e) for a in range(e)]
 
 
 class ExpMultiset:
     """Multiset of rational exponent representatives, compared modulo Z.
 
-    The raw representatives are preserved (sorted) so that operator
-    realizations stay literal; equality, hashing and display always go
-    through the canonical (0, 1] classes, with multiplicity.
+    ``ExpMultiset(reps)`` takes ints and Fractions, ``ExpMultiset(nums, den)``
+    integer numerators over den > 0.  Either way it keeps sorted numerators
+    over N, the lcm of the representatives' denominators: a class is a residue
+    mod N, shown as (residue or N)/N in (0, 1].  N is minimal, so equal class
+    multisets have equal N; two multisets meet at the lcm of their N.  Only
+    ``reps`` (literal, for the operator), ``classes()`` and ``canonical()``
+    build Fractions.
     """
 
-    __slots__ = ("_reps", "_classes")
+    __slots__ = ("_nums", "_den", "_key", "_reps")
 
-    def __init__(self, reps: Iterable[Scalar] = ()):
-        self._reps = tuple(sorted(Fraction(r) for r in reps))
-        self._classes = None
+    def __init__(self, reps: Iterable[Scalar] = (), den: int = 0):
+        if not den:
+            fracs = [_exact(r) for r in reps]
+            den = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)
+            reps = [f.numerator * (den // f.denominator) for f in fracs]
+        nums = sorted(reps)
+        g = functools.reduce(math.gcd, nums, den)
+        self._den = n = den // g
+        self._nums = tuple([x // g for x in nums]) if g > 1 else tuple(nums)
+        self._key = tuple(sorted(x % n or n for x in self._nums))
+        self._reps = None
 
     @property
     def reps(self) -> tuple[Fraction, ...]:
+        if self._reps is None:
+            self._reps = tuple([Fraction(x, self._den) for x in self._nums])
         return self._reps
 
+    def _over(self, n: int) -> list[int]:
+        """The class numerators over a multiple n of N."""
+        return [r * (n // self._den) for r in self._key]
+
+    def _without(self, n: int, counts: Mapping[int, int]) -> "ExpMultiset":
+        """Over n, a multiple of N: less the counts[c] largest of class c/n."""
+        left, s, keep = dict(counts), n // self._den, []
+        for x in reversed(self._nums):
+            x *= s
+            c = x % n or n
+            if left.get(c):
+                left[c] -= 1
+            else:
+                keep.append(x)
+        return ExpMultiset(keep, n)
+
     def classes(self) -> Counter:
-        if self._classes is None:
-            self._classes = Counter(canonical_rep(r) for r in self._reps)
-        return self._classes
+        return Counter(self.canonical())
 
     def canonical(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(canonical_rep(r) for r in self._reps))
+        return tuple([Fraction(r, self._den) for r in self._key])
 
     def __len__(self) -> int:
-        return len(self._reps)
+        return len(self._nums)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._reps)
-
-    def __bool__(self) -> bool:
-        return bool(self._reps)
+        return iter(self.reps)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExpMultiset):
-            return self.classes() == other.classes()
+            return self._den == other._den and self._key == other._key
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.classes().items()))
+        return hash((self._den, self._key))
 
     def __add__(self, other: "ExpMultiset") -> "ExpMultiset":
         """Multiset union (disjoint sum of representatives)."""
-        return ExpMultiset(self._reps + other._reps)
+        n = math.lcm(self._den, other._den)
+        s, t = n // self._den, n // other._den
+        return ExpMultiset([x * s for x in self._nums] + [x * t for x in other._nums], n)
 
     def shifted(self, eta: Scalar) -> "ExpMultiset":
-        eta = Fraction(eta)
-        return ExpMultiset(r + eta for r in self._reps)
+        eta = _exact(eta)
+        n = math.lcm(self._den, eta.denominator)
+        s, shift = n // self._den, eta.numerator * (n // eta.denominator)
+        return ExpMultiset([x * s + shift for x in self._nums], n)
 
     def scaled(self, k: Scalar) -> "ExpMultiset":
-        k = Fraction(k)
-        return ExpMultiset(r * k for r in self._reps)
+        k = _exact(k)
+        return ExpMultiset([x * k.numerator for x in self._nums], self._den * k.denominator)
 
     def pushforward(self, e: int) -> "ExpMultiset":
-        """Classes x with e*x congruent to one of ours, with multiplicity."""
-        return ExpMultiset(x for c in self._reps for x in preimage_classes(c, e))
+        """Classes x with e*x congruent to one of ours: r/N -> (r + a*N)/(N*e)."""
+        if e < 1:
+            raise ValueError("pushforward order must be a positive integer")
+        n = self._den
+        return ExpMultiset([r + a * n for r in self._key for a in range(e)], n * e)
 
     def remove_class(self, x: Scalar, count: int = 1) -> "ExpMultiset":
         """Drop ``count`` members of the class of x (largest representatives)."""
         target = canonical_rep(x)
-        matching = sorted((r for r in self._reps if canonical_rep(r) == target),
-                          reverse=True)
-        if len(matching) < count:
-            raise ValueError(f"class {target} has multiplicity {len(matching)} < {count}")
-        to_drop = Counter(matching[:count])
-        keep = []
-        for r in self._reps:
-            if to_drop.get(r, 0) > 0:
-                to_drop[r] -= 1
-            else:
-                keep.append(r)
-        return ExpMultiset(keep)
+        n = math.lcm(self._den, target.denominator)
+        out = self._without(n, {target.numerator * (n // target.denominator): count})
+        if len(self) - len(out) < count:
+            raise ValueError(f"class {target} has multiplicity {len(self) - len(out)} < {count}")
+        return out
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.canonical()) + "]"
 
     def __repr__(self) -> str:
-        return f"ExpMultiset({[str(r) for r in self._reps]})"
+        return f"ExpMultiset({[str(r) for r in self.reps]})"
 
 
 def cancel(alpha: ExpMultiset | Iterable[Scalar],
@@ -157,21 +191,9 @@ def cancel(alpha: ExpMultiset | Iterable[Scalar],
     """
     a = alpha if isinstance(alpha, ExpMultiset) else ExpMultiset(alpha)
     b = beta if isinstance(beta, ExpMultiset) else ExpMultiset(beta)
-
-    def grouped(ms):
-        groups: dict[Fraction, list[Fraction]] = {}
-        for r in ms.reps:  # reps are sorted ascending
-            groups.setdefault(canonical_rep(r), []).append(r)
-        return groups
-
-    ga, gb = grouped(a), grouped(b)
-    for cls in set(ga) & set(gb):
-        k = min(len(ga[cls]), len(gb[cls]))
-        del ga[cls][len(ga[cls]) - k:]
-        del gb[cls][len(gb[cls]) - k:]
-    survivors_a = [r for group in ga.values() for r in group]
-    survivors_b = [r for group in gb.values() for r in group]
-    return ExpMultiset(survivors_a), ExpMultiset(survivors_b)
+    n = math.lcm(a._den, b._den)
+    shared = Counter(a._over(n)) & Counter(b._over(n))
+    return a._without(n, shared), b._without(n, shared)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +221,9 @@ class HypModule:
         return self.type == (0, 0)
 
     def display(self) -> str:
-        return (f"Hyp(gamma={self.gamma}; alpha={self.alpha}; beta={self.beta})")
+        return f"Hyp(gamma={self.gamma}; alpha={self.alpha}; beta={self.beta})"
 
-    def __str__(self) -> str:
-        return self.display()
+    __str__ = display
 
 
 def make_hyp(gamma: Scalar,
@@ -210,7 +231,7 @@ def make_hyp(gamma: Scalar,
              beta: Iterable[Scalar] | ExpMultiset = (),
              reduce: bool = False) -> HypModule:
     """Build a hypergeometric datum, optionally cancelling shared classes."""
-    gamma = Fraction(gamma)
+    gamma = _exact(gamma)
     if not gamma:
         raise ValueError("gamma must be nonzero")
     a = alpha if isinstance(alpha, ExpMultiset) else ExpMultiset(alpha)
@@ -229,7 +250,8 @@ def hyp_operator(h: HypModule) -> WeylOp:
 
 def is_irreducible(h: HypModule) -> bool:
     """No alpha - beta difference is an integer; type (0, 0) is irreducible."""
-    return not (h.alpha.classes() & h.beta.classes())
+    n = math.lcm(h.alpha._den, h.beta._den)
+    return set(h.alpha._over(n)).isdisjoint(h.beta._over(n))
 
 
 def exponents(h: HypModule, place: str) -> ExpMultiset:
@@ -243,7 +265,7 @@ def exponents(h: HypModule, place: str) -> ExpMultiset:
     if not is_irreducible(h):
         raise ValueError("exponents are defined for irreducible data only")
     source = h.alpha if place == "zero" else h.beta
-    return ExpMultiset(source.canonical())
+    return ExpMultiset(source._key, source._den)
 
 
 def kummer_twist(h: HypModule, eta: Scalar) -> HypModule:
@@ -264,19 +286,24 @@ class FactorList:
     representative in (0, 1], class 1 being the structure sheaf O; ``hyps``
     counts the hypergeometric factors, a punctual factor being the type-(0, 0)
     datum at its point.  Multiplicities are counted, never enumerated.  Either
-    argument is an iterable of members or a mapping member -> multiplicity;
-    Kummer classes are identified modulo Z.  Treat both counters as read-only.
+    argument is an iterable of members or a mapping member -> multiplicity
+    >= 0; Kummer classes are identified modulo Z.  Treat both as read-only.
     """
 
     __slots__ = ("classes", "hyps")
 
     def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = (),
                  hyps: Iterable[HypModule] | Mapping[HypModule, int] = ()):
-        counts: Counter = Counter()
-        for x, mult in Counter(classes).items():
-            counts[canonical_rep(x)] += mult
-        self.classes = +counts
-        self.hyps = +Counter(hyps)
+        classes, hyps = Counter(classes), Counter(hyps)
+        if any(m < 0 for c in (classes, hyps) for m in c.values()):
+            raise ValueError("multiplicities of composition factors must be >= 0")
+        self.classes = counts = Counter()
+        for x, mult in classes.items():
+            if mult:
+                if type(x) is not Fraction or not 0 < x.numerator <= x.denominator:
+                    x = canonical_rep(x)
+                counts[x] += mult
+        self.hyps = +hyps
 
     def __add__(self, other: "FactorList") -> "FactorList":
         out = FactorList.__new__(FactorList)
@@ -365,8 +392,7 @@ class PushforwardHyp:
     def display(self) -> str:
         return f"[{self.e}]_+ {self.base.display()}"
 
-    def __str__(self) -> str:
-        return self.display()
+    __str__ = display
 
 
 def power_pullback(h: HypModule, d: int) -> HypPullback:
@@ -404,7 +430,7 @@ def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, Fact
     weights = tuple(int(x) for x in w)
     if len(weights) < 2:
         raise ValueError("need at least two weights")
-    alpha = Fraction(alpha)
+    alpha = _exact(alpha)
     d_prev = sum(weights[:-1])
     if (d_prev * alpha).denominator != 1:
         raise ValueError(f"{d_prev}*alpha = {d_prev * alpha} is not an integer")

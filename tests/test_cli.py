@@ -181,3 +181,16 @@ def test_entry_point_subprocess():
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gamma"] == "4/27"
+
+
+def test_package_runs_as_a_module():
+    ok = subprocess.run(
+        [sys.executable, "-m", "dworkgm", "report", "--weights", "1,2", "--json"],
+        capture_output=True, text=True, env=package_env())
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["gamma"] == "4/27"
+    # the module passes main()'s exit code on: a domain error exits 1
+    bad = subprocess.run(
+        [sys.executable, "-m", "dworkgm", "report", "--weights", "0,1"],
+        capture_output=True, text=True, env=package_env())
+    assert bad.returncode == 1 and bad.stdout == ""

@@ -310,3 +310,35 @@ def test_puncture_fiber_kummer_case():
 def test_puncture_fiber_precondition():
     with pytest.raises(ValueError, match="integer"):
         puncture_fiber_cohomology(F(1, 3), (1, 1, 2))
+
+
+# -- exactness of the bookkeeping -------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: ExpMultiset([F(1, 2), 0.1]),
+    lambda: canonical_rep(0.5),
+    lambda: preimage_classes(0.5, 2),
+    lambda: ExpMultiset([F(1, 3)]).shifted(0.5),
+    lambda: ExpMultiset([F(1, 3)]).scaled(2.0),
+    lambda: make_hyp(0.5, [0], [F(1, 2)]),
+    lambda: FactorList([0.25]),
+    lambda: FactorList({F(1, 2): 1, 1.0: 2}),
+    lambda: puncture_fiber_cohomology(1.0, (1, 1, 2)),
+])
+def test_floats_are_refused(build):
+    # ExpMultiset([0.1]) would otherwise hold 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        build()
+
+
+def test_factor_list_refuses_negative_multiplicities():
+    h = make_hyp(F(1, 27), [0, 0], [F(1, 3), F(2, 3)])
+    with pytest.raises(ValueError, match="multiplicit"):
+        FactorList({F(1, 2): -1})
+    with pytest.raises(ValueError, match="multiplicit"):
+        FactorList({F(1, 2): 1, F(1, 3): -2})
+    with pytest.raises(ValueError, match="multiplicit"):
+        FactorList(hyps={h: -1})
+    # a zero multiplicity is dropped
+    assert FactorList({F(1, 2): 0, F(1, 3): 1}, {h: 0}) == FactorList([F(1, 3)])
+    assert str(FactorList({F(1, 2): 0})) == "0"
