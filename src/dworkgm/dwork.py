@@ -380,9 +380,10 @@ def ft_pair(w: WeightsLike) -> FTPair:
     w = validate_weights(w)
     g, d = gamma_n(w), w.d
     params = _weight_exponents(w, d)
+    nums, n = params.numerators
     # the composite d*t is D + 1, so prod(d*t + c) = prod(D - (-1 - c))
-    p = weyl.euler_product(params) * g - WeylOp.t(d)
-    q = WeylOp.d(d) - weyl.euler_product([-1 - c for c in params]) * g
+    p = weyl.euler_product(nums, n) * g - WeylOp.t(d)
+    q = WeylOp.d(d) - weyl.euler_product([-n - x for x in nums], n) * g
     rhs = make_hyp(g * Fraction(d) ** d, params, ())
     return FTPair(p=p, q=q, rhs_power=d, rhs_hyp=rhs, sign=ft_sign(d))
 

@@ -38,18 +38,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import weyl
-from .weyl import WeylOp
+from .weyl import WeylOp, _exact
 
 Scalar = Union[int, Fraction]
 
 
 _ONE = Fraction(1)
-
-
-def _exact(x: Scalar) -> Fraction:
-    if isinstance(x, float):  # 0.1 is not 1/10
-        raise TypeError(f"exponent bookkeeping is exact; got the float {x!r}")
-    return Fraction(x)
 
 
 def canonical_rep(x: Scalar) -> Fraction:
@@ -80,9 +74,10 @@ class ExpMultiset:
     integer numerators over den > 0.  Either way it keeps sorted numerators
     over N, the lcm of the representatives' denominators: a class is a residue
     mod N, shown as (residue or N)/N in (0, 1].  N is minimal, so equal class
-    multisets have equal N; two multisets meet at the lcm of their N.  Only
-    ``reps`` (literal, for the operator), ``classes()`` and ``canonical()``
-    build Fractions.
+    multisets have equal N; two multisets meet at the lcm of their N.
+    ``numerators`` hands the operator code (numerators, N) as they are; only
+    ``reps`` (literal, for the indicial checks), ``classes()`` and
+    ``canonical()`` build Fractions.
     """
 
     __slots__ = ("_nums", "_den", "_key", "_reps")
@@ -98,6 +93,11 @@ class ExpMultiset:
         self._nums = tuple([x // g for x in nums]) if g > 1 else tuple(nums)
         self._key = tuple(sorted(x % n or n for x in self._nums))
         self._reps = None
+
+    @property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The representatives as (sorted integer numerators, N)."""
+        return self._nums, self._den
 
     @property
     def reps(self) -> tuple[Fraction, ...]:
@@ -243,8 +243,8 @@ def make_hyp(gamma: Scalar,
 
 def hyp_operator(h: HypModule) -> WeylOp:
     """The operator gamma*prod(D - a_i) - t*prod(D - b_j), in normal form."""
-    left = weyl.euler_product(h.alpha.reps)
-    right = weyl.euler_product(h.beta.reps)
+    left = weyl.euler_product(*h.alpha.numerators)
+    right = weyl.euler_product(*h.beta.numerators)
     return left * h.gamma - WeylOp.t() * right
 
 

@@ -9,9 +9,10 @@ Every operator is stored in the normal form
 
     sum_k  p_k(t) * d^k
 
-with Laurent-polynomial coefficients p_k over exact rationals; this
-representation is unique, so equality of operators is equality of coefficient
-lists.  On top of the ring arithmetic this module provides:
+with Laurent-polynomial coefficients p_k over the rationals, kept as integer
+numerators over one minimal denominator; this representation is unique, so
+equality of operators is equality of numerators and denominator.  On top of
+the ring arithmetic this module provides:
 
   * a text grammar for operators (``parse_op`` / ``str(op)``), with the Euler
     operator D = t*d available as sugar;
@@ -22,10 +23,12 @@ lists.  On top of the ring arithmetic this module provides:
   * singular-point detection for the leading coefficient, with Fuchs-type
     regularity flags at zero and infinity.
 
-Products and transforms alike clear denominators (``_numerators``), run on
-integer numerators and build each output Fraction once
-(``_from_numerators``).  Two private helpers hold the algebra they share:
-``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__`` and ``fourier``, and
+Products and transforms read the stored numerators (``_numerators``), run on
+integers and end in the one normaliser ``_from_numerators``.  ``LaurentPoly``
+is the public Fraction form, the input of ``WeylOp([...])`` and the output of
+``coeff``, ``coeffs`` and ``monomials``; a float raises ``TypeError`` (0.1 is
+not 1/10).  Two private helpers hold the algebra they share: ``_leibniz``
+moves d^a past t^b, for ``WeylOp.__mul__`` and ``fourier``, and
 ``_times_euler`` multiplies by a*D + b on the right, for ``euler_product``
 and ``mobius_infinity``.
 
@@ -52,6 +55,12 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _exact(x: Scalar) -> Fraction:
+    if isinstance(x, float):  # 0.1 is not 1/10
+        raise TypeError(f"dworkgm arithmetic is exact; got the float {x!r}")
+    return Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in t
 # ---------------------------------------------------------------------------
@@ -59,8 +68,8 @@ class ParseError(ValueError):
 class LaurentPoly:
     """Laurent polynomial in t with Fraction coefficients, sparse on exponents.
 
-    Zero coefficients are never stored, so the zero polynomial has empty
-    support and ``degree``/``order`` are only defined for nonzero elements.
+    The public form of an operator coefficient; zero coefficients are never
+    stored, so the zero polynomial has empty support.
     """
 
     __slots__ = ("_c",)
@@ -69,7 +78,7 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = Fraction(v)
+                v = _exact(v)
                 if v:
                     c[int(e)] = v
         self._c = c
@@ -88,20 +97,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def degree(self) -> int:
-        if not self._c:
-            raise ValueError("degree of the zero polynomial")
-        return max(self._c)
-
-    def order(self) -> int:
-        """Lowest exponent with nonzero coefficient (t-adic valuation)."""
-        if not self._c:
-            raise ValueError("order of the zero polynomial")
-        return min(self._c)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         c = dict(self._c)
         for e, v in other._c.items():
@@ -113,21 +108,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
-
-    def __mul__(self, other: Scalar) -> "LaurentPoly":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        other = Fraction(other)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {} if not other else {e: v * other for e, v in self._c.items()}
-        return out
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
@@ -144,7 +124,6 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly.term(1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +133,23 @@ _LP_ONE = LaurentPoly.term(1)
 class WeylOp:
     """Operator sum_k p_k(t) d^k in normal form (all d factors on the right).
 
-    The top coefficient of a nonzero operator is nonzero; the zero operator
-    has an empty coefficient list.  Arithmetic realizes d*t = t*d + 1 exactly,
-    and the normal form of a given operator is unique.
+    Stored as integer numerators over one minimal denominator L = ``_den``:
+    ``_rows[k]`` maps m to n, so that p_k = sum n/L * t^m.  No n is zero,
+    gcd(L, every n) is 1 and the last row is not empty (zero is L = 1, no
+    rows), so ``==`` and ``hash`` compare (L, rows).  Fractions are built
+    only for the caller, by ``coeff``, ``coeffs``, ``monomials`` and printing.
     """
 
-    __slots__ = ("_p",)
+    __slots__ = ("_den", "_rows")
 
     def __init__(self, coeffs: Iterable[LaurentPoly] = ()):
-        p = list(coeffs)
-        while p and p[-1].is_zero:
-            p.pop()
-        self._p = tuple(p)
+        # the coefficients are reduced, so their lcm L is minimal
+        ps = [p._c for p in coeffs]
+        den = functools.reduce(math.lcm, (c.denominator for p in ps for c in p.values()), 1)
+        rows = [{m: c.numerator * (den // c.denominator) for m, c in p.items()} for p in ps]
+        while rows and not rows[-1]:
+            rows.pop()
+        self._den, self._rows = den, tuple(rows)
 
     # -- constructors -------------------------------------------------------
 
@@ -179,66 +163,78 @@ class WeylOp:
 
     @staticmethod
     def constant(c: Scalar) -> "WeylOp":
-        return WeylOp([LaurentPoly.term(c)])
+        c = _exact(c)
+        return _make(c.denominator, [{0: c.numerator}] if c else [])
 
     @staticmethod
     def t(exponent: int = 1) -> "WeylOp":
-        return WeylOp([LaurentPoly.term(1, exponent)])
+        return _make(1, [{int(exponent): 1}])
 
     @staticmethod
     def d(power: int = 1) -> "WeylOp":
         if power < 0:
             raise ValueError("d admits no negative powers")
-        return WeylOp([_LP_ZERO] * power + [_LP_ONE])
+        return _make(1, [{}] * power + [{0: 1}])
 
     # -- structure ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._p
+        return not self._rows
 
     def order(self) -> int:
         """Degree in d."""
-        if not self._p:
+        if not self._rows:
             raise ValueError("order of the zero operator")
-        return len(self._p) - 1
+        return len(self._rows) - 1
 
     def coeff(self, k: int) -> LaurentPoly:
-        if 0 <= k < len(self._p):
-            return self._p[k]
+        if 0 <= k < len(self._rows):
+            lp = LaurentPoly.__new__(LaurentPoly)
+            lp._c = {m: Fraction(n, self._den) for m, n in self._rows[k].items()}
+            return lp
         return _LP_ZERO
 
     def coeffs(self) -> tuple[LaurentPoly, ...]:
-        return self._p
+        return tuple([self.coeff(k) for k in range(len(self._rows))])
 
     def monomials(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (k, m, c) for every monomial c * t^m * d^k."""
-        for k, p in enumerate(self._p):
-            for m, c in p.items():
-                yield k, m, c
+        """Iterate over (k, m, c) for every monomial c * t^m * d^k."""
+        den = self._den
+        return iter([(k, m, Fraction(row[m], den))
+                     for k, row in enumerate(self._rows) for m in sorted(row)])
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        a, b = self._p, other._p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, q in enumerate(b):
-            out[k] = out[k] + q
-        return WeylOp(out)
+        # meet at lcm(L1, L2): copy the longer operator, add the other in
+        a, b = (self, other) if len(self._rows) >= len(other._rows) else (other, self)
+        den = math.lcm(a._den, b._den)
+        s = den // a._den
+        acc = {k: {m: n * s for m, n in row.items()} for k, row in enumerate(a._rows)}
+        s = den // b._den
+        for k, row in enumerate(b._rows):
+            target = acc[k]
+            for m, n in row.items():
+                target[m] = target.get(m, 0) + n * s
+        return _from_numerators(acc, den)
 
     def __neg__(self) -> "WeylOp":
-        return WeylOp([-p for p in self._p])
+        return _make(self._den, [{m: -n for m, n in row.items()} for row in self._rows])
 
     def __sub__(self, other: "WeylOp") -> "WeylOp":
         return self + (-other)
 
     def __mul__(self, other: "WeylOp | Scalar") -> "WeylOp":
         if isinstance(other, (int, Fraction)):
-            return WeylOp([p * other for p in self._p])
+            # cancel gcd(L, a) at once; the gcd chain finds the rest
+            g = math.gcd(self._den, other.numerator)
+            a = other.numerator // g
+            return _from_numerators(
+                {k: {m: n * a for m, n in row.items()} for k, row in enumerate(self._rows)},
+                self._den // g * other.denominator)
         if not isinstance(other, WeylOp):
             return NotImplemented
         # n1*t^m1*d^k1 * n2*t^m2*d^k2 = n1*n2 * t^m1 * (d^k1 t^m2) * d^k2
@@ -265,47 +261,58 @@ class WeylOp:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WeylOp):
-            return self._p == other._p
+            return self._den == other._den and self._rows == other._rows
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._p)
+        return hash((self._den, tuple([frozenset(row.items()) for row in self._rows])))
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
         return format_terms(
-            (c, [("t", m), ("d", k)])
-            for k in range(len(self._p) - 1, -1, -1)
-            for m, c in sorted(self._p[k]._c.items(), reverse=True))
+            (Fraction(self._rows[k][m], self._den), [("t", m), ("d", k)])
+            for k in range(len(self._rows) - 1, -1, -1)
+            for m in sorted(self._rows[k], reverse=True))
 
     def __repr__(self) -> str:
         return f"<WeylOp {self}>"
 
 
-_W_ZERO = WeylOp()
-_W_ONE = WeylOp([_LP_ONE])
+def _make(den: int, rows: list[dict[int, int]]) -> WeylOp:
+    op = WeylOp.__new__(WeylOp)
+    op._den, op._rows = den, tuple(rows)
+    return op
+
+
+_W_ZERO = _make(1, [])
+_W_ONE = _make(1, [{0: 1}])
 
 
 def _numerators(op: WeylOp) -> tuple[int, list[tuple[int, int, int]]]:
-    """Clear denominators: (L, [(k, m, n), ...]) with op = sum n/L * t^m d^k
-    and L the lcm of the coefficient denominators."""
-    # reduce, not lcm(*...): argument tuples of every length would fill the
-    # interpreter's tuple free lists and raise the peak RSS.
-    scale = functools.reduce(
-        math.lcm, (c.denominator for p in op._p for c in p._c.values()), 1)
-    return scale, [(k, m, c.numerator * (scale // c.denominator))
-                   for k, p in enumerate(op._p) for m, c in p._c.items()]
+    """The stored form as (L, [(k, m, n), ...]), op = sum n/L * t^m d^k."""
+    return op._den, [(k, m, n) for k, row in enumerate(op._rows) for m, n in row.items()]
 
 
-def _from_numerators(acc: Mapping[int, Mapping[int, int]], scale: int) -> WeylOp:
-    """The operator sum acc[k][m]/L * t^m d^k, with L = scale; zeros dropped."""
-    out = []
-    for k in range(max(acc, default=-1) + 1):
-        lp = LaurentPoly.__new__(LaurentPoly)
-        lp._c = {m: Fraction(n, scale) for m, n in acc.get(k, {}).items() if n}
-        out.append(lp)
-    return WeylOp(out)
+def _from_numerators(acc: Mapping[int, dict[int, int]], scale: int) -> WeylOp:
+    """The operator sum acc[k][m]/scale * t^m d^k in canonical form, made from
+    acc's own rows: zero numerators and trailing empty rows dropped, then
+    numerators and scale divided by their gcd, whose chain stops as soon as
+    it reaches 1."""
+    rows = [acc.get(k, {}) for k in range(max(acc, default=-1) + 1)]
+    for row in rows:
+        if 0 in row.values():
+            for m in [m for m, n in row.items() if not n]:
+                del row[m]
+    while rows and not rows[-1]:
+        rows.pop()
+    g = scale
+    for row in rows:
+        for n in row.values():
+            g = math.gcd(g, n)
+            if g == 1:
+                return _make(scale, rows)
+    return _make(scale // g, [{m: n // g for m, n in row.items()} for row in rows])
 
 
 def _leibniz(acc: dict[int, dict[int, int]], n: int, a: int, b: int,
@@ -333,31 +340,36 @@ def _times_euler(r: list[int], a: int, b: int) -> list[int]:
 
 def euler_op() -> WeylOp:
     """The Euler operator D = t*d."""
-    return WeylOp([_LP_ZERO, LaurentPoly.term(1, 1)])
+    return _make(1, [{}, {1: 1}])
 
 
-def euler_product(constants: Iterable[Scalar]) -> WeylOp:
-    """Normal form of prod (D - c) over the given constants.
+def euler_product(constants: Iterable[Scalar], den: int = 0) -> WeylOp:
+    """Normal form of prod (D - c) over the given constants, or, with den > 0,
+    over c = n/den for the given integer numerators n.
 
-    With L the lcm of the denominators, the product is prod (L*D - L*c)
-    divided by L^n.  It is built by the Horner recurrence of
-    ``_times_euler`` in the basis t^j d^j, one factor at a time, so every
-    product is a big integer times a small one.
+    With L the lcm of the denominators, each factor enters as the primitive
+    (L/g)*D - n/g, g = gcd(L, n), over L/g; by Gauss's lemma the product is
+    primitive, so its scale is already minimal.  It is built by the Horner
+    recurrence of ``_times_euler`` in the basis t^j d^j, one factor at a
+    time, so every product is a big integer times a small one.
     """
-    cs = [Fraction(c) for c in constants]
-    scale = functools.reduce(math.lcm, (c.denominator for c in cs), 1)
-    r = [1]
-    for c in cs:
-        r = _times_euler(r, scale, -c.numerator * (scale // c.denominator))
-    return _from_numerators({j: {j: n} for j, n in enumerate(r)},
-                            scale ** len(cs))
+    if not den:
+        cs = [_exact(c) for c in constants]
+        den = functools.reduce(math.lcm, (c.denominator for c in cs), 1)
+        constants = [c.numerator * (den // c.denominator) for c in cs]
+    r, scale = [1], 1
+    for n in constants:
+        g = math.gcd(den, n)
+        r = _times_euler(r, den // g, -n // g)
+        scale *= den // g
+    return _from_numerators({j: {j: n} for j, n in enumerate(r)}, scale)
 
 
 def euler_factorization(d: int) -> WeylOp:
     """The product (D)(D-1)...(D-d+1), equal to t^d d^d in normal form."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return euler_product(range(d))
+    return euler_product(range(d), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +544,10 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    for p in op.coeffs():
-        if not p.is_zero and p.order() < 0:
-            raise ValueError("operator contains t^-1; the Fourier substitution "
-                             "is defined only for polynomial coefficients")
     scale, monos = _numerators(op)
+    if any(m < 0 for _, m, _ in monos):
+        raise ValueError("operator contains t^-1; the Fourier substitution "
+                         "is defined only for polynomial coefficients")
     acc: dict[int, dict[int, int]] = {}
     for k, m, n in monos:
         # n*t^m*d^k  ->  n * d^m * (-t)^k      (forward)
@@ -640,7 +651,7 @@ class IndicialPolynomial:
     def roots(self) -> tuple[tuple[tuple[Fraction, int], ...], tuple[str, ...]]:
         """(rational roots with multiplicity, leftover irreducible factors)."""
         rational, leftovers = _rational_root_split(list(self.coeffs))
-        return rational, tuple(format_poly(f, "s") for f in leftovers)
+        return rational, tuple([format_poly(f, "s") for f in leftovers])
 
     def root_multiset(self) -> dict[Fraction, int]:
         return dict(self.roots()[0])
@@ -723,7 +734,7 @@ def _rational_root_split(
     the coefficients, highest first, of the primitive integer factor with
     positive leading coefficient.
     """
-    coeffs = _trim(list(coeffs))
+    coeffs = _trim([_exact(c) for c in coeffs])
     if not coeffs:
         raise ValueError("zero polynomial has no root data")
     roots: dict[Fraction, int] = {}
@@ -757,7 +768,7 @@ def _rational_root_split(
         found, factors = factor_over_q(coeffs)
         roots.update(found)  # no zero root is left to collide with
         for f, m in factors:
-            leftovers.extend([tuple(Fraction(c, f[-1]) for c in f)] * m)
+            leftovers.extend([tuple([Fraction(c, f[-1]) for c in f])] * m)
     ordered = tuple(sorted(roots.items()))
     return ordered, leftovers
 
@@ -781,7 +792,7 @@ def indicial_polynomial(op: WeylOp, place: str = "zero") -> IndicialPolynomial:
     else:
         q = _min_weight_part(op)
     lead = q[-1]
-    return IndicialPolynomial(tuple(Fraction(c, lead) for c in q), place)
+    return IndicialPolynomial(tuple([Fraction(c, lead) for c in q]), place)
 
 
 # ---------------------------------------------------------------------------
@@ -812,11 +823,8 @@ def fuchs_regular_at_zero(op: WeylOp) -> bool:
     part reaches degree r exactly when ord_0(p_r) - r is minimal.
     """
     r = op.order()
-    bound = op.coeff(r).order() - r
-    for k, p in enumerate(op.coeffs()):
-        if not p.is_zero and p.order() - k < bound:
-            return False
-    return True
+    bound = min(op._rows[r]) - r
+    return all(min(row) - k >= bound for k, row in enumerate(op._rows) if row)
 
 
 def finite_singular_points(op: WeylOp) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
@@ -824,12 +832,12 @@ def finite_singular_points(op: WeylOp) -> tuple[tuple[Fraction, ...], tuple[str,
     plus the leftover irreducible factors as grammar strings."""
     if op.is_zero:
         raise ValueError("zero operator has no singular support")
-    lead = op.coeff(op.order())
-    shift = lead.order()
-    coeffs = [lead[e] for e in range(shift, lead.degree() + 1)]
+    # the roots do not depend on the scale, so the numerators serve
+    lead = op._rows[op.order()]
+    coeffs = [lead.get(e, 0) for e in range(min(lead), max(lead) + 1)]
     rational, leftovers = _rational_root_split(coeffs)
-    finite = tuple(sorted(r for r, _ in rational if r != 0))
-    return finite, tuple(format_poly(f, "t") for f in leftovers)
+    finite = tuple(sorted([r for r, _ in rational if r != 0]))
+    return finite, tuple([format_poly(f, "t") for f in leftovers])
 
 
 def singular_support(op: WeylOp) -> SingularSupport:

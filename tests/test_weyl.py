@@ -339,3 +339,44 @@ def test_printer_is_deterministic():
     op = parse_op("1/3*t^2*d^2 - t*d + 5 - t^-2")
     assert str(op) == str(parse_op(str(op)))
     assert str(WeylOp.zero()) == "0"
+
+
+# -- exactness and the integer form ------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: WeylOp.constant(0.1),
+    lambda: LaurentPoly({0: 0.1}),
+    lambda: LaurentPoly.term(0.5, 2),
+    lambda: euler_product([Fraction(1, 3), 0.1]),
+    lambda: WeylOp.one() * 0.5,
+    lambda: 0.5 * WeylOp.one(),
+    lambda: WeylOp.one() + 0.5,
+    lambda: IndicialPolynomial((0.5, 1), "zero").roots(),
+])
+def test_floats_are_refused_by_the_weyl_core(build):
+    # WeylOp.constant(0.1) would otherwise hold 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integer_coefficients_give_fraction_roots():
+    # (1, 2) is 2s + 1: the root is -1/2, never -0.5
+    rational, leftovers = IndicialPolynomial((1, 2), "zero").roots()
+    assert rational == ((Fraction(-1, 2), 1),) and leftovers == ()
+    assert type(rational[0][0]) is Fraction
+    # 2s^2 - 3s + 1 = (2s - 1)(s - 1)
+    rational, _ = IndicialPolynomial((1, -3, 2), "zero").roots()
+    assert rational == ((Fraction(1, 2), 1), (Fraction(1), 1))
+    assert all(type(r) is Fraction for r, _ in rational)
+    # 2s^2 + 1 has no rational root: its monic leftover is s^2 + 1/2
+    assert IndicialPolynomial((1, 0, 2), "zero").roots() == ((), ("s^2 + 1/2",))
+
+
+def test_euler_product_integer_form():
+    nums, den = [3, -2, 0, 12, 7], 6
+    by_fractions = euler_product([Fraction(n, den) for n in nums])
+    assert euler_product(nums, den) == by_fractions
+    assert hash(euler_product(nums, den)) == hash(by_fractions)
+    # a denominator that is not minimal gives the same operator
+    assert euler_product([2 * n for n in nums], 2 * den) == by_fractions
+    assert euler_product([], 5) == WeylOp.one()
