@@ -31,18 +31,19 @@ nonzero last entry.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
+from .weyl import _clear_denominators, _primitive, _strip
+
 Poly = list[int]  # lowest degree first, nonzero last entry; [] is zero
 
 
 def factor_over_q(
-    coeffs: Sequence[Fraction],
+    coeffs: Sequence[int | Fraction],
 ) -> tuple[dict[Fraction, int], list[tuple[Poly, int]]]:
     """Rational roots and nonlinear irreducible factors of a nonzero rational
     polynomial (coefficients lowest degree first).
@@ -53,8 +54,7 @@ def factor_over_q(
     factors are sorted by degree, then by multiplicity, then by their
     coefficients read from the highest degree.
     """
-    scale = functools.reduce(math.lcm, (c.denominator for c in coeffs), 1)
-    f = _strip([c.numerator * (scale // c.denominator) for c in coeffs])
+    f = _strip(_clear_denominators(coeffs)[0])
     if not f:
         raise ValueError("zero polynomial has no factorisation")
     roots: dict[Fraction, int] = {}
@@ -75,20 +75,6 @@ def factor_over_q(
 
 
 # -- integer polynomials ----------------------------------------------------
-
-def _strip(f: Poly) -> Poly:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _primitive(f: Poly) -> Poly:
-    """f divided by its content, with a positive leading coefficient."""
-    c = functools.reduce(math.gcd, f, 0)
-    if f[-1] < 0:
-        c = -c
-    return [a // c for a in f]
-
 
 def _derivative(f: Poly) -> Poly:
     return [i * f[i] for i in range(1, len(f))]

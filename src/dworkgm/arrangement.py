@@ -22,6 +22,7 @@ dimension) explicitly.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 from math import comb, gcd
 
@@ -50,7 +51,7 @@ def milnor_fiber_dims(w) -> DimensionTable:
     in ambient dimension n: C(n, i+n-1) in degrees -(n-1)..-1 and n+d-1 in
     degree 0, d the weight sum.  The weights must share no common factor.
     """
-    weights = tuple(int(x) for x in w)
+    weights = tuple(map(operator.index, w))
     n = len(weights) - 1
     if n < 2:
         raise ValueError("need ambient dimension at least 2 (three weights)")

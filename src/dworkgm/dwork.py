@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -49,11 +50,13 @@ WeightsLike = Union["Weights", Sequence[int]]
 
 @dataclass(frozen=True)
 class Weights:
-    """Tuple of n+1 positive weights with its derived gcd chain."""
+    """Tuple of n+1 positive weights with its derived gcd chain; a weight
+    that is not an integer (``operator.index``) raises TypeError."""
 
     w: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "w", tuple(map(operator.index, self.w)))
         if len(self.w) < 2:
             raise ValueError("need at least two weights")
         if any(x < 1 for x in self.w):
@@ -98,9 +101,7 @@ class Weights:
 
 def validate_weights(raw: WeightsLike) -> Weights:
     """Check and wrap a weight sequence; at least two entries, all >= 1."""
-    if isinstance(raw, Weights):
-        return raw
-    return Weights(tuple(int(x) for x in raw))
+    return raw if isinstance(raw, Weights) else Weights(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +406,10 @@ def _indicial_checks(h: HypModule, gamma: Fraction) -> dict[str, bool]:
     ind0 = weyl.indicial_polynomial(op, "zero")
     ind_mob = weyl.indicial_polynomial(mob, "zero")
     finite, other = weyl.finite_singular_points(op)
+    nums, n = h.beta.numerators
     return {
-        "indicial_zero": ind0.has_roots_exactly(h.alpha.reps),
-        "indicial_infinity": ind_mob.has_roots_exactly(-b for b in h.beta.reps),
+        "indicial_zero": ind0.has_roots_exactly(*h.alpha.numerators),
+        "indicial_infinity": ind_mob.has_roots_exactly([-x for x in nums], n),
         "singular_support_gamma": finite == (gamma,) and not other,
         "regular": (weyl.fuchs_regular_at_zero(op)
                     and weyl.fuchs_regular_at_zero(mob)),

@@ -30,18 +30,15 @@ puncture.  Everything is pure, and immutable once built.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from . import weyl
-from .weyl import WeylOp, _exact
-
-Scalar = Union[int, Fraction]
-
+from .weyl import Scalar, WeylOp, _clear_denominators, _exact
 
 _ONE = Fraction(1)
 
@@ -70,29 +67,26 @@ def preimage_classes(c: Scalar, e: int) -> list[Fraction]:
 class ExpMultiset:
     """Multiset of rational exponent representatives, compared modulo Z.
 
-    ``ExpMultiset(reps)`` takes ints and Fractions, ``ExpMultiset(nums, den)``
-    integer numerators over den > 0.  Either way it keeps sorted numerators
-    over N, the lcm of the representatives' denominators: a class is a residue
-    mod N, shown as (residue or N)/N in (0, 1].  N is minimal, so equal class
-    multisets have equal N; two multisets meet at the lcm of their N.
-    ``numerators`` hands the operator code (numerators, N) as they are; only
-    ``reps`` (literal, for the indicial checks), ``classes()`` and
+    ``ExpMultiset(reps, den)`` holds the representatives r/den, for ints and
+    Fractions r and a positive integer scale den (default 1), so integer
+    numerators over one denominator go in as they are.  It keeps sorted
+    numerators over N, the least common denominator of the representatives:
+    a class is a residue mod N, shown as (residue or N)/N in (0, 1].  N is
+    minimal, so equal class multisets have equal N; two multisets meet at the
+    lcm of their N.  ``numerators`` hands the operator code and the indicial
+    checks (numerators, N) as they are; only ``reps``, ``classes()`` and
     ``canonical()`` build Fractions.
     """
 
-    __slots__ = ("_nums", "_den", "_key", "_reps")
+    __slots__ = ("_nums", "_den", "_key")
 
-    def __init__(self, reps: Iterable[Scalar] = (), den: int = 0):
-        if not den:
-            fracs = [_exact(r) for r in reps]
-            den = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)
-            reps = [f.numerator * (den // f.denominator) for f in fracs]
-        nums = sorted(reps)
-        g = functools.reduce(math.gcd, nums, den)
+    def __init__(self, reps: Iterable[Scalar] = (), den: int = 1):
+        nums, den = _clear_denominators(reps, den)
+        nums.sort()
+        g = math.gcd(den, *nums)
         self._den = n = den // g
         self._nums = tuple([x // g for x in nums]) if g > 1 else tuple(nums)
         self._key = tuple(sorted(x % n or n for x in self._nums))
-        self._reps = None
 
     @property
     def numerators(self) -> tuple[tuple[int, ...], int]:
@@ -101,9 +95,7 @@ class ExpMultiset:
 
     @property
     def reps(self) -> tuple[Fraction, ...]:
-        if self._reps is None:
-            self._reps = tuple([Fraction(x, self._den) for x in self._nums])
-        return self._reps
+        return tuple([Fraction(x, self._den) for x in self._nums])
 
     def _over(self, n: int) -> list[int]:
         """The class numerators over a multiple n of N."""
@@ -143,15 +135,12 @@ class ExpMultiset:
 
     def __add__(self, other: "ExpMultiset") -> "ExpMultiset":
         """Multiset union (disjoint sum of representatives)."""
-        n = math.lcm(self._den, other._den)
-        s, t = n // self._den, n // other._den
-        return ExpMultiset([x * s for x in self._nums] + [x * t for x in other._nums], n)
+        return ExpMultiset([x * other._den for x in self._nums]
+                           + [x * self._den for x in other._nums], self._den * other._den)
 
     def shifted(self, eta: Scalar) -> "ExpMultiset":
         eta = _exact(eta)
-        n = math.lcm(self._den, eta.denominator)
-        s, shift = n // self._den, eta.numerator * (n // eta.denominator)
-        return ExpMultiset([x * s + shift for x in self._nums], n)
+        return ExpMultiset([x + eta * self._den for x in self._nums], self._den)
 
     def scaled(self, k: Scalar) -> "ExpMultiset":
         k = _exact(k)
@@ -427,7 +416,7 @@ def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, Fact
     An integral alpha yields the structure sheaf in degree -1 plus two copies
     in degree 0; otherwise the single Kummer factor K_alpha in degree 0.
     """
-    weights = tuple(int(x) for x in w)
+    weights = tuple(map(operator.index, w))
     if len(weights) < 2:
         raise ValueError("need at least two weights")
     alpha = _exact(alpha)

@@ -32,14 +32,13 @@ beyond it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
-from .weyl import format_terms
-
-Scalar = Union[int, Fraction]
+from .weyl import Scalar, _refuse_float, format_terms
 
 
 class InvariantError(RuntimeError):
@@ -108,6 +107,7 @@ class MultiPoly:
         c = {}
         if coeffs:
             for exps, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
+                _refuse_float(v)
                 if v:
                     if len(exps) != nvars:
                         raise ValueError("exponent vector of wrong length")
@@ -189,6 +189,9 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return _make(self.nvars, {k: v * other for k, v in self._c.items()}
                          if other else {})
+        if not isinstance(other, MultiPoly):
+            _refuse_float(other)
+            return NotImplemented
         a, b = self._c, other._c
         if not a or not b:
             return _make(self.nvars, {})
@@ -278,7 +281,7 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _weights(w) -> tuple[int, ...]:
-    weights = tuple(int(x) for x in w)
+    weights = tuple(map(operator.index, w))
     if len(weights) < 2 or any(x < 1 for x in weights):
         raise ValueError("need at least two positive weights")
     return weights

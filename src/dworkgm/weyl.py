@@ -24,13 +24,15 @@ the ring arithmetic this module provides:
     regularity flags at zero and infinity.
 
 Products and transforms read the stored numerators (``_numerators``), run on
-integers and end in the one normaliser ``_from_numerators``.  ``LaurentPoly``
-is the public Fraction form, the input of ``WeylOp([...])`` and the output of
-``coeff``, ``coeffs`` and ``monomials``; a float raises ``TypeError`` (0.1 is
-not 1/10).  Two private helpers hold the algebra they share: ``_leibniz``
-moves d^a past t^b, for ``WeylOp.__mul__`` and ``fourier``, and
-``_times_euler`` multiplies by a*D + b on the right, for ``euler_product``
-and ``mobius_infinity``.
+integers and end in the one normaliser ``_from_numerators``; rationals become
+integers over one denominator in one place, ``_clear_denominators``, and the
+indicial layer (``IndicialPolynomial``, its root check, the root oracle) stays
+in integers.  ``LaurentPoly`` is the public Fraction form, the input of
+``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
+float raises ``TypeError`` (0.1 is not 1/10).  Two private helpers hold the
+algebra they share: ``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__``
+and ``fourier``, and ``_times_euler`` multiplies by a*D + b on the right, for
+``euler_product`` and ``mobius_infinity``.
 
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
@@ -55,10 +57,42 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _exact(x: Scalar) -> Fraction:
+def _refuse_float(x: object) -> None:
     if isinstance(x, float):  # 0.1 is not 1/10
         raise TypeError(f"dworkgm arithmetic is exact; got the float {x!r}")
+
+
+def _exact(x: Scalar) -> Fraction:
+    _refuse_float(x)
     return Fraction(x)
+
+
+def _clear_denominators(values: Iterable[Scalar], den: int = 1) -> tuple[list[int], int]:
+    """The rationals v/den as (integer numerators, one denominator); ints
+    pass as they are, a float raises TypeError and den < 1 ValueError."""
+    if den < 1:
+        raise ValueError(f"the scale den must be a positive integer, not {den!r}")
+    nums = list(values)
+    if all(type(v) is int for v in nums):
+        return nums, den
+    fracs = [_exact(v) for v in nums]
+    lcm = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)
+    return [f.numerator * (lcm // f.denominator) for f in fracs], den * lcm
+
+
+def _strip(f: list) -> list:
+    """f without its trailing zeros (or empty rows), in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    c = functools.reduce(math.gcd, f, 0)
+    if f[-1] < 0:
+        c = -c
+    return [a // c for a in f]
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +179,9 @@ class WeylOp:
     def __init__(self, coeffs: Iterable[LaurentPoly] = ()):
         # the coefficients are reduced, so their lcm L is minimal
         ps = [p._c for p in coeffs]
-        den = functools.reduce(math.lcm, (c.denominator for p in ps for c in p.values()), 1)
-        rows = [{m: c.numerator * (den // c.denominator) for m, c in p.items()} for p in ps]
-        while rows and not rows[-1]:
-            rows.pop()
+        nums, den = _clear_denominators([c for p in ps for c in p.values()])
+        nums = iter(nums)
+        rows = _strip([{m: next(nums) for m in p} for p in ps])
         self._den, self._rows = den, tuple(rows)
 
     # -- constructors -------------------------------------------------------
@@ -304,8 +337,7 @@ def _from_numerators(acc: Mapping[int, dict[int, int]], scale: int) -> WeylOp:
         if 0 in row.values():
             for m in [m for m, n in row.items() if not n]:
                 del row[m]
-    while rows and not rows[-1]:
-        rows.pop()
+    _strip(rows)
     g = scale
     for row in rows:
         for n in row.values():
@@ -343,22 +375,19 @@ def euler_op() -> WeylOp:
     return _make(1, [{}, {1: 1}])
 
 
-def euler_product(constants: Iterable[Scalar], den: int = 0) -> WeylOp:
-    """Normal form of prod (D - c) over the given constants, or, with den > 0,
-    over c = n/den for the given integer numerators n.
+def euler_product(constants: Iterable[Scalar], den: int = 1) -> WeylOp:
+    """Normal form of prod (D - c/den) over the rational constants c, den
+    being a plain scale, so integer numerators go in as they are.
 
-    With L the lcm of the denominators, each factor enters as the primitive
-    (L/g)*D - n/g, g = gcd(L, n), over L/g; by Gauss's lemma the product is
-    primitive, so its scale is already minimal.  It is built by the Horner
-    recurrence of ``_times_euler`` in the basis t^j d^j, one factor at a
-    time, so every product is a big integer times a small one.
+    With n/L the constants over one denominator, each factor enters as the
+    primitive (L/g)*D - n/g, g = gcd(L, n), over L/g; by Gauss's lemma the
+    product is primitive, so its scale is already minimal.  It is built by
+    the Horner recurrence of ``_times_euler`` in the basis t^j d^j, one
+    factor at a time, so every product is a big integer times a small one.
     """
-    if not den:
-        cs = [_exact(c) for c in constants]
-        den = functools.reduce(math.lcm, (c.denominator for c in cs), 1)
-        constants = [c.numerator * (den // c.denominator) for c in cs]
+    nums, den = _clear_denominators(constants, den)
     r, scale = [1], 1
-    for n in constants:
+    for n in nums:
         g = math.gcd(den, n)
         r = _times_euler(r, den // g, -n // g)
         scale *= den // g
@@ -369,7 +398,7 @@ def euler_factorization(d: int) -> WeylOp:
     """The product (D)(D-1)...(D-d+1), equal to t^d d^d in normal form."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return euler_product(range(d), 1)
+    return euler_product(range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -617,66 +646,73 @@ def _min_weight_part(op: WeylOp) -> list[int]:
     return q
 
 
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 @dataclass(frozen=True)
 class IndicialPolynomial:
     """Monic polynomial in s over the rationals, tagged with its place.
+
+    Built from ascending rational coefficients at any scale, it keeps their
+    primitive integer multiple ``nums``, so it is monic by construction;
+    ``coeffs`` is the monic Fraction form.  The zero polynomial and a place
+    other than "zero" or "infinity" raise ValueError.
 
     Its degree equals the rank of the slope-zero part at the place, and its
     roots are the local exponents.  ``roots`` extracts them exactly by
     factorisation over Q (``_rational_root_split``): rational roots with
     multiplicity, everything else reported as monic irreducible factors.
     ``has_roots_exactly`` checks a claimed root multiset by a product
-    comparison that uses no factorisation.
+    comparison in integers that uses no factorisation.
     """
 
-    coeffs: tuple[Fraction, ...]  # ascending, monic
+    nums: tuple[int, ...]  # ascending, primitive, positive leading entry
     place: str
+
+    def __post_init__(self):
+        if self.place not in ("zero", "infinity"):
+            raise ValueError(f"unknown place {self.place!r}")
+        nums = _strip(_clear_denominators(self.nums)[0])
+        if not nums:
+            raise ValueError("the zero polynomial is not an indicial polynomial")
+        object.__setattr__(self, "nums", tuple(_primitive(nums)))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        lead = self.nums[-1]
+        return tuple([Fraction(n, lead) for n in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        for n in reversed(self.nums):
+            acc = acc * x + n
+        return acc / self.nums[-1]
 
     def roots(self) -> tuple[tuple[tuple[Fraction, int], ...], tuple[str, ...]]:
         """(rational roots with multiplicity, leftover irreducible factors)."""
-        rational, leftovers = _rational_root_split(list(self.coeffs))
+        rational, leftovers = _rational_root_split(list(self.nums))
         return rational, tuple([format_poly(f, "s") for f in leftovers])
 
     def root_multiset(self) -> dict[Fraction, int]:
         return dict(self.roots()[0])
 
-    def has_roots_exactly(self, values: Iterable[Scalar]) -> bool:
-        """True iff the polynomial equals prod (s - v) over the multiset.
+    def has_roots_exactly(self, values: Iterable[Scalar], den: int = 1) -> bool:
+        """True iff the polynomial equals prod (s - v/den) over the multiset.
 
-        Direct product comparison; independent of any factorization routine.
+        Product comparison in integers, independent of any factorization
+        routine: with the values n/L, prod (L*s - n) * lead = nums * L^deg.
         """
-        vs = [Fraction(v) for v in values]
-        if len(vs) != self.degree:
+        claimed, scale = _clear_denominators(values, den)
+        if len(claimed) != self.degree:
             return False
-        # prod (L*s - L*v) = L^n * prod (s - v), in integers
-        scale = functools.reduce(math.lcm, (v.denominator for v in vs), 1)
         prod = [1]
-        for v in vs:
-            root = v.numerator * (scale // v.denominator)
-            nxt = [0] * (len(prod) + 1)
-            for i, c in enumerate(prod):
-                nxt[i + 1] += c * scale
-                nxt[i] -= c * root
-            prod = nxt
-        top = scale ** len(vs)
-        return all(p * c.denominator == top * c.numerator
-                   for p, c in zip(prod, self.coeffs))
+        for n in claimed:
+            prod = ([-n * prod[0]]
+                    + [scale * prod[i - 1] - n * prod[i] for i in range(1, len(prod))]
+                    + [scale * prod[-1]])
+        lead, top = self.nums[-1], scale ** len(claimed)
+        return all(p * lead == top * c for p, c in zip(prod, self.nums))
 
     def __str__(self) -> str:
         return format_poly(self.coeffs, "s")
@@ -711,56 +747,40 @@ def format_poly(coeffs: Iterable[Fraction], var: str) -> str:
     return format_terms((cs[e], [(var, e)]) for e in range(len(cs) - 1, -1, -1))
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def _rational_root_split(
-    coeffs: list[Fraction],
+    coeffs: list[Scalar],
 ) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[Fraction, ...]]]:
     """Split a rational polynomial into rational roots and irreducible factors.
 
     Returns the rational roots with multiplicity, in increasing order, and
     the monic irreducible factors of degree >= 2, each listed once per
     multiplicity.  Zero roots and a rest of degree <= 2 are handled in
-    closed form; a rest of degree >= 3 goes to the exact factoriser
-    ``_factor.factor_over_q`` (rational roots by p-adic lifting, Zassenhaus
-    for the rest).  Factors are ordered by degree, then multiplicity, then
-    the coefficients, highest first, of the primitive integer factor with
-    positive leading coefficient.
+    closed form, on the integer numerators; a rest of degree >= 3 goes to the
+    exact factoriser ``_factor.factor_over_q`` (rational roots by p-adic
+    lifting, Zassenhaus for the rest).  Factors are ordered by degree, then
+    multiplicity, then the coefficients, highest first, of the primitive
+    integer factor with positive leading coefficient.
     """
-    coeffs = _trim([_exact(c) for c in coeffs])
+    coeffs = _strip(_clear_denominators(coeffs)[0])
     if not coeffs:
         raise ValueError("zero polynomial has no root data")
-    roots: dict[Fraction, int] = {}
-    v = 0
-    while not coeffs[v]:
-        v += 1
-    if v:
-        roots[Fraction(0)] = v
-        coeffs = coeffs[v:]
+    v = next(i for i, c in enumerate(coeffs) if c)  # the zero root's multiplicity
+    roots: dict[Fraction, int] = {Fraction(0): v} if v else {}
+    coeffs = coeffs[v:]
     leftovers: list[tuple[Fraction, ...]] = []
     deg = len(coeffs) - 1
-    if deg == 0:
-        pass
-    elif deg == 1:
-        r = -coeffs[0] / coeffs[1]
-        roots[r] = roots.get(r, 0) + 1
+    if deg == 1:  # a nonzero root, as in every case below
+        roots[Fraction(-coeffs[0], coeffs[1])] = 1
     elif deg == 2:
         c0, c1, c2 = coeffs
         disc = c1 * c1 - 4 * c2 * c0
-        sq = _fraction_sqrt(disc)
-        if sq is None:
-            leftovers.append((c0 / c2, c1 / c2, Fraction(1)))
+        sq = math.isqrt(max(disc, 0))
+        if sq * sq != disc:
+            leftovers.append((Fraction(c0, c2), Fraction(c1, c2), Fraction(1)))
         else:
-            for r in ((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)):
+            for r in (Fraction(-c1 + sq, 2 * c2), Fraction(-c1 - sq, 2 * c2)):
                 roots[r] = roots.get(r, 0) + 1
-    else:
+    elif deg > 2:
         # Imported on first use: reports and sweeps never get here, and
         # their start-up then pays nothing for the factoriser.
         from ._factor import factor_over_q
@@ -784,15 +804,12 @@ def indicial_polynomial(op: WeylOp, place: str = "zero") -> IndicialPolynomial:
     """
     if op.is_zero:
         raise ValueError("zero operator has no indicial polynomial")
-    if place not in ("zero", "infinity"):
-        raise ValueError(f"unknown place {place!r}")
     if place == "infinity":
         q = _min_weight_part(mobius_infinity(op))
         q = [c if i % 2 == 0 else -c for i, c in enumerate(q)]  # s -> -s
     else:
-        q = _min_weight_part(op)
-    lead = q[-1]
-    return IndicialPolynomial(tuple([Fraction(c, lead) for c in q]), place)
+        q = _min_weight_part(op)  # an unknown place fails in the constructor
+    return IndicialPolynomial(q, place)
 
 
 # ---------------------------------------------------------------------------

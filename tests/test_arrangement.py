@@ -71,3 +71,8 @@ def test_proj_space_table():
 def test_projective_arrangement_consistency_with_oracle():
     for n in range(2, 8):
         assert projective_arrangement_consistent(n)
+
+
+def test_milnor_fiber_weights_are_integers_not_truncated():
+    with pytest.raises(TypeError):
+        milnor_fiber_dims((1.5, 1, 1))

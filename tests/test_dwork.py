@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import package_env
 from dworkgm import dwork, weyl
 from dworkgm.dwork import (Extension, c_set, consistency_checks,
                            ft_pair, ft_sign, full_report, g_block, gamma_n,
@@ -299,3 +302,25 @@ def test_consistency_checks_standalone():
 def test_primitive_sweep_counts():
     sweep = dwork.primitive_sweep(1, 2)
     assert sorted(w.w for w in sweep) == [(1, 1), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2), (Fraction(3, 2), 2), ("1", 2)])
+def test_weights_are_integers_not_truncated(bad):
+    with pytest.raises(TypeError):
+        validate_weights(bad)
+    with pytest.raises(TypeError):
+        gamma_n(bad)
+    with pytest.raises(TypeError):
+        dwork.Weights(bad)
+
+
+def test_sweep_checks_leave_the_factoriser_unimported():
+    # reports and sweeps split roots of degree <= 2 only, in closed form, so
+    # their start-up never pays for importing dworkgm._factor
+    code = ("import sys\n"
+            "from dworkgm.dwork import consistency_checks\n"
+            "assert all(consistency_checks((1, 2, 3)).values())\n"
+            "assert 'dworkgm._factor' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr

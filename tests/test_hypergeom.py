@@ -342,3 +342,8 @@ def test_factor_list_refuses_negative_multiplicities():
     # a zero multiplicity is dropped
     assert FactorList({F(1, 2): 0, F(1, 3): 1}, {h: 0}) == FactorList([F(1, 3)])
     assert str(FactorList({F(1, 2): 0})) == "0"
+
+
+def test_puncture_fiber_weights_are_integers_not_truncated():
+    with pytest.raises(TypeError):
+        puncture_fiber_cohomology(1, (1.5, 2))

@@ -340,3 +340,19 @@ def test_syzygy_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_multipoly_refuses_floats():
+    with pytest.raises(TypeError, match="exact"):
+        MultiPoly(1, {(1,): 0.5})
+    with pytest.raises(TypeError, match="exact"):
+        x1 * 0.5
+    with pytest.raises(TypeError, match="exact"):
+        0.5 * x1
+    assert x1 * F(1, 2) == MultiPoly(2, {(1, 0): F(1, 2)})
+
+
+def test_syzygy_weights_are_integers_not_truncated():
+    with pytest.raises(TypeError):
+        family_poly((1.5, 2))
+    assert family_poly((1, 2)) == family_poly([True, 2])

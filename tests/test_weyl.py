@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_hyp_data
-from dworkgm.hypergeom import hyp_operator
+from dworkgm.hypergeom import ExpMultiset, hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
                           euler_factorization, euler_op, euler_product, fourier,
                           indicial_polynomial, mobius_infinity, parse_op,
@@ -380,3 +380,33 @@ def test_euler_product_integer_form():
     # a denominator that is not minimal gives the same operator
     assert euler_product([2 * n for n in nums], 2 * den) == by_fractions
     assert euler_product([], 5) == WeylOp.one()
+
+
+def test_indicial_polynomial_is_monic_by_construction():
+    # (1, 2) is 2s + 1, the same polynomial as s + 1/2
+    p = IndicialPolynomial((1, 2), "zero")
+    assert str(p) == "s + 1/2"
+    assert p.coeffs == (Fraction(1, 2), Fraction(1))
+    assert p == IndicialPolynomial((Fraction(1, 2), 1), "zero")
+    assert hash(p) == hash(IndicialPolynomial((Fraction(-3, 2), -3), "zero"))
+    assert p.has_roots_exactly([Fraction(-1, 2)]) and p.has_roots_exactly([-1], 2)
+    assert p.roots() == (((Fraction(-1, 2), 1),), ())
+    # trailing zeros are dropped: s - 1/2 has degree 1
+    q = IndicialPolynomial((Fraction(-1, 2), 1, 0), "zero")
+    assert q.degree == 1 and q.has_roots_exactly([Fraction(1, 2)])
+    assert q == indicial_polynomial(parse_op("D - 1/2"), "zero")
+    for coeffs, place in [((), "zero"), ((0, 0), "infinity"), ((1,), "one")]:
+        with pytest.raises(ValueError):
+            IndicialPolynomial(coeffs, place)
+    with pytest.raises(ValueError):
+        indicial_polynomial(parse_op("D"), "one")
+
+
+def test_a_scale_below_one_is_refused():
+    # with den = 0 every product would vanish and any claim would pass
+    ind = IndicialPolynomial((Fraction(-1, 2), 1), "zero")
+    for build in (lambda: ind.has_roots_exactly([1], 0),
+                  lambda: euler_product([1], 0),
+                  lambda: ExpMultiset([1], -2)):
+        with pytest.raises(ValueError):
+            build()
