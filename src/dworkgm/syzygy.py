@@ -7,18 +7,18 @@ For weights w = (w_0, ..., w_n) the polynomial is
 homogeneous of degree d = sum(w_i).  The syzygies of (f, f'_1, ..., f'_n)
 are generated by the Euler relation (-d, x_1, ..., x_n) and, for i < j, the
 Koszul-like vectors with f-slot zero, i-slot x_i*l_j and j-slot -x_j*l_i,
-where l_i = w_i*sigma + w_0*x_i; the module computes the Koszul slots as the
-exact quotient x_i*x_j*sigma*f'_j / f and asserts that it agrees with the
-simplified form.
+where l_i = w_i*sigma + w_0*x_i; the module computes one exact quotient
+q_j = x_j*sigma*f'_j / f per index, asserts that it equals l_j, and builds
+the Koszul slots x_i*q_j and -x_j*q_i from it.
 
 ``generation_oracle`` checks generation degree by degree up to a bound by
 exact linear algebra: the dimension of the space of homogeneous syzygies
 (kernel of the evaluation map on coefficient vectors) must equal the
 dimension of the span of the generators under polynomial multiplication.
-Ranks are computed mod a large prime first; since the generator span is
-contained in the syzygy space over Q, matching modular bounds certify the
-rational equality exactly, and any mismatch falls back to dense exact
-rational row reduction.
+Its sparse rows {column: int} are yielded one at a time and eliminated mod
+a large prime first; since the generator span is contained in the syzygy
+space over Q, matching modular bounds certify the rational equality
+exactly, and any mismatch falls back to the same elimination over Q.
 
 ``MultiPoly`` keys each monomial x_1^{e_1} ... x_n^{e_n} by one int that
 packs n + 1 fields of 16 bits, most significant first:
@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .weyl import Scalar, _refuse_float, format_terms
 
@@ -80,6 +80,22 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
 def _unit(i: int, nvars: int) -> int:
     """The key of x_{i+1}: one in its own field and one in the degree field."""
     return (1 << (_BITS * nvars)) | (1 << (_BITS * (nvars - 1 - i)))
+
+
+def _add_product(acc: dict, a: dict, b: dict, nvars: int) -> None:
+    """Add the product of the term maps a and b into acc, zeros included."""
+    if not a or not b:
+        return
+    # every product key is at most the sum of the two largest keys, so one
+    # check on that degree keeps every field of every sum in range
+    if (max(a) + max(b)) >> (_BITS * nvars) >= DEGREE_LIMIT:
+        raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
+    get = acc.get
+    b_items = b.items()
+    for k1, v1 in a.items():
+        for k2, v2 in b_items:
+            k = k1 + k2
+            acc[k] = get(k, 0) + v1 * v2
 
 
 def _make(nvars: int, c: dict) -> "MultiPoly":
@@ -170,6 +186,9 @@ class MultiPoly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            _refuse_float(other)
+            return NotImplemented
         c = dict(self._c)
         for k, v in other._c.items():
             s = c.get(k, 0) + v
@@ -183,6 +202,9 @@ class MultiPoly:
         return _make(self.nvars, {k: -v for k, v in self._c.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            _refuse_float(other)
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
@@ -192,20 +214,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             _refuse_float(other)
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _make(self.nvars, {})
-        # every product key is at most the sum of the two largest keys, so
-        # one check on that degree keeps every field of every sum in range
-        if (max(a) + max(b)) >> (_BITS * self.nvars) >= DEGREE_LIMIT:
-            raise ValueError(f"product degree is not below {DEGREE_LIMIT}")
         c: dict = {}
-        get = c.get
-        b_items = b.items()
-        for k1, v1 in a.items():
-            for k2, v2 in b_items:
-                k = k1 + k2
-                c[k] = get(k, 0) + v1 * v2
+        _add_product(c, self._c, other._c, self.nvars)
         return _make(self.nvars, {k: v for k, v in c.items() if v})
 
     __rmul__ = __mul__
@@ -320,10 +330,13 @@ class SyzygyVector:
     kind: str  # "euler" or "koszul(i,j)"
 
     def dot(self, generators: Sequence[MultiPoly]) -> MultiPoly:
-        acc = MultiPoly.zero(generators[0].nvars)
+        """sum a_i * g_i, every product expanded into one term map whose zeros
+        are dropped at the end; a component count mismatch raises ValueError."""
+        nvars = generators[0].nvars
+        acc: dict = {}
         for a, g in zip(self.components, generators, strict=True):
-            acc = acc + a * g
-        return acc
+            _add_product(acc, a._c, g._c, nvars)
+        return _make(nvars, {k: v for k, v in acc.items() if v})
 
 
 def jacobian_generators(w) -> list[MultiPoly]:
@@ -337,9 +350,9 @@ def jacobian_generators(w) -> list[MultiPoly]:
 def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVector]:
     """The Euler vector and the Koszul-like vectors for all pairs i < j.
 
-    The Koszul slots are computed by exact division of x_i*x_j*sigma*f'_j by
-    f; disagreement with the simplified form x_i*l_j would indicate an
-    implementation bug and is surfaced loudly.
+    The quotient q_j = x_j*sigma*f'_j / f is computed by exact division once
+    per index, and the pair i < j has slots x_i*q_j and -x_j*q_i; q_j other
+    than l_j would indicate an implementation bug and is surfaced loudly.
     """
     weights = _weights(w)
     n = len(weights) - 1
@@ -348,24 +361,22 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
     d = sum(weights)
     xs = [MultiPoly.variable(i, n) for i in range(n)]
     sigma = MultiPoly.sigma(n)
-    ls = [l_poly(weights, i + 1) for i in range(n)]
 
     euler = SyzygyVector(
         components=(MultiPoly.constant(n, -d), *xs),
         kind="euler",
     )
     out = [euler]
-    for i, j in combinations(range(n), 2):
-        xx_sigma = xs[i] * xs[j] * sigma
-        slot_i = (xx_sigma * partials[j]).exact_divide(f)
-        slot_j = (xx_sigma * partials[i]).exact_divide(f)
-        if slot_i != xs[i] * ls[j] or slot_j != xs[j] * ls[i]:
+    qs = [(xs[j] * sigma * partials[j]).exact_divide(f) for j in range(n)]
+    for j, q in enumerate(qs):
+        if q != l_poly(weights, j + 1):
             raise InvariantError(
-                f"Koszul quotient for pair ({i + 1},{j + 1}) does not match "
-                f"the simplified form x_i*l_j")
-        components = [MultiPoly.zero(n) for _ in range(n + 1)]
-        components[i + 1] = slot_i
-        components[j + 1] = -slot_j
+                f"Koszul quotient x_{j + 1}*sigma*f'_{j + 1} / f does not match "
+                f"the simplified form l_{j + 1}")
+    for i, j in combinations(range(n), 2):
+        components = [MultiPoly.zero(n)] * (n + 1)
+        components[i + 1] = xs[i] * qs[j]
+        components[j + 1] = -(xs[j] * qs[i])
         out.append(SyzygyVector(components=tuple(components),
                                 kind=f"koszul({i + 1},{j + 1})"))
     return out
@@ -405,55 +416,57 @@ def _monomial_keys(nvars: int, degree: int) -> list[int]:
     return extend(degree, degree, nvars)
 
 
-def _rank_mod(rows: list[list[int]], ncols: int, p: int = 1_000_003) -> int:
-    work = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                piv = i
+def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
+              p: int = 1_000_003) -> int:
+    """Rank mod p of the sparse rows {column: int}; reads the iterable once.
+
+    Each row is reduced by the pivot rows so far, keyed by leading column and
+    stored divided by their leading entry, without it; columns are < ncols.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: x % p for c, x in row.items() if x % p}
+        while r:
+            lead = min(r)
+            factor = r.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(factor, -1, p)
+                pivots[lead] = {c: x * inv % p for c, x in r.items()}
                 break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        pivot_row = work[rank] = [x * inv % p for x in work[rank]]
-        for i in range(rank + 1, len(work)):
-            factor = work[i][c]
-            if factor:
-                work[i] = [(x - factor * y) % p
-                           for x, y in zip(work[i], pivot_row)]
-        rank += 1
-        if rank == len(work):
+            for c, y in pivot.items():
+                x = (r.get(c, 0) - factor * y) % p
+                if x:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+        if len(pivots) == ncols:
             break
-    return rank
+    return len(pivots)
 
 
-def _rank_exact(rows: list[list[int]], ncols: int) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                piv = i
+def _rank_exact(rows: Iterable[dict[int, int]], ncols: int) -> int:
+    """Rank over Q of ``_rank_mod``'s rows, by its elimination over Fraction."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = {c: Fraction(x) for c, x in row.items() if x}
+        while r:
+            lead = min(r)
+            factor = r.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / factor
+                pivots[lead] = {c: x * inv for c, x in r.items()}
                 break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivot_row = work[rank]
-        inv = 1 / pivot_row[c]
-        work[rank] = [x * inv for x in pivot_row]
-        pivot_row = work[rank]
-        for i in range(rank + 1, len(work)):
-            factor = work[i][c]
-            if factor:
-                work[i] = [x - factor * y for x, y in zip(work[i], pivot_row)]
-        rank += 1
-        if rank == len(work):
+            for c, y in pivot.items():
+                x = r.get(c, 0) - factor * y
+                if x:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+        if len(pivots) == ncols:
             break
-    return rank
+    return len(pivots)
 
 
 def _int_coeff(v: Scalar) -> int:
@@ -498,51 +511,38 @@ def syzygy_dimension_table(w, degree_bound: int,
     if not verify_syzygies(weights, _parts=(gens, vectors)):
         raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
-    gen_terms = [_int_terms(g) for g in gens]
-    vec_terms = [(d if v.kind == "euler" else d + 1,
-                  [_int_terms(c) for c in v.components]) for v in vectors]
-    keys = [_monomial_keys(n, k) for k in range(degree_bound + 1)]
+    # a row is a piece (degree, parts) times a monomial x^s of degree
+    # m - degree, each part placed by its own column map; the evaluation map
+    # (a_0..a_n) -> a_0 f + sum a_i f'_i has the one-part pieces f, f'_i
+    eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
+    span_pieces = [(d if v.kind == "euler" else d + 1,
+                    [_int_terms(c) for c in v.components]) for v in vectors]
+    keys = {k: _monomial_keys(n, k) for k in range(degree_bound + 1)}
 
-    def basis(k: int) -> list[int]:
-        return keys[k] if k >= 0 else []
+    def rows(m: int, pieces, columns) -> Iterator[dict[int, int]]:
+        for degree, parts in pieces:
+            for shift in keys.get(m - degree, ()):
+                yield {cols[k + shift]: v
+                       for cols, terms in zip(columns, parts) for k, v in terms}
 
     results = []
     for m in range(degree_bound + 1):
         target = {key: col for col, key in enumerate(keys[m])}
-        # evaluation map: (a_0..a_n) -> a_0 f + sum a_i f'_i; the row of
-        # a_i = x^s puts the coefficients of x^s * f'_i at their columns
-        eval_rows = []
-        for terms, deg in zip(gen_terms, slot_degrees):
-            for shift in basis(m - deg):
-                row = [0] * len(target)
-                for k, v in terms:
-                    row[target[k + shift]] = v
-                eval_rows.append(row)
-        dom_dim = len(eval_rows)
-        # span of the generators inside the domain coordinates
         slot_columns = []
-        total = 0
+        dom_dim = 0
         for deg in slot_degrees:
-            slot_basis = basis(m - deg)
-            slot_columns.append({key: total + i for i, key in enumerate(slot_basis)})
-            total += len(slot_basis)
-        span_rows = []
-        for vec_degree, components in vec_terms:
-            for shift in basis(m - vec_degree):
-                row = [0] * total
-                for columns, terms in zip(slot_columns, components):
-                    for k, v in terms:
-                        row[columns[k + shift]] = v
-                span_rows.append(row)
-        syz_mod = dom_dim - _rank_mod(eval_rows, len(target))
-        span_mod = _rank_mod(span_rows, total)
+            slot_basis = keys.get(m - deg, ())
+            slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
+            dom_dim += len(slot_basis)
+        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target]), len(target))
+        span_mod = _rank_mod(rows(m, span_pieces, slot_columns), dom_dim)
         if syz_mod == span_mod:
             # span <= kernel over Q, and the mod-p bounds squeeze both:
             # dom - rank_p(M) >= kernel_Q >= span_Q >= rank_p(G)
             results.append(DegreeDims(m, syz_mod, span_mod))
         else:
-            syz = dom_dim - _rank_exact(eval_rows, len(target))
-            span = _rank_exact(span_rows, total)
+            syz = dom_dim - _rank_exact(rows(m, eval_pieces, [target]), len(target))
+            span = _rank_exact(rows(m, span_pieces, slot_columns), dom_dim)
             results.append(DegreeDims(m, syz, span))
     return results
 

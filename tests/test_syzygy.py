@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import package_env
-from dworkgm.syzygy import (DEGREE_LIMIT, ExactDivisionError, MultiPoly,
-                            SyzygyVector, family_poly, generation_oracle,
-                            jacobian_generators, l_poly,
+from dworkgm.syzygy import (DEGREE_LIMIT, ExactDivisionError, InvariantError,
+                            MultiPoly, SyzygyVector, family_poly,
+                            generation_oracle, jacobian_generators, l_poly,
                             partial_factorization_holds, syzygy_dimension_table,
                             syzygy_generators, verify_syzygies)
 from dworkgm.weyl import format_terms
@@ -217,6 +217,49 @@ def test_dot_needs_one_component_per_generator():
         SyzygyVector(euler.components[:-1], "euler").dot(gens)
 
 
+def test_a_wrong_partial_fails_the_koszul_quotient_check():
+    w = (2, 3, 1, 2)
+    for j in range(1, 4):
+        gens = jacobian_generators(w)
+        gens[j] = gens[j] * 2
+        with pytest.raises(InvariantError, match="Koszul quotient"):
+            syzygy_generators(w, _gens=gens)
+
+
+def test_koszul_slot_without_sigma_is_not_a_syzygy():
+    # x_1*l_2 with the sigma term of l_2 = w_2*sigma + w_0*x_2 dropped
+    w = (2, 3, 1, 2)
+    gens = jacobian_generators(w)
+    vectors = syzygy_generators(w, _gens=gens)
+    assert verify_syzygies(w, _parts=(gens, vectors))
+    koszul = vectors[1]
+    assert koszul.kind == "koszul(1,2)"
+    x = [MultiPoly.variable(i, 3) for i in range(3)]
+    slots = list(koszul.components)
+    slots[1] = x[0] * (l_poly(w, 2) - MultiPoly.sigma(3) * w[2])
+    assert slots[1] == x[0] * x[1] * w[0]
+    bad = SyzygyVector(tuple(slots), koszul.kind)
+    assert not verify_syzygies(w, _parts=(gens, [vectors[0], bad, *vectors[2:]]))
+
+
+def _ref_dot(vector, generators):
+    """The dot product as a sum of products, each built on its own."""
+    acc = MultiPoly.zero(generators[0].nvars)
+    for a, g in zip(vector.components, generators, strict=True):
+        acc = acc + a * g
+    return acc
+
+
+def test_fused_dot_matches_a_sum_of_products():
+    for w in ((2, 3, 1, 2), (3, 3, 3, 3), (60, 2, 1, 1)):
+        gens = jacobian_generators(w)
+        for v in syzygy_generators(w, _gens=gens):
+            assert v.dot(gens) == _ref_dot(v, gens) == MultiPoly.zero(3)
+            # against the generators reversed the dot is not zero
+            flipped = v.dot(gens[::-1])
+            assert flipped == _ref_dot(v, gens[::-1]) and not flipped.is_zero
+
+
 def test_perturbed_euler_fails():
     w = (1, 1, 1)
     gens = jacobian_generators(w)
@@ -291,18 +334,22 @@ def test_dimension_tables_pinned():
             assert (row.syzygy_dim, row.generated_dim) == (expected, expected)
 
 
+def _sparse(dense):
+    return [{c: x for c, x in enumerate(row) if x} for row in dense]
+
+
 def test_modular_and_exact_ranks_agree():
     # force the exact path on a small instance and compare
     from dworkgm.syzygy import _rank_exact, _rank_mod
     rng = random.Random(99)
     for _ in range(30):
-        rows = [[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)]
+        rows = _sparse([[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)])
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
     # entries beyond 64 bits, as in the syzygy rows of (70, 1, 1)
     big = math.comb(70, 35)
     for _ in range(30):
-        rows = [[rng.choice((0, 1, -big, big, big * big + 1, -(2**63) - 1))
-                 for _ in range(7)] for _ in range(5)]
+        rows = _sparse([[rng.choice((0, 1, -big, big, big * big + 1, -(2**63) - 1))
+                         for _ in range(7)] for _ in range(5)])
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
 
 
@@ -350,6 +397,17 @@ def test_multipoly_refuses_floats():
     with pytest.raises(TypeError, match="exact"):
         0.5 * x1
     assert x1 * F(1, 2) == MultiPoly(2, {(1, 0): F(1, 2)})
+
+
+def test_multipoly_plus_a_scalar_is_a_type_error():
+    for c in (1, F(1, 2), 0.5):
+        for op in (lambda: x1 + c, lambda: x1 - c, lambda: c + x1, lambda: c - x1):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError, match="exact"):
+        x1 + 0.5
+    with pytest.raises(TypeError, match="exact"):
+        x1 - 0.5
 
 
 def test_syzygy_weights_are_integers_not_truncated():
