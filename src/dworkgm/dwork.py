@@ -38,7 +38,7 @@ from typing import Sequence, Union
 from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
                         euler_char, hyp_operator, is_irreducible, make_hyp,
-                        power_pullback, preimage_classes)
+                        power_pullback, power_pushforward)
 from .weyl import WeylOp, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
@@ -249,7 +249,7 @@ class GBlock:
 
 def _kummer_sum(e: int, mult: int) -> FactorList:
     """K(a/e) for a = 1..e, the preimage of O, each with multiplicity mult."""
-    return FactorList(dict.fromkeys(preimage_classes(1, e), mult))
+    return FactorList._residues(e, dict.fromkeys(range(1, e + 1), mult) if mult else {})
 
 
 def g_block(w: WeightsLike) -> GBlock:
@@ -260,15 +260,14 @@ def g_block(w: WeightsLike) -> GBlock:
     base = None
     if w.primitive:
         h: HypModule | PushforwardHyp = invariant_hyp(w)
-        kblock = FactorList(cs)
+        nums, n = cs.numerators  # each class of C once, as its numerator in (0, N)
+        kblock = FactorList._residues(n, dict.fromkeys(nums, 1))
         exps_zero = _weight_exponents(w).remove_class(1)
         exps_inf = ExpMultiset(range(1, d), d)
     else:
         base = g_block(w.reduced())
         h = PushforwardHyp(e=e, base=base.hyp)
-        kblock = FactorList({x: mult
-                             for c, mult in base.kummer_block.classes.items()
-                             for x in preimage_classes(c, e)})
+        kblock = power_pushforward(base.kummer_block, e)
         exps_zero = base.exps_zero.pushforward(e)
         exps_inf = base.exps_infinity.pushforward(e)
     quotient = _kummer_sum(w.e, w.n)
@@ -344,7 +343,7 @@ def m_table(w: WeightsLike) -> dict[int, FactorList]:
 
 def structure_multiplicities(table: dict[int, FactorList]) -> dict[int, int]:
     """Multiplicity of the structure-sheaf factor in each degree."""
-    return {i: fl.classes[1] for i, fl in table.items() if fl.classes[1]}
+    return {i: m for i, fl in table.items() if (m := fl._counts.get(fl._den))}
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,7 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     d, e, n = w.d, w.e, w.n
     cs = gb.c_set
     checks: dict[str, bool] = {}
-    chi_block = euler_char(FactorList(gb.kummer_block.classes, [gb.base_hyp])) == -1
+    chi_block = euler_char(gb.kummer_block + FactorList(hyps=[gb.base_hyp])) == -1
     if w.primitive:
         h = gb.hyp
         checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs

@@ -10,15 +10,17 @@ their difference is an integer, and the canonical display representative of
 each class lies in the half-open interval (0, 1], so the trivial class shows
 up as 1.  Multisets keep the representatives they were built from (the
 operator realization depends on them) as integers over one denominator N,
-and all class bookkeeping works on residues mod N.  Floats are refused.
+and all class bookkeeping works on residues mod N.  Floats and strings are
+refused.
 
-A Kummer module K_a has one representation: the canonical representative
-of its class a, with class 1 standing for the structure sheaf O.  A
-composition-factor list (``FactorList``) counts such classes and
-hypergeometric factors with multiplicity; a punctual factor is the type-(0, 0)
-datum at its point.  Along z -> z^e a class c pushes forward to the e classes
-x with e*x congruent to c, (c + a)/e for a = 0..e-1 (``preimage_classes``, and
-``ExpMultiset.pushforward`` on residues); it pulls back by ``scaled(e)``.
+A Kummer module K_a is named by its class a mod Z, shown by the canonical
+representative in (0, 1], class 1 being the structure sheaf O.  A
+composition-factor list (``FactorList``) counts such classes, as residues
+1..N over one minimal denominator N (residue N is O), and hypergeometric
+factors with multiplicity; a punctual factor is the type-(0, 0) datum at its
+point.  Along z -> z^e the class r/N pushes forward to the e classes
+(r + a*N)/(N*e), a = 0..e-1 (``power_pushforward``, ``ExpMultiset.pushforward``,
+and ``preimage_classes`` for one class); it pulls back by ``scaled(e)``.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
@@ -38,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from . import weyl
-from .weyl import Scalar, WeylOp, _clear_denominators, _exact
+from .weyl import Scalar, WeylOp, _clear_denominators, _exact, _refuse_float
 
 _ONE = Fraction(1)
 
@@ -271,60 +273,100 @@ def kummer_twist(h: HypModule, eta: Scalar) -> HypModule:
 class FactorList:
     """Multiset of composition factors: Kummer classes and hypergeometric data.
 
-    ``classes`` counts the Kummer classes K_a by their canonical
-    representative in (0, 1], class 1 being the structure sheaf O; ``hyps``
-    counts the hypergeometric factors, a punctual factor being the type-(0, 0)
-    datum at its point.  Multiplicities are counted, never enumerated.  Either
-    argument is an iterable of members or a mapping member -> multiplicity
-    >= 0; Kummer classes are identified modulo Z.  Treat both as read-only.
+    The Kummer classes K_a are held as residues 1..N over one minimal
+    denominator N with their counts, the way ``ExpMultiset`` holds its
+    classes: residue r stands for the class r/N in (0, 1], and residue N for
+    the structure sheaf O.  ``classes`` reads them as a fresh ``Counter`` of
+    canonical ``Fraction``s; ``hyps`` counts the hypergeometric factors, a
+    punctual factor being the type-(0, 0) datum at its point.  Multiplicities
+    are counted, never enumerated.  Either argument is an iterable of members
+    or a mapping member -> integer multiplicity >= 0; Kummer classes are
+    identified modulo Z.  Treat ``hyps`` as read-only.
     """
 
-    __slots__ = ("classes", "hyps")
+    __slots__ = ("_den", "_counts", "hyps")
 
     def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = (),
                  hyps: Iterable[HypModule] | Mapping[HypModule, int] = ()):
+        _refuse_float(classes)  # a string is not the list of its digits
+        _refuse_float(hyps)
         classes, hyps = Counter(classes), Counter(hyps)
-        if any(m < 0 for c in (classes, hyps) for m in c.values()):
-            raise ValueError("multiplicities of composition factors must be >= 0")
-        self.classes = counts = Counter()
-        for x, mult in classes.items():
+        nums, den = _clear_denominators(list(classes))
+        counts: dict[int, int] = {}
+        for x, mult in zip(nums, map(_multiplicity, classes.values())):
             if mult:
-                if type(x) is not Fraction or not 0 < x.numerator <= x.denominator:
-                    x = canonical_rep(x)
-                counts[x] += mult
-        self.hyps = +hyps
+                r = x % den or den
+                counts[r] = counts.get(r, 0) + mult
+        self._den, self._counts = _lowest_terms(den, counts)
+        self.hyps = +Counter({h: _multiplicity(m) for h, m in hyps.items()})
+
+    @classmethod
+    def _residues(cls, den: int, counts: dict[int, int],
+                  hyps: Counter | None = None) -> "FactorList":
+        """The classes r/den (r in 1..den, den for O) counted by counts[r] > 0."""
+        out = cls.__new__(cls)
+        out._den, out._counts = _lowest_terms(den, counts)
+        out.hyps = Counter() if hyps is None else hyps
+        return out
+
+    @property
+    def classes(self) -> Counter:
+        """Canonical class in (0, 1] -> multiplicity, class 1 being O."""
+        n = self._den
+        return Counter({Fraction(r, n): m for r, m in self._counts.items()})
 
     def __add__(self, other: "FactorList") -> "FactorList":
-        out = FactorList.__new__(FactorList)
-        out.classes = self.classes + other.classes
-        out.hyps = self.hyps + other.hyps
-        return out
+        n = math.lcm(self._den, other._den)
+        counts = {r * (n // self._den): m for r, m in self._counts.items()}
+        s = n // other._den
+        for r, m in other._counts.items():
+            counts[r * s] = counts.get(r * s, 0) + m
+        return FactorList._residues(n, counts, self.hyps + other.hyps)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FactorList):
-            return self.classes == other.classes and self.hyps == other.hyps
+            return (self._den == other._den and self._counts == other._counts
+                    and self.hyps == other.hyps)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.classes.items()), frozenset(self.hyps.items())))
+        return hash((self._den, frozenset(self._counts.items()),
+                     frozenset(self.hyps.items())))
 
     def rank(self) -> int:
         """Generic rank: 1 per Kummer class, n per type-(n, n) hyp."""
-        return (sum(self.classes.values())
+        return (sum(self._counts.values())
                 + sum(h.type[0] * mult for h, mult in self.hyps.items()))
 
     def __str__(self) -> str:
         """Hyp factors first, then K(a) by ascending a, then O, with ^mult."""
+        n = self._den
         parts = [(str(h), mult) for h, mult in
                  sorted(self.hyps.items(), key=lambda item: str(item[0]))]
-        parts += [("O" if c == 1 else f"K({c})", self.classes[c])
-                  for c in sorted(self.classes)]
+        parts += [("O" if r == n else f"K({Fraction(r, n)})", self._counts[r])
+                  for r in sorted(self._counts)]
         if not parts:
             return "0"
         return " + ".join(s if mult == 1 else f"{s}^{mult}" for s, mult in parts)
 
     def __repr__(self) -> str:
         return f"FactorList({self})"
+
+
+def _multiplicity(m: object) -> int:
+    """A multiplicity as an int >= 0; a float or Fraction raises TypeError."""
+    m = operator.index(m)
+    if m < 0:
+        raise ValueError("multiplicities of composition factors must be >= 0")
+    return m
+
+
+def _lowest_terms(den: int, counts: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """Residues over den divided by g = gcd(den, residues), so den is minimal."""
+    g = math.gcd(den, *counts)
+    if g == 1:
+        return den, counts
+    return den // g, {r // g: m for r, m in counts.items()}
 
 
 def euler_char(factors: FactorList) -> int:
@@ -393,20 +435,27 @@ def power_pullback(h: HypModule, d: int) -> HypPullback:
     return HypPullback(power=d, alpha=h.alpha.scaled(d), beta=h.beta.scaled(d))
 
 
-def power_pushforward(module: Scalar | HypModule, e: int) -> FactorList | PushforwardHyp:
+def power_pushforward(module: Scalar | FactorList | HypModule,
+                      e: int) -> FactorList | PushforwardHyp:
     """Direct image along z -> z^e (e >= 1).
 
     The Kummer class a goes to the sum of K_x over the e classes x with
-    e*x congruent to a; an irreducible hypergeometric datum yields the
-    pushforward pair.
+    e*x congruent to a, and a list of Kummer classes class by class: residue
+    r over N goes to r + a*N over N*e, a = 0..e-1.  An irreducible
+    hypergeometric datum yields the pushforward pair.
     """
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
-    if not isinstance(module, HypModule):
-        return FactorList(preimage_classes(module, e))
-    if not is_irreducible(module):
-        raise ValueError("pushforward pair is defined for irreducible data")
-    return PushforwardHyp(e=e, base=module)
+    if isinstance(module, HypModule):
+        if not is_irreducible(module):
+            raise ValueError("pushforward pair is defined for irreducible data")
+        return PushforwardHyp(e=e, base=module)
+    fl = module if isinstance(module, FactorList) else FactorList([module])
+    if fl.hyps:
+        raise ValueError("a list with hypergeometric factors has no Kummer pushforward")
+    n = fl._den
+    return FactorList._residues(n * e, {r + a * n: m for r, m in fl._counts.items()
+                                        for a in range(e)})
 
 
 def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, FactorList]:

@@ -60,6 +60,8 @@ class ParseError(ValueError):
 def _refuse_float(x: object) -> None:
     if isinstance(x, float):  # 0.1 is not 1/10
         raise TypeError(f"dworkgm arithmetic is exact; got the float {x!r}")
+    if isinstance(x, str):  # '12' is neither 12 nor the digits [1, 2]
+        raise TypeError(f"dworkgm arithmetic takes numbers; got the string {x!r}")
 
 
 def _exact(x: Scalar) -> Fraction:
@@ -69,9 +71,11 @@ def _exact(x: Scalar) -> Fraction:
 
 def _clear_denominators(values: Iterable[Scalar], den: int = 1) -> tuple[list[int], int]:
     """The rationals v/den as (integer numerators, one denominator); ints
-    pass as they are, a float raises TypeError and den < 1 ValueError."""
+    pass as they are, a float or a string (also as ``values``) raises
+    TypeError and den < 1 ValueError."""
     if den < 1:
         raise ValueError(f"the scale den must be a positive integer, not {den!r}")
+    _refuse_float(values)  # a string is not the list of its digits
     nums = list(values)
     if all(type(v) is int for v in nums):
         return nums, den

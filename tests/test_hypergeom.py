@@ -347,3 +347,36 @@ def test_factor_list_refuses_negative_multiplicities():
 def test_puncture_fiber_weights_are_integers_not_truncated():
     with pytest.raises(TypeError):
         puncture_fiber_cohomology(1, (1.5, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ExpMultiset("12"),
+    lambda: ExpMultiset(""),
+    lambda: ExpMultiset(["1", F(1, 2)]),
+    lambda: ExpMultiset([F(1, 3)]).shifted("1"),
+    lambda: make_hyp(1, "12", "3"),
+    lambda: make_hyp("1/2", [0], [F(1, 2)]),
+    lambda: canonical_rep("1/2"),
+    lambda: FactorList("12"),
+    lambda: FactorList(""),
+    lambda: FactorList(["1/2"]),
+    lambda: FactorList(hyps="h"),
+    lambda: power_pushforward("1/2", 2),
+])
+def test_strings_are_refused(build):
+    # a string is neither its number nor the list of its digits
+    with pytest.raises(TypeError, match="string"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FactorList({F(1, 2): 1.5}),
+    lambda: FactorList({F(1, 2): 1.0}),
+    lambda: FactorList({F(1, 2): F(2)}),
+    lambda: FactorList({1: F(1, 2)}),
+    lambda: FactorList(hyps={make_hyp(1): 2.0}),
+    lambda: FactorList(hyps={make_hyp(1): F(1)}),
+])
+def test_multiplicities_are_integers(build):
+    with pytest.raises(TypeError):
+        build()

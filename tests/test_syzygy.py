@@ -353,6 +353,37 @@ def test_modular_and_exact_ranks_agree():
         assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
 
 
+def test_ranks_of_seeded_rank_deficient_rows():
+    # r rows in echelon form with leading entries other than +-1 span the
+    # rest: integer combinations, repeats, and combinations whose
+    # coefficients are near or beyond p, nonzero mod p until eliminated
+    from dworkgm.syzygy import _rank_exact, _rank_mod
+    p = 1_000_003
+    rng = random.Random(2024)
+    coeffs = (0, 1, -1, 2, -3, p - 1, p + 1, -p + 2, 3 * p + 5, 2**70 + 1)
+    for _ in range(60):
+        ncols = rng.randint(3, 9)
+        r = rng.randint(1, ncols - 1)
+        basis = []
+        for lead in sorted(rng.sample(range(ncols), r)):
+            row = {lead: rng.choice((-1, 1)) * rng.randint(2, 9)}
+            row.update((c, rng.randint(-9, 9)) for c in range(lead + 1, ncols)
+                       if rng.random() < 0.6)
+            basis.append(row)
+        rows = basis * rng.randint(1, 2)
+        for _ in range(rng.randint(1, 6)):
+            combo = {}
+            for row in basis:
+                a = rng.choice(coeffs)
+                for c, x in row.items():
+                    combo[c] = combo.get(c, 0) + a * x
+            rows.append(combo)
+        rows = [{c: x for c, x in row.items() if x} for row in rows]
+        rng.shuffle(rows)
+        assert _rank_mod(iter(rows), ncols) == r
+        assert _rank_exact(iter(rows), ncols) == r
+
+
 def test_int_coeff():
     from dworkgm.syzygy import _int_coeff
     assert _int_coeff(-7) == -7 and type(_int_coeff(F(6, 3))) is int
