@@ -211,7 +211,8 @@ class GBlock:
     ``kummer_block`` lists the Kummer composition factors of G (the classes
     of the C set in the primitive case, their e-fold preimages otherwise);
     ``c_set`` always records the combinatorial C set of the weights
-    themselves.  ``base`` is the block of the primitive tuple w/e when e > 1.
+    themselves.  ``quotient`` is the constant quotient of H^0(K) by G.
+    ``base`` is the block of the primitive tuple w/e when e > 1.
     """
 
     rank: int
@@ -222,8 +223,17 @@ class GBlock:
     exps_infinity: ExpMultiset
     chi: int
     finite_singularity: Fraction
-    sequences: tuple[ExactSeq, ExactSeq]
+    quotient: FactorList
     base: "GBlock | None" = None
+
+    @property
+    def sequences(self) -> tuple[ExactSeq, ExactSeq]:
+        """G in H^0(K) with its quotient, and the hypergeometric module in G
+        with the Kummer block; printed when read, since only reports do."""
+        return (
+            ExactSeq(left="G", middle="H^0(K)", right=str(self.quotient)),
+            ExactSeq(left=self.hyp.display(), middle="G", right=str(self.kummer_block)),
+        )
 
     @property
     def base_hyp(self) -> HypModule:
@@ -270,11 +280,6 @@ def g_block(w: WeightsLike) -> GBlock:
         kblock = power_pushforward(base.kummer_block, e)
         exps_zero = base.exps_zero.pushforward(e)
         exps_inf = base.exps_infinity.pushforward(e)
-    quotient = _kummer_sum(w.e, w.n)
-    sequences = (
-        ExactSeq(left="G", middle="H^0(K)", right=str(quotient)),
-        ExactSeq(left=h.display(), middle="G", right=str(kblock)),
-    )
     return GBlock(
         rank=d - e,
         c_set=cs,
@@ -284,7 +289,7 @@ def g_block(w: WeightsLike) -> GBlock:
         exps_infinity=exps_inf,
         chi=-1,
         finite_singularity=gamma_n(w),
-        sequences=sequences,
+        quotient=_kummer_sum(e, w.n),
         base=base,
     )
 
@@ -318,8 +323,8 @@ def k_table(w: WeightsLike, _block: GBlock | None = None
     table: dict[int, FactorList | Extension] = {}
     for i in range(-(n - 1), 0):
         table[i] = _kummer_sum(e, math.comb(n, i + n - 1))
-    table[0] = Extension(sub=g_block(w) if _block is None else _block,
-                         quotient=_kummer_sum(e, n))
+    sub = g_block(w) if _block is None else _block
+    table[0] = Extension(sub=sub, quotient=sub.quotient)
     return table
 
 

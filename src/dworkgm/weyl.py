@@ -26,8 +26,8 @@ the ring arithmetic this module provides:
 Products and transforms read the stored numerators (``_numerators``), run on
 integers and end in the one normaliser ``_from_numerators``; rationals become
 integers over one denominator in one place, ``_clear_denominators``, and the
-indicial layer (``IndicialPolynomial``, its root check, the root oracle) stays
-in integers.  ``LaurentPoly`` is the public Fraction form, the input of
+indicial layer (``IndicialPolynomial``, its evaluation and root check, the
+root oracle) stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
 float raises ``TypeError`` (0.1 is not 1/10).  Two private helpers hold the
 algebra they share: ``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__``
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -118,7 +119,7 @@ class LaurentPoly:
             for e, v in coeffs.items():
                 v = _exact(v)
                 if v:
-                    c[int(e)] = v
+                    c[operator.index(e)] = v
         self._c = c
 
     @staticmethod
@@ -205,13 +206,15 @@ class WeylOp:
 
     @staticmethod
     def t(exponent: int = 1) -> "WeylOp":
-        return _make(1, [{int(exponent): 1}])
+        return _make(1, [{operator.index(exponent): 1}])
 
     @staticmethod
     def d(power: int = 1) -> "WeylOp":
+        power = operator.index(power)
         if power < 0:
             raise ValueError("d admits no negative powers")
-        return _make(1, [{}] * power + [{0: 1}])
+        # distinct rows: _from_numerators edits rows in place
+        return _make(1, [{} for _ in range(power)] + [{0: 1}])
 
     # -- structure ----------------------------------------------------------
 
@@ -416,6 +419,8 @@ def euler_factorization(d: int) -> WeylOp:
 #   rational := integer ('/' positive-integer)?
 #
 # 'D' desugars to t*d.  Negative exponents are legal only on the bare 't'.
+# A power of the bare 't' or 'd' is built as its monomial; any other base is
+# raised by repeated products.
 
 _SYMBOLS = {"t", "d", "D"}
 
@@ -508,7 +513,7 @@ class _Parser:
         return result
 
     def factor(self) -> WeylOp:
-        base, bare_t = self.atom()
+        base, symbol = self.atom()
         tok = self.peek()
         if tok is None or tok[0] != "^":
             return base
@@ -520,21 +525,24 @@ class _Parser:
             neg = True
         num = self.expect("num")
         n = int(num[1])
+        if symbol == "t":
+            return WeylOp.t(-n if neg else n)
         if neg:
-            if not bare_t:
-                raise ParseError("negative exponents are allowed only on t", num[2])
-            return WeylOp.t(-n)
+            raise ParseError("negative exponents are allowed only on t", num[2])
+        if symbol == "d":
+            return WeylOp.d(n)
         return base ** n
 
-    def atom(self) -> tuple[WeylOp, bool]:
+    def atom(self) -> tuple[WeylOp, str | None]:
+        """The next atom, with its symbol if it is the bare 't' or 'd'."""
         tok = self.next()
         kind, value, pos = tok
         if kind == "sym":
             if value == "t":
-                return WeylOp.t(), True
+                return WeylOp.t(), "t"
             if value == "d":
-                return WeylOp.d(), False
-            return euler_op(), False
+                return WeylOp.d(), "d"
+            return euler_op(), None
         if kind == "num":
             numerator = int(value)
             nxt = self.peek()
@@ -543,12 +551,12 @@ class _Parser:
                 den = self.expect("num")
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator in rational literal", den[2])
-                return WeylOp.constant(Fraction(numerator, int(den[1]))), False
-            return WeylOp.constant(numerator), False
+                return WeylOp.constant(Fraction(numerator, int(den[1]))), None
+            return WeylOp.constant(numerator), None
         if kind == "(":
             inner = self.expr()
             self.expect(")")
-            return inner, False
+            return inner, None
         if kind == "/":
             raise ParseError("division token outside a rational literal", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -688,10 +696,16 @@ class IndicialPolynomial:
         return len(self.nums) - 1
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+        """The value at the rational x = p/q, a float or a string raising
+        TypeError: sum nums[i] * p^i * q^(deg-i) over lead * q^deg, by
+        Horner's rule in integers."""
+        x = _exact(x)
+        p, q = x.numerator, x.denominator
+        acc, q_power = 0, 1
         for n in reversed(self.nums):
-            acc = acc * x + n
-        return acc / self.nums[-1]
+            acc = acc * p + n * q_power
+            q_power *= q
+        return Fraction(acc, self.nums[-1] * (q_power // q))
 
     def roots(self) -> tuple[tuple[tuple[Fraction, int], ...], tuple[str, ...]]:
         """(rational roots with multiplicity, leftover irreducible factors)."""

@@ -359,6 +359,26 @@ def test_floats_are_refused_by_the_weyl_core(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeylOp.t(1.5),
+    lambda: WeylOp.t(Fraction(3, 2)),
+    lambda: LaurentPoly({1.5: 1}),
+    lambda: LaurentPoly({"2": 1}),
+    lambda: WeylOp.d(1.5),
+])
+def test_non_integer_exponents_are_refused(build):
+    # int() truncated: WeylOp.t(1.5) was t and LaurentPoly({"2": 1}) was t^2
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
+def test_d_power_rows_are_distinct():
+    # _from_numerators edits rows in place, so no two rows may be one dict
+    rows = WeylOp.d(3)._rows
+    assert len({id(row) for row in rows}) == len(rows) == 4
+    assert WeylOp.d(3) == WeylOp.d() ** 3
+
+
 def test_integer_coefficients_give_fraction_roots():
     # (1, 2) is 2s + 1: the root is -1/2, never -0.5
     rational, leftovers = IndicialPolynomial((1, 2), "zero").roots()
