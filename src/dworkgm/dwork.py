@@ -403,20 +403,16 @@ def ft_identity_holds(pair: FTPair) -> bool:
 # ---------------------------------------------------------------------------
 
 def _indicial_checks(h: HypModule, gamma: Fraction) -> dict[str, bool]:
-    # One mobius pass shared between the infinity exponents and the
-    # regularity flags.
     op = hyp_operator(h)
-    mob = weyl.mobius_infinity(op)
     ind0 = weyl.indicial_polynomial(op, "zero")
-    ind_mob = weyl.indicial_polynomial(mob, "zero")
+    ind_inf = weyl.indicial_polynomial(op, "infinity")
     finite, other = weyl.finite_singular_points(op)
-    nums, n = h.beta.numerators
     return {
         "indicial_zero": ind0.has_roots_exactly(*h.alpha.numerators),
-        "indicial_infinity": ind_mob.has_roots_exactly([-x for x in nums], n),
+        "indicial_infinity": ind_inf.has_roots_exactly(*h.beta.numerators),
         "singular_support_gamma": finite == (gamma,) and not other,
-        "regular": (weyl.fuchs_regular_at_zero(op)
-                    and weyl.fuchs_regular_at_zero(mob)),
+        "regular": (weyl.fuchs_regular(op, "zero")
+                    and weyl.fuchs_regular(op, "infinity")),
     }
 
 

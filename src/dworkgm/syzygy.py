@@ -63,7 +63,7 @@ DEGREE_LIMIT = 1 << (_BITS - 1)
 def _pack(exps) -> int:
     key = degree = 0
     for e in exps:
-        e = int(e)
+        e = operator.index(e)
         if e < 0:
             raise ValueError("negative exponent in a polynomial")
         key = (key << _BITS) | e
@@ -230,6 +230,8 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to x_{i+1} (0-based index)."""
+        if not 0 <= i < self.nvars:
+            raise IndexError("variable index out of range")
         shift = _BITS * (self.nvars - 1 - i)
         unit = _unit(i, self.nvars)
         c = {}

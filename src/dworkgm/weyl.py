@@ -17,11 +17,11 @@ the ring arithmetic this module provides:
   * a text grammar for operators (``parse_op`` / ``str(op)``), with the Euler
     operator D = t*d available as sugar;
   * the Fourier-Laplace substitution t -> d, d -> -t and its inverse;
-  * the coordinate change t -> 1/t (point at infinity);
-  * indicial polynomials at zero and infinity, whose roots are the local
-    exponents;
-  * singular-point detection for the leading coefficient, with Fuchs-type
-    regularity flags at zero and infinity.
+  * the coordinate change t -> 1/t, ``mobius_infinity``: the public form of
+    the point at infinity and the tests' reference for reading it;
+  * indicial polynomials, whose roots are the local exponents, and
+    Fuchs-type regularity flags, both read at zero and infinity from the rows;
+  * singular-point detection for the leading coefficient.
 
 Products and transforms read the stored numerators (``_numerators``), run on
 integers and end in the one normaliser ``_from_numerators``; rationals become
@@ -482,12 +482,12 @@ class _Parser:
         return op
 
     def expr(self) -> WeylOp:
-        sign = 1
         tok = self.peek()
         if tok is not None and tok[0] in "+-":
             self.next()
-            sign = -1 if tok[0] == "-" else 1
-        result = self.term() * sign
+        result = self.term()
+        if tok is not None and tok[0] == "-":
+            result = -result
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
@@ -637,17 +637,18 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
 # Indicial polynomials
 # ---------------------------------------------------------------------------
 
-def _min_weight_part(op: WeylOp) -> list[int]:
-    """The part of minimal t-weight, as a polynomial in s = Euler operator.
+def _weight_part(op: WeylOp, place: str) -> list[int]:
+    """The part of extreme t-weight m-k, minimal at zero and maximal at
+    infinity, as a polynomial in s = Euler operator.
 
-    A monomial t^m d^k has weight m-k and contributes its coefficient times
-    the falling factorial s(s-1)...(s-k+1), because t^k d^k equals that
-    product of Euler factors.  Returned as ascending integer coefficients,
-    L times the rational ones for the common denominator L.  The part is
-    never zero: its monomial of largest k alone reaches s-degree k.
+    Each monomial t^m d^k of it contributes its coefficient times the falling
+    factorial s(s-1)...(s-k+1): t^k d^k is that product of Euler factors,
+    and at infinity u = 1/t gives (-1)^k u^(k-m) D(D+1)...(D+k-1), the same
+    product under s -> -s.  Ascending integer coefficients, L times the
+    rational ones; never zero, as the monomial of largest k reaches degree k.
     """
     _, monos = _numerators(op)
-    weight = min(m - k for k, m, _ in monos)
+    weight = _extreme(place)(m - k for k, m, _ in monos)
     part = {k: n for k, m, n in monos if m - k == weight}
     # Horner: q <- q*(s - k) + part[k], from the top k down to 0
     top = max(part)
@@ -656,6 +657,12 @@ def _min_weight_part(op: WeylOp) -> list[int]:
         q = ([part.get(k, 0) - k * q[0]]
              + [q[i - 1] - k * q[i] for i in range(1, len(q))] + [q[-1]])
     return q
+
+
+def _extreme(place: str):
+    if place not in ("zero", "infinity"):
+        raise ValueError(f"unknown place {place!r}")
+    return min if place == "zero" else max
 
 
 @dataclass(frozen=True)
@@ -812,22 +819,16 @@ def _rational_root_split(
 
 
 def indicial_polynomial(op: WeylOp, place: str = "zero") -> IndicialPolynomial:
-    """Indicial polynomial at zero or infinity.
+    """Indicial polynomial at zero or infinity, from ``_weight_part``.
 
-    At zero: write op = sum_k t^k q_k(D) (possible after clearing a t-power)
-    and take the q of minimal weight, made monic.  At infinity: move the
-    point to the origin with ``mobius_infinity`` and substitute s -> -s, so
-    that the Kummer operator D - a has root a at both places (exponents here
-    are module-decomposition data, not solution exponents).
+    At infinity this is the polynomial of ``mobius_infinity(op)`` at zero
+    with s -> -s, so that the Kummer operator D - a has root a at both
+    places (exponents here are module-decomposition data, not solution
+    exponents).
     """
     if op.is_zero:
         raise ValueError("zero operator has no indicial polynomial")
-    if place == "infinity":
-        q = _min_weight_part(mobius_infinity(op))
-        q = [c if i % 2 == 0 else -c for i, c in enumerate(q)]  # s -> -s
-    else:
-        q = _min_weight_part(op)  # an unknown place fails in the constructor
-    return IndicialPolynomial(q, place)
+    return IndicialPolynomial(_weight_part(op, place), place)
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +851,17 @@ class SingularSupport:
     regular_at_infinity: bool
 
 
-def fuchs_regular_at_zero(op: WeylOp) -> bool:
-    """Fuchs condition: ord_0(p_k) - k >= ord_0(p_r) - r for every k.
-
-    Equivalently the indicial polynomial at 0 has full degree r: within one
-    t-weight the d-degrees k give distinct s-degrees, so the minimal-weight
-    part reaches degree r exactly when ord_0(p_r) - r is minimal.
+def fuchs_regular(op: WeylOp, place: str) -> bool:
+    """Fuchs condition on the rows p_k of op, r being the order: at zero
+    ord_0(p_k) - k >= ord_0(p_r) - r for every k, at infinity deg(p_k) - k <=
+    deg(p_r) - r (the condition at zero on ``mobius_infinity(op)``).  Either
+    says that the indicial polynomial at the place has full degree r.
     """
-    r = op.order()
-    bound = min(op._rows[r]) - r
-    return all(min(row) - k >= bound for k, row in enumerate(op._rows) if row)
+    if op.is_zero:
+        raise ValueError("zero operator has no Fuchs condition")
+    pick = _extreme(place)
+    weights = [pick(row) - k for k, row in enumerate(op._rows) if row]
+    return pick(weights) == weights[-1]
 
 
 def finite_singular_points(op: WeylOp) -> tuple[tuple[Fraction, ...], tuple[str, ...]]:
@@ -879,13 +881,13 @@ def singular_support(op: WeylOp) -> SingularSupport:
     """Candidate singular points in the punctured line plus 0/infinity flags.
 
     Finite candidates are the roots of the leading d-coefficient away from
-    the origin; regularity at zero and infinity is the Fuchs condition on
-    coefficient orders (all Newton-polygon slopes zero).
+    the origin; the flags are ``fuchs_regular`` at zero and at infinity (all
+    Newton-polygon slopes zero).
     """
     finite, factors = finite_singular_points(op)
     return SingularSupport(
         finite_rational=finite,
         other_factors=factors,
-        regular_at_zero=fuchs_regular_at_zero(op),
-        regular_at_infinity=fuchs_regular_at_zero(mobius_infinity(op)),
+        regular_at_zero=fuchs_regular(op, "zero"),
+        regular_at_infinity=fuchs_regular(op, "infinity"),
     )

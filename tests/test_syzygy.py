@@ -26,6 +26,13 @@ def test_partial_derivative():
     assert (x1 ** 2 * x2).partial(0) == 2 * x1 * x2
 
 
+def test_partial_index_out_of_range():
+    p = 3 * x1 * x2 ** 2
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            p.partial(i)
+
+
 def test_product_of_conjugates():
     assert (x1 + x2) * (x1 - x2) == x1 ** 2 - x2 ** 2
 
@@ -51,6 +58,12 @@ def test_poly_str_grammar_fragment():
 def test_negative_exponent_is_rejected():
     with pytest.raises(ValueError):
         MultiPoly(2, {(1, -1): 1})
+
+
+def test_non_integer_exponents_are_refused():
+    for e in (1.5, F(3, 2), "2"):
+        with pytest.raises(TypeError):
+            MultiPoly(1, {(e,): 1})
 
 
 def test_degree_beyond_a_key_field_is_rejected():

@@ -8,8 +8,8 @@ from conftest import random_hyp_data
 from dworkgm.hypergeom import ExpMultiset, hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
                           euler_factorization, euler_op, euler_product, fourier,
-                          indicial_polynomial, mobius_infinity, parse_op,
-                          singular_support)
+                          fuchs_regular, indicial_polynomial, mobius_infinity,
+                          parse_op, singular_support)
 
 
 def rand_op(rng, localized=False, terms=4):
@@ -89,6 +89,22 @@ def test_parse_precedence_and_power():
     assert parse_op("2^3") == WeylOp.constant(8)
     assert parse_op("t^2*d + 1") == parse_op("(t^2)*(d) + 1")
     assert parse_op("-D") == -euler_op()
+
+
+def test_parse_sign_makes_no_product(monkeypatch):
+    calls = []
+    mul = WeylOp.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(WeylOp, "__mul__", counted)
+    half = WeylOp.constant(Fraction(1, 2))
+    assert parse_op("t + d - 1/2") == WeylOp.t() + WeylOp.d() - half
+    assert parse_op("-t") == -WeylOp.t()
+    assert parse_op("+t") == WeylOp.t()
+    assert calls == []
 
 
 # -- ring arithmetic -----------------------------------------------------------
@@ -321,6 +337,21 @@ def test_confluent_shape_is_irregular_at_infinity():
     ss = singular_support(parse_op("3*(D - 1/2) - t"))
     assert ss.regular_at_zero
     assert not ss.regular_at_infinity
+
+
+def test_fuchs_regular_hand_cases():
+    # d - 1: weight 0 in degree 0 beats weight -1 in degree 1 at infinity
+    assert fuchs_regular(parse_op("d - 1"), "zero")
+    assert not fuchs_regular(parse_op("d - 1"), "infinity")
+    # t^2*d + 1: weight 0 in degree 0 undercuts weight 1 in degree 1 at zero
+    assert not fuchs_regular(parse_op("t^2*d + 1"), "zero")
+    assert fuchs_regular(parse_op("t^2*d + 1"), "infinity")
+    with pytest.raises(ValueError, match="unknown place"):
+        fuchs_regular(parse_op("D - 1/2"), "middle")
+    with pytest.raises(ValueError, match="unknown place"):
+        indicial_polynomial(parse_op("D - 1/2"), "middle")
+    with pytest.raises(ValueError):
+        fuchs_regular(WeylOp.zero(), "zero")
 
 
 def test_singular_support_irrational_points_stay_factored():

@@ -6,7 +6,8 @@ t^m d^k; with ``ref_fourier``, ``ref_mobius_infinity``,
 implementation that the integer numerators over one denominator replaced.
 Every public operation of ``WeylOp`` must agree with them on localized
 operators whose coefficients have unrelated denominators, and every result
-must be in canonical form.
+must be in canonical form.  The readings at infinity, taken from the rows,
+must agree with the readings at zero after ``mobius_infinity``.
 """
 
 import functools
@@ -18,9 +19,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dworkgm.weyl import (LaurentPoly, WeylOp, euler_product, format_terms,
-                          fourier, indicial_polynomial, mobius_infinity,
-                          parse_op)
+from dworkgm.dwork import ft_pair, invariant_hyp
+from dworkgm.hypergeom import hyp_operator
+from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, WeylOp,
+                          euler_product, format_terms, fourier, fuchs_regular,
+                          indicial_polynomial, mobius_infinity, parse_op)
 
 
 class RefLaurentPoly:
@@ -278,3 +281,38 @@ def test_transforms_match_reference(ta, constants):
             assert ind.coeffs == ref_indicial_polynomial(ra, place)
             assert all(type(c) is Fraction for c in ind.coeffs)
     assert_same(euler_product(constants), ref_euler_product(constants))
+
+
+# -- the point at infinity read from the rows -------------------------------------
+
+# their hyp operators and FT pairs reach order 143 and numerators of 1859 bits
+LARGE_WEIGHTS = [(96, 23), (140, 3), (7, 11, 13, 17, 19, 23, 29), (1,) * 60]
+
+
+def assert_infinity_reads_mobius(op):
+    """Both places read from the rows agree with the other place read after
+    the coordinate change u = 1/t, s -> -s for the indicial polynomial."""
+    mob = mobius_infinity(op)
+    assert fuchs_regular(op, "infinity") == fuchs_regular(mob, "zero")
+    assert fuchs_regular(op, "zero") == fuchs_regular(mob, "infinity")
+    q = indicial_polynomial(mob, "zero").nums
+    flipped = [c if i % 2 == 0 else -c for i, c in enumerate(q)]
+    assert indicial_polynomial(op, "infinity") == IndicialPolynomial(flipped, "infinity")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(term_lists)
+def test_readings_at_infinity_match_mobius(ta):
+    a, _ = build(ta)
+    if not a.is_zero:
+        assert_infinity_reads_mobius(a)
+
+
+@pytest.mark.parametrize("w", LARGE_WEIGHTS, ids=["96,23", "140,3", "7..29", "1^60"])
+def test_large_readings_at_infinity_match_mobius(w):
+    pair = ft_pair(w)
+    flags = set()
+    for op in (hyp_operator(invariant_hyp(w)), pair.p, pair.q):
+        assert_infinity_reads_mobius(op)
+        flags.add(fuchs_regular(op, "infinity"))
+    assert flags == {True, False}  # P = gamma*prod(D - c) - t^d is irregular there
