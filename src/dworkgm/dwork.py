@@ -11,7 +11,8 @@ e = gcd(w_i), the pipeline produces:
   * the block G of rank d - e carrying the nonconstant cohomology, with its
     exponents at zero and infinity, Euler characteristic -1, unique finite
     singularity at gamma, and the two exact sequences describing how it sits
-    inside the degree-zero cohomology;
+    inside the degree-zero cohomology H^0(K), which is G under a constant
+    Kummer quotient;
   * the per-degree cohomology tables of the two auxiliary complexes;
   * the Fourier operator pair (P, Q) with its calibrated sign.
 
@@ -204,9 +205,14 @@ class ExactSeq:
     split: str = "unknown"
 
 
+def _exps_json(ms: ExpMultiset) -> list[str]:
+    return [str(c) for c in ms.canonical()]
+
+
 @dataclass(frozen=True)
 class GBlock:
-    """Structured description of the rank d - e block G.
+    """Structured description of the rank d - e block G, the degree-zero
+    entry of the K table.
 
     ``kummer_block`` lists the Kummer composition factors of G (the classes
     of the C set in the primitive case, their e-fold preimages otherwise);
@@ -235,6 +241,10 @@ class GBlock:
             ExactSeq(left=self.hyp.display(), middle="G", right=str(self.kummer_block)),
         )
 
+    def total_rank(self) -> int:
+        """Rank of H^0(K): the rank of G plus that of its constant quotient."""
+        return self.rank + self.quotient.rank()
+
     @property
     def base_hyp(self) -> HypModule:
         return self.hyp if self.base is None else self.base.hyp
@@ -247,10 +257,10 @@ class GBlock:
     def as_json(self) -> dict:
         return {
             "rank": self.rank,
-            "c_set": [str(c) for c in self.c_set.canonical()],
+            "c_set": _exps_json(self.c_set),
             "hyp": self.hyp_display(),
-            "exps_zero": [str(c) for c in self.exps_zero.canonical()],
-            "exps_infinity": [str(c) for c in self.exps_infinity.canonical()],
+            "exps_zero": _exps_json(self.exps_zero),
+            "exps_infinity": _exps_json(self.exps_infinity),
             "chi": self.chi,
             "finite_singularity": str(self.finite_singularity),
             "sequences": [asdict(s) for s in self.sequences],
@@ -298,51 +308,39 @@ def g_block(w: WeightsLike) -> GBlock:
 # Cohomology tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Extension:
-    """Degree-zero entry of the K table: G sits under a constant quotient."""
-
-    sub: GBlock
-    quotient: FactorList
-
-    def total_rank(self) -> int:
-        return self.sub.rank + self.quotient.rank()
+def _kummer_rows(n: int, e: int) -> dict[int, FactorList]:
+    """Degrees -(n-1)..-1 of the K complex: in degree i each K(a/e),
+    a = 1..e, with multiplicity C(n, i + n - 1)."""
+    return {i: _kummer_sum(e, math.comb(n, i + n - 1)) for i in range(-(n - 1), 0)}
 
 
 def k_table(w: WeightsLike, _block: GBlock | None = None
-            ) -> dict[int, FactorList | Extension]:
+            ) -> dict[int, FactorList | GBlock]:
     """Cohomology table of the K complex: Kummer sums in degrees -(n-1)..-1
-    and the extension descriptor in degree 0; empty elsewhere.
+    and in degree 0 the G block, which is H^0(K) as G under its constant
+    quotient; empty elsewhere.
 
     For n = 1 the single degree-zero entry carries the base-case data (total
     rank d, unique finite singularity at gamma).  ``_block``, when given, is
     ``g_block(w)`` already assembled.
     """
     w = validate_weights(w)
-    n, e = w.n, w.e
-    table: dict[int, FactorList | Extension] = {}
-    for i in range(-(n - 1), 0):
-        table[i] = _kummer_sum(e, math.comb(n, i + n - 1))
-    sub = g_block(w) if _block is None else _block
-    table[0] = Extension(sub=sub, quotient=sub.quotient)
-    return table
+    return {**_kummer_rows(w.n, w.e), 0: g_block(w) if _block is None else _block}
 
 
 def m_table(w: WeightsLike) -> dict[int, FactorList]:
     """Cohomology table of the M complex, concentrated in degrees -(n-2)..0.
 
-    Uses the first n weights only: d' = d - w_n and e' = gcd(w_0..w_{n-1}).
+    Uses the first n weights only: d' = d - w_n and e' = gcd(w_0..w_{n-1});
+    in negative degrees it is the K table of those weights.
     """
     w = validate_weights(w)
     n = w.n
     if n < 2:
         raise ValueError("the M table needs at least three weights")
-    d1 = w.d - w.w[-1]
     e1 = w.e_chain[-2]
-    table: dict[int, FactorList] = {}
-    for i in range(-(n - 2), 0):
-        table[i] = _kummer_sum(e1, math.comb(n - 1, i + n - 2))
-    table[0] = _kummer_sum(e1, n - 2) + _kummer_sum(d1, 1)
+    table = _kummer_rows(n - 1, e1)
+    table[0] = _kummer_sum(e1, n - 2) + _kummer_sum(w.d - w.w[-1], 1)
     return table
 
 
@@ -395,7 +393,7 @@ def ft_pair(w: WeightsLike) -> FTPair:
 
 def ft_identity_holds(pair: FTPair) -> bool:
     """Exact check of fourier(P, inverse) = sign * Q."""
-    return weyl.fourier(pair.p, "inverse") == pair.q * pair.sign
+    return weyl.fourier(pair.p, "inverse") == (pair.q if pair.sign == 1 else -pair.q)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +404,12 @@ def _indicial_checks(h: HypModule, gamma: Fraction) -> dict[str, bool]:
     op = hyp_operator(h)
     ind0 = weyl.indicial_polynomial(op, "zero")
     ind_inf = weyl.indicial_polynomial(op, "infinity")
-    finite, other = weyl.finite_singular_points(op)
+    ss = weyl.singular_support(op)
     return {
         "indicial_zero": ind0.has_roots_exactly(*h.alpha.numerators),
         "indicial_infinity": ind_inf.has_roots_exactly(*h.beta.numerators),
-        "singular_support_gamma": finite == (gamma,) and not other,
-        "regular": (weyl.fuchs_regular(op, "zero")
-                    and weyl.fuchs_regular(op, "infinity")),
+        "singular_support_gamma": ss.finite_rational == (gamma,) and not ss.other_factors,
+        "regular": ss.regular_at_zero and ss.regular_at_infinity,
     }
 
 
@@ -437,12 +434,8 @@ def _arrangement_checks(w: Weights) -> dict[str, bool]:
 def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     """Run every internal consistency check for one weight tuple."""
     w = validate_weights(w)
-    if _parts is None:
-        kt = k_table(w)
-        gb = kt[0].sub
-        ft = ft_pair(w)
-    else:
-        gb, kt, ft = _parts
+    kt, ft = (k_table(w), ft_pair(w)) if _parts is None else _parts
+    gb = kt[0]
     d, e, n = w.d, w.e, w.n
     cs = gb.c_set
     checks: dict[str, bool] = {}
@@ -488,10 +481,6 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
 # Full report
 # ---------------------------------------------------------------------------
 
-def _exps_json(ms: ExpMultiset) -> list[str]:
-    return [str(c) for c in ms.canonical()]
-
-
 def _invariant_statement(w: Weights, gb: GBlock) -> dict:
     integral = all(c == 1 for c in gb.exps_zero.canonical())
     if not w.primitive:
@@ -511,7 +500,7 @@ def _invariant_statement(w: Weights, gb: GBlock) -> dict:
         ),
         "pullback_alpha": _exps_json(pull.alpha),
         "pullback_beta": _exps_json(pull.beta),
-        "cn_sent_to_structure": [str(c) for c in gb.c_set.canonical()],
+        "cn_sent_to_structure": _exps_json(gb.c_set),
         "integral_exponents_at_zero": integral,
         "constant_part": "constant summands present but not computed",
     }
@@ -530,7 +519,7 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
     gamma = gamma_n(w)
     fibers = singular_fibers(w)
     kt = k_table(w, _block)
-    gb = kt[0].sub
+    gb = kt[0]
     ft = ft_pair(w)
     gjson = gb.as_json()
 
@@ -540,7 +529,7 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
         cohomology[str(i)] = {"factors": str(fl), "rank": fl.rank()}
     cohomology["0"] = {
         "g_block": gjson,
-        "constant_quotient": str(kt[0].quotient),
+        "constant_quotient": str(gb.quotient),
     }
 
     report: dict[str, object] = {
@@ -563,7 +552,7 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
             "e": e,
             "base_report": full_report(w.reduced(), gb.base),
         }
-    report["checks"] = consistency_checks(w, _parts=(gb, kt, ft))
+    report["checks"] = consistency_checks(w, _parts=(kt, ft))
     return report
 
 

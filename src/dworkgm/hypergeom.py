@@ -468,6 +468,8 @@ def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, Fact
     weights = tuple(map(operator.index, w))
     if len(weights) < 2:
         raise ValueError("need at least two weights")
+    if any(x < 1 for x in weights):
+        raise ValueError("weights must be positive integers")
     alpha = _exact(alpha)
     d_prev = sum(weights[:-1])
     if (d_prev * alpha).denominator != 1:

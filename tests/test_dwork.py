@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import package_env
 from dworkgm import dwork, weyl
-from dworkgm.dwork import (Extension, c_set, consistency_checks,
-                           ft_pair, ft_sign, full_report, g_block, gamma_n,
-                           invariant_hyp, k_table, m_table, singular_fibers,
+from dworkgm.dwork import (GBlock, c_set, consistency_checks,
+                           ft_identity_holds, ft_pair, ft_sign, full_report,
+                           g_block, gamma_n, invariant_hyp, k_table, m_table,
+                           primitive_sweep, singular_fibers,
                            structure_multiplicities, validate_weights)
 from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp
 
@@ -147,7 +149,7 @@ def test_k_table_small():
     kt = k_table((1, 1, 1))
     assert set(kt) == {-1, 0}
     assert kt[-1] == FactorList([1])
-    assert isinstance(kt[0], Extension)
+    assert isinstance(kt[0], GBlock)
     assert kt[0].quotient == FactorList({1: 2})
 
 
@@ -166,6 +168,23 @@ def test_k_table_base_case():
     kt = k_table((1, 2))
     assert set(kt) == {0}
     assert kt[0].total_rank() == 3  # generic rank d of the base complex
+
+
+@pytest.mark.parametrize("w, total", [((1, 2), 3), ((1, 2, 3), 7),
+                                      ((2, 4, 6), 14), ((1, 1, 1, 1, 1), 8)])
+def test_k_table_degree_zero_is_the_g_block(w, total):
+    top = k_table(w)[0]
+    assert top == g_block(w)
+    assert top.total_rank() == top.rank + top.quotient.rank() == total
+
+
+def test_m_table_negative_degrees_are_the_k_table_of_the_first_weights():
+    tuples = [w for w in primitive_sweep(4, 4) if w.n >= 2]
+    assert len(tuples) == 1285
+    for w in tuples:
+        kt = k_table(w.w[:-1])
+        assert {i: fl for i, fl in m_table(w).items() if i < 0} == \
+            {i: fl for i, fl in kt.items() if i < 0}, w
 
 
 def test_m_table_examples():
@@ -207,6 +226,22 @@ def test_ft_pair_worked_identity():
     assert weyl.fourier(pair.p, "inverse") == pair.q * pair.sign
     assert pair.rhs_hyp.gamma == 1
     assert pair.rhs_power == 3
+
+
+@pytest.mark.parametrize("w", [(1, 2), (1, 1)])
+def test_ft_identity_reads_the_sign_without_a_product(w, monkeypatch):
+    pair = ft_pair(w)
+    products = []
+    real = weyl.WeylOp.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(weyl.WeylOp, "__mul__", counted)
+    assert ft_identity_holds(pair)
+    assert products == []
+    assert not ft_identity_holds(dataclasses.replace(pair, sign=-pair.sign))
 
 
 def test_ft_sign_rule():
@@ -297,6 +332,15 @@ def test_base_case_reproduces_rank_and_singularity():
 def test_consistency_checks_standalone():
     checks = consistency_checks((1, 1, 2))
     assert checks and all(checks.values())
+
+
+def test_indicial_checks_read_the_singular_support(monkeypatch):
+    wrong = weyl.SingularSupport((F(7),), (), True, False)
+    monkeypatch.setattr(weyl, "singular_support", lambda op: wrong)
+    checks = consistency_checks((1, 2, 3))
+    assert checks["singular_support_gamma"] is False
+    assert checks["regular"] is False
+    assert checks["indicial_zero"] and checks["indicial_infinity"]
 
 
 def test_primitive_sweep_counts():

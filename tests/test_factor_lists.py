@@ -33,7 +33,7 @@ def factor_list_lines() -> str:
         ext = kt[0]
         lines.append(f"{name} K[0] quotient {ext.quotient} | rank "
                      f"{ext.quotient.rank()} | total {ext.total_rank()}")
-        lines.append(f"{name} kummer_block {ext.sub.kummer_block}")
+        lines.append(f"{name} kummer_block {ext.kummer_block}")
         if len(w) >= 3:
             for i, fl in m_table(w).items():
                 lines.append(f"{name} M[{i}] {fl} | rank {fl.rank()}")

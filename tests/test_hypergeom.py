@@ -349,6 +349,13 @@ def test_puncture_fiber_weights_are_integers_not_truncated():
         puncture_fiber_cohomology(1, (1.5, 2))
 
 
+@pytest.mark.parametrize("alpha, w", [(F(1, 2), (0, 5)), (F(1, 2), (-2, 5)),
+                                      (1, (0, 0))])
+def test_puncture_fiber_refuses_weights_below_one(alpha, w):
+    with pytest.raises(ValueError, match="weights must be positive integers"):
+        puncture_fiber_cohomology(alpha, w)
+
+
 @pytest.mark.parametrize("build", [
     lambda: ExpMultiset("12"),
     lambda: ExpMultiset(""),

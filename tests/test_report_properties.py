@@ -53,7 +53,7 @@ def test_reports_pass_their_checks_and_factor_lists_round_trip(w):
             assert_round_trips(entry)
     assert report["cohomology"]["0"]["constant_quotient"] == str(kt[0].quotient)
     assert_round_trips(kt[0].quotient)
-    assert_round_trips(kt[0].sub.kummer_block)
+    assert_round_trips(kt[0].kummer_block)
     if len(w) >= 3:
         for entry in m_table(w).values():
             assert_round_trips(entry)
