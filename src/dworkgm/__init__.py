@@ -4,10 +4,9 @@ Dwork families, verified against operator, syzygy and arrangement oracles."""
 from .weyl import (LaurentPoly, WeylOp, ParseError, parse_op, euler_op,
                    euler_factorization, fourier, mobius_infinity,
                    indicial_polynomial, singular_support)
-from .hypergeom import (ExpMultiset, HypModule, FactorList, preimage_classes,
-                        cancel, make_hyp, hyp_operator, is_irreducible,
-                        exponents, kummer_twist, power_pullback,
-                        power_pushforward, euler_char, puncture_fiber_cohomology)
+from .hypergeom import (ExpMultiset, HypModule, FactorList, cancel, make_hyp,
+                        hyp_operator, is_irreducible, exponents, power_pullback,
+                        power_pushforward, euler_char)
 from .dwork import (Weights, validate_weights, gamma_n, singular_fibers,
                     c_set, invariant_hyp, g_block, k_table, m_table,
                     ft_pair, ft_sign, full_report, consistency_checks)

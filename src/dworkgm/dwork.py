@@ -367,28 +367,23 @@ def ft_sign(d: int) -> int:
 class FTPair:
     p: WeylOp
     q: WeylOp
-    rhs_power: int
-    rhs_hyp: HypModule
     sign: int
 
 
 def ft_pair(w: WeightsLike) -> FTPair:
-    """The operator pair of the Fourier-transform step.
+    """The operator pair of the Fourier-transform step with its sign.
 
     P = gamma * prod_{i,j} (D - d*j/w_i) - t^d and
     Q = d^d - gamma * prod_{i,j} (d*t + d*j/w_i), with d*t the composite
-    operator D + 1; the right-hand side descriptor is the pullback along
-    z -> z^d of the type-(d, 0) datum with gamma scaled by d^d.
+    operator D + 1.
     """
     w = validate_weights(w)
     g, d = gamma_n(w), w.d
-    params = _weight_exponents(w, d)
-    nums, n = params.numerators
+    nums, n = _weight_exponents(w, d).numerators
     # the composite d*t is D + 1, so prod(d*t + c) = prod(D - (-1 - c))
     p = weyl.euler_product(nums, n) * g - WeylOp.t(d)
     q = WeylOp.d(d) - weyl.euler_product([-n - x for x in nums], n) * g
-    rhs = make_hyp(g * Fraction(d) ** d, params, ())
-    return FTPair(p=p, q=q, rhs_power=d, rhs_hyp=rhs, sign=ft_sign(d))
+    return FTPair(p=p, q=q, sign=ft_sign(d))
 
 
 def ft_identity_holds(pair: FTPair) -> bool:
@@ -490,7 +485,7 @@ def _invariant_statement(w: Weights, gb: GBlock) -> dict:
             "integral_exponents_at_zero": integral,
         }
     d = w.d
-    pull = power_pullback(gb.hyp, -d)
+    pull_alpha, pull_beta = power_pullback(gb.hyp, -d)
     return {
         "middle_extension_at": "0",
         "pullback_power": -d,
@@ -498,8 +493,8 @@ def _invariant_statement(w: Weights, gb: GBlock) -> dict:
             f"middle extension at 0 of the pullback along z -> z^{-d} "
             f"of {gb.hyp.display()}"
         ),
-        "pullback_alpha": _exps_json(pull.alpha),
-        "pullback_beta": _exps_json(pull.beta),
+        "pullback_alpha": _exps_json(pull_alpha),
+        "pullback_beta": _exps_json(pull_beta),
         "cn_sent_to_structure": _exps_json(gb.c_set),
         "integral_exponents_at_zero": integral,
         "constant_part": "constant summands present but not computed",

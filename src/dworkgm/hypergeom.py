@@ -19,15 +19,14 @@ composition-factor list (``FactorList``) counts such classes, as residues
 1..N over one minimal denominator N (residue N is O), and hypergeometric
 factors with multiplicity; a punctual factor is the type-(0, 0) datum at its
 point.  Along z -> z^e the class r/N pushes forward to the e classes
-(r + a*N)/(N*e), a = 0..e-1 (``power_pushforward``, ``ExpMultiset.pushforward``,
-and ``preimage_classes`` for one class); it pulls back by ``scaled(e)``.
+(r + a*N)/(N*e), a = 0..e-1 (``power_pushforward``, ``ExpMultiset.pushforward``);
+it pulls back by ``scaled(e)``.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
-exponents at zero and infinity, Kummer twists, pullback and pushforward
-along power maps of the punctured line, Euler characteristics of composition
-factor lists, and the two-term local computation used for fibers over the
-puncture.  Everything is pure, and immutable once built.
+exponents at zero and infinity, pullback and pushforward along power maps of
+the punctured line, and Euler characteristics of composition factor lists.
+Everything is pure, and immutable once built.
 """
 
 from __future__ import annotations
@@ -51,19 +50,6 @@ def canonical_rep(x: Scalar) -> Fraction:
     r = x.numerator % x.denominator
     # numerator and denominator are coprime, so r/den is already reduced
     return Fraction(r, x.denominator) if r else _ONE
-
-
-def preimage_classes(c: Scalar, e: int) -> list[Fraction]:
-    """The e classes x in (0, 1] with e*x congruent to c: (c + a)/e, a = 0..e-1.
-
-    With c canonical in (0, 1] each (c + a)/e is canonical already; the
-    preimages of distinct classes are disjoint.
-    """
-    if e < 1:
-        raise ValueError("pushforward order must be a positive integer")
-    c = canonical_rep(c)
-    p, q = c.numerator, c.denominator
-    return [Fraction(p + a * q, q * e) for a in range(e)]
 
 
 class ExpMultiset:
@@ -140,10 +126,6 @@ class ExpMultiset:
         return ExpMultiset([x * other._den for x in self._nums]
                            + [x * self._den for x in other._nums], self._den * other._den)
 
-    def shifted(self, eta: Scalar) -> "ExpMultiset":
-        eta = _exact(eta)
-        return ExpMultiset([x + eta * self._den for x in self._nums], self._den)
-
     def scaled(self, k: Scalar) -> "ExpMultiset":
         k = _exact(k)
         return ExpMultiset([x * k.numerator for x in self._nums], self._den * k.denominator)
@@ -155,13 +137,14 @@ class ExpMultiset:
         n = self._den
         return ExpMultiset([r + a * n for r in self._key for a in range(e)], n * e)
 
-    def remove_class(self, x: Scalar, count: int = 1) -> "ExpMultiset":
-        """Drop ``count`` members of the class of x (largest representatives)."""
+    def remove_class(self, x: Scalar) -> "ExpMultiset":
+        """Drop one member of the class of x (the largest representative);
+        ValueError if the class is absent."""
         target = canonical_rep(x)
         n = math.lcm(self._den, target.denominator)
-        out = self._without(n, {target.numerator * (n // target.denominator): count})
-        if len(self) - len(out) < count:
-            raise ValueError(f"class {target} has multiplicity {len(self) - len(out)} < {count}")
+        out = self._without(n, {target.numerator * (n // target.denominator): 1})
+        if len(out) == len(self):
+            raise ValueError(f"class {target} does not occur")
         return out
 
     def __str__(self) -> str:
@@ -206,10 +189,6 @@ class HypModule:
     @property
     def type(self) -> tuple[int, int]:
         return len(self.alpha), len(self.beta)
-
-    @property
-    def is_delta(self) -> bool:
-        return self.type == (0, 0)
 
     def display(self) -> str:
         return f"Hyp(gamma={self.gamma}; alpha={self.alpha}; beta={self.beta})"
@@ -257,13 +236,6 @@ def exponents(h: HypModule, place: str) -> ExpMultiset:
         raise ValueError("exponents are defined for irreducible data only")
     source = h.alpha if place == "zero" else h.beta
     return ExpMultiset(source._key, source._den)
-
-
-def kummer_twist(h: HypModule, eta: Scalar) -> HypModule:
-    """Shift every exponent by eta; involutive with -eta, gamma unchanged."""
-    return HypModule(gamma=h.gamma,
-                     alpha=h.alpha.shifted(eta),
-                     beta=h.beta.shifted(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +362,6 @@ def euler_char(factors: FactorList) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HypPullback:
-    """Exponent bookkeeping for the pullback of a hypergeometric datum along
-    z -> z^power: exponent multisets multiply by the power.  This is a report
-    annotation, not a module computation."""
-
-    power: int
-    alpha: ExpMultiset
-    beta: ExpMultiset
-
-
-@dataclass(frozen=True)
 class PushforwardHyp:
     """Pushforward pair (e, base): the direct image of an irreducible
     hypergeometric datum along z -> z^e.
@@ -426,54 +387,27 @@ class PushforwardHyp:
     __str__ = display
 
 
-def power_pullback(h: HypModule, d: int) -> HypPullback:
-    """Pullback of a hypergeometric datum along z -> z^d (d nonzero), as
-    exponent bookkeeping only.  A Kummer class pulls back by
-    ``ExpMultiset.scaled``: K_a -> K_{d*a}."""
+def power_pullback(h: HypModule, d: int) -> tuple[ExpMultiset, ExpMultiset]:
+    """Exponents (alpha, beta) of the pullback of a hypergeometric datum
+    along z -> z^d (d nonzero), as bookkeeping only: each multiset is
+    ``ExpMultiset.scaled(d)``, as a Kummer class K_a pulls back to K_{d*a}."""
     if d == 0:
         raise ValueError("pullback power must be nonzero")
-    return HypPullback(power=d, alpha=h.alpha.scaled(d), beta=h.beta.scaled(d))
+    return h.alpha.scaled(d), h.beta.scaled(d)
 
 
-def power_pushforward(module: Scalar | FactorList | HypModule,
-                      e: int) -> FactorList | PushforwardHyp:
-    """Direct image along z -> z^e (e >= 1).
+def power_pushforward(module: Scalar | FactorList, e: int) -> FactorList:
+    """Direct image of Kummer classes along z -> z^e (e >= 1).
 
     The Kummer class a goes to the sum of K_x over the e classes x with
     e*x congruent to a, and a list of Kummer classes class by class: residue
-    r over N goes to r + a*N over N*e, a = 0..e-1.  An irreducible
-    hypergeometric datum yields the pushforward pair.
+    r over N goes to r + a*N over N*e, a = 0..e-1.
     """
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
-    if isinstance(module, HypModule):
-        if not is_irreducible(module):
-            raise ValueError("pushforward pair is defined for irreducible data")
-        return PushforwardHyp(e=e, base=module)
     fl = module if isinstance(module, FactorList) else FactorList([module])
     if fl.hyps:
         raise ValueError("a list with hypergeometric factors has no Kummer pushforward")
     n = fl._den
     return FactorList._residues(n * e, {r + a * n: m for r, m in fl._counts.items()
                                         for a in range(e)})
-
-
-def puncture_fiber_cohomology(alpha: Scalar, w: Iterable[int]) -> dict[int, FactorList]:
-    """Cohomology of the local fiber construction over the puncture.
-
-    Requires d'*alpha integral, d' being the sum of all but the last weight.
-    An integral alpha yields the structure sheaf in degree -1 plus two copies
-    in degree 0; otherwise the single Kummer factor K_alpha in degree 0.
-    """
-    weights = tuple(map(operator.index, w))
-    if len(weights) < 2:
-        raise ValueError("need at least two weights")
-    if any(x < 1 for x in weights):
-        raise ValueError("weights must be positive integers")
-    alpha = _exact(alpha)
-    d_prev = sum(weights[:-1])
-    if (d_prev * alpha).denominator != 1:
-        raise ValueError(f"{d_prev}*alpha = {d_prev * alpha} is not an integer")
-    if alpha.denominator == 1:
-        return {-1: FactorList([1]), 0: FactorList({1: 2})}
-    return {0: FactorList([alpha])}

@@ -171,10 +171,6 @@ class MultiPoly:
             raise ValueError("degree of the zero polynomial")
         return max(self._c) >> (_BITS * self.nvars)
 
-    def is_homogeneous(self) -> bool:
-        shift = _BITS * self.nvars
-        return len({k >> shift for k in self._c}) <= 1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self._c == other._c
@@ -299,20 +295,11 @@ def _weights(w) -> tuple[int, ...]:
     return weights
 
 
-def family_poly(w, homogeneous: bool = True) -> MultiPoly:
-    """x_1^{w_1} ... x_n^{w_n} * (x_1+...+x_n)^{w_0}, expanded.
-
-    With ``homogeneous=False`` the affine variant with (1 - x_1 - ... - x_n)
-    in place of the sum is returned instead.
-    """
+def family_poly(w) -> MultiPoly:
+    """x_1^{w_1} ... x_n^{w_n} * (x_1+...+x_n)^{w_0}, expanded."""
     weights = _weights(w)
     n = len(weights) - 1
-    mono = MultiPoly(n, {tuple(weights[1:]): 1})
-    if homogeneous:
-        last = MultiPoly.sigma(n)
-    else:
-        last = MultiPoly.constant(n, 1) - MultiPoly.sigma(n)
-    return mono * last ** weights[0]
+    return MultiPoly(n, {tuple(weights[1:]): 1}) * MultiPoly.sigma(n) ** weights[0]
 
 
 def l_poly(w, i: int) -> MultiPoly:
@@ -552,19 +539,3 @@ def syzygy_dimension_table(w, degree_bound: int,
 def generation_oracle(w, degree_bound: int) -> bool:
     """True iff the generators span the syzygies in every degree <= bound."""
     return all(entry.matches for entry in syzygy_dimension_table(w, degree_bound))
-
-
-def partial_factorization_holds(w) -> bool:
-    """The identity f'_i = x^{w - e_i} * sigma^{w_0 - 1} * l_i, symbolically."""
-    weights = _weights(w)
-    n = len(weights) - 1
-    f = family_poly(weights)
-    sigma = MultiPoly.sigma(n)
-    for i in range(n):
-        exps = list(weights[1:])
-        exps[i] -= 1
-        mono = MultiPoly(n, {tuple(exps): 1})
-        expected = mono * sigma ** (weights[0] - 1) * l_poly(weights, i + 1)
-        if f.partial(i) != expected:
-            return False
-    return True

@@ -719,9 +719,6 @@ class IndicialPolynomial:
         rational, leftovers = _rational_root_split(list(self.nums))
         return rational, tuple([format_poly(f, "s") for f in leftovers])
 
-    def root_multiset(self) -> dict[Fraction, int]:
-        return dict(self.roots()[0])
-
     def has_roots_exactly(self, values: Iterable[Scalar], den: int = 1) -> bool:
         """True iff the polynomial equals prod (s - v/den) over the multiset.
 

@@ -71,10 +71,6 @@ class RefExpMultiset:
     def __add__(self, other):
         return RefExpMultiset(self._reps + other._reps)
 
-    def shifted(self, eta):
-        eta = Fraction(eta)
-        return RefExpMultiset(r + eta for r in self._reps)
-
     def scaled(self, k):
         k = Fraction(k)
         return RefExpMultiset(r * k for r in self._reps)
@@ -83,19 +79,13 @@ class RefExpMultiset:
         return RefExpMultiset(x for c in self._reps
                               for x in ref_preimage_classes(c, e))
 
-    def remove_class(self, x, count=1):
+    def remove_class(self, x):
         target = ref_canonical_rep(x)
-        matching = sorted((r for r in self._reps if ref_canonical_rep(r) == target),
-                          reverse=True)
-        if len(matching) < count:
-            raise ValueError(f"class {target} has multiplicity {len(matching)} < {count}")
-        to_drop = Counter(matching[:count])
-        keep = []
-        for r in self._reps:
-            if to_drop.get(r, 0) > 0:
-                to_drop[r] -= 1
-            else:
-                keep.append(r)
+        matching = [r for r in self._reps if ref_canonical_rep(r) == target]
+        if not matching:
+            raise ValueError(f"class {target} does not occur")
+        keep = list(self._reps)
+        keep.remove(max(matching))
         return RefExpMultiset(keep)
 
     def __str__(self):
@@ -158,23 +148,22 @@ scalar = st.one_of(st.integers(-6, 6),
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(reps, scalar, scalar, st.integers(1, 4), rep, st.integers(0, 3))
-def test_unary_operations_match_the_reference(xs, eta, k, e, x, count):
+@given(reps, scalar, st.integers(1, 4), rep)
+def test_unary_operations_match_the_reference(xs, k, e, x):
     new, ref = ExpMultiset(xs), RefExpMultiset(xs)
     assert_agrees(new, ref)
-    assert_agrees(new.shifted(eta), ref.shifted(eta))
     assert_agrees(new.scaled(k), ref.scaled(k))
     assert_agrees(new.pushforward(e), ref.pushforward(e))
     # remove a class that is present as well as one that may not be
     for target in ([xs[0]] if xs else []) + [x]:
         try:
-            expected = ref.remove_class(target, count)
+            expected = ref.remove_class(target)
         except ValueError as err:
             with pytest.raises(ValueError) as got:
-                new.remove_class(target, count)
+                new.remove_class(target)
             assert str(got.value) == str(err)
         else:
-            assert_agrees(new.remove_class(target, count), expected)
+            assert_agrees(new.remove_class(target), expected)
 
 
 @st.composite

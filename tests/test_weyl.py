@@ -255,12 +255,12 @@ def test_indicial_kummer_both_places():
     for place in ("zero", "infinity"):
         ind = indicial_polynomial(op, place)
         assert ind.coeffs == (Fraction(-1, 2), Fraction(1))
-        assert ind.root_multiset() == {Fraction(1, 2): 1}
+        assert dict(ind.roots()[0]) == {Fraction(1, 2): 1}
 
 
 def test_indicial_of_pure_derivation():
     ind = indicial_polynomial(parse_op("d"), "zero")
-    assert ind.root_multiset() == {Fraction(0): 1}
+    assert dict(ind.roots()[0]) == {Fraction(0): 1}
 
 
 def test_indicial_worked_hypergeometric():
@@ -268,9 +268,9 @@ def test_indicial_worked_hypergeometric():
     op = parse_op("1/432*D*D - t*(D - 1/6)*(D - 5/6)")
     at_zero = indicial_polynomial(op, "zero")
     assert at_zero.coeffs == (Fraction(0), Fraction(0), Fraction(1))  # s^2
-    assert at_zero.root_multiset() == {Fraction(0): 2}
+    assert dict(at_zero.roots()[0]) == {Fraction(0): 2}
     at_inf = indicial_polynomial(op, "infinity")
-    assert at_inf.root_multiset() == {Fraction(1, 6): 1, Fraction(5, 6): 1}
+    assert dict(at_inf.roots()[0]) == {Fraction(1, 6): 1, Fraction(5, 6): 1}
 
 
 def test_indicial_rejects_zero_operator():
