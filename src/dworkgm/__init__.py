@@ -6,7 +6,7 @@ from .weyl import (LaurentPoly, WeylOp, ParseError, parse_op, euler_op,
                    indicial_polynomial, singular_support)
 from .hypergeom import (ExpMultiset, HypModule, FactorList, cancel, make_hyp,
                         hyp_operator, is_irreducible, exponents, power_pullback,
-                        power_pushforward, euler_char)
+                        power_pushforward)
 from .dwork import (Weights, validate_weights, gamma_n, singular_fibers,
                     c_set, invariant_hyp, g_block, k_table, m_table,
                     ft_pair, ft_sign, full_report, consistency_checks)

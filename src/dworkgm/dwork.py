@@ -32,14 +32,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
-                        euler_char, hyp_operator, is_irreducible, make_hyp,
-                        power_pullback, power_pushforward)
+                        hyp_operator, is_irreducible, make_hyp, power_pullback,
+                        power_pushforward)
 from .weyl import WeylOp, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
@@ -51,7 +51,7 @@ WeightsLike = Union["Weights", Sequence[int]]
 
 @dataclass(frozen=True)
 class Weights:
-    """Tuple of n+1 positive weights with its derived gcd chain; a weight
+    """Tuple of n+1 positive weights with their sum d and gcd e; a weight
     that is not an integer (``operator.index``) raises TypeError."""
 
     w: tuple[int, ...]
@@ -72,17 +72,8 @@ class Weights:
         return sum(self.w)
 
     @property
-    def e_chain(self) -> tuple[int, ...]:
-        chain = []
-        g = 0
-        for x in self.w:
-            g = math.gcd(g, x)
-            chain.append(g)
-        return tuple(chain)
-
-    @property
     def e(self) -> int:
-        return self.e_chain[-1]
+        return math.gcd(*self.w)
 
     @property
     def primitive(self) -> bool:
@@ -197,14 +188,6 @@ def invariant_hyp(w: WeightsLike) -> HypModule:
     return make_hyp(gamma_n(w), _weight_exponents(w), beta, reduce=True)
 
 
-@dataclass(frozen=True)
-class ExactSeq:
-    left: str
-    middle: str
-    right: str
-    split: str = "unknown"
-
-
 def _exps_json(ms: ExpMultiset) -> list[str]:
     return [str(c) for c in ms.canonical()]
 
@@ -233,13 +216,16 @@ class GBlock:
     base: "GBlock | None" = None
 
     @property
-    def sequences(self) -> tuple[ExactSeq, ExactSeq]:
+    def sequences(self) -> list[dict[str, str]]:
         """G in H^0(K) with its quotient, and the hypergeometric module in G
-        with the Kummer block; printed when read, since only reports do."""
-        return (
-            ExactSeq(left="G", middle="H^0(K)", right=str(self.quotient)),
-            ExactSeq(left=self.hyp.display(), middle="G", right=str(self.kummer_block)),
-        )
+        with the Kummer block, neither known to split; printed when read,
+        since only reports do."""
+        return [
+            {"left": "G", "middle": "H^0(K)", "right": str(self.quotient),
+             "split": "unknown"},
+            {"left": self.hyp.display(), "middle": "G",
+             "right": str(self.kummer_block), "split": "unknown"},
+        ]
 
     def total_rank(self) -> int:
         """Rank of H^0(K): the rank of G plus that of its constant quotient."""
@@ -263,7 +249,7 @@ class GBlock:
             "exps_infinity": _exps_json(self.exps_infinity),
             "chi": self.chi,
             "finite_singularity": str(self.finite_singularity),
-            "sequences": [asdict(s) for s in self.sequences],
+            "sequences": self.sequences,
         }
 
 
@@ -338,7 +324,7 @@ def m_table(w: WeightsLike) -> dict[int, FactorList]:
     n = w.n
     if n < 2:
         raise ValueError("the M table needs at least three weights")
-    e1 = w.e_chain[-2]
+    e1 = math.gcd(*w.w[:-1])
     table = _kummer_rows(n - 1, e1)
     table[0] = _kummer_sum(e1, n - 2) + _kummer_sum(w.d - w.w[-1], 1)
     return table
@@ -434,7 +420,9 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     d, e, n = w.d, w.e, w.n
     cs = gb.c_set
     checks: dict[str, bool] = {}
-    chi_block = euler_char(gb.kummer_block + FactorList(hyps=[gb.base_hyp])) == -1
+    # chi of G by its composition factors: each Kummer factor contributes 0
+    # and the one irreducible hypergeometric factor -1
+    chi_block = is_irreducible(gb.base_hyp) and gb.chi == -1
     if w.primitive:
         h = gb.hyp
         checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs

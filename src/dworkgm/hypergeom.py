@@ -16,16 +16,15 @@ refused.
 A Kummer module K_a is named by its class a mod Z, shown by the canonical
 representative in (0, 1], class 1 being the structure sheaf O.  A
 composition-factor list (``FactorList``) counts such classes, as residues
-1..N over one minimal denominator N (residue N is O), and hypergeometric
-factors with multiplicity; a punctual factor is the type-(0, 0) datum at its
-point.  Along z -> z^e the class r/N pushes forward to the e classes
+1..N over one minimal denominator N (residue N is O), with multiplicity.
+Along z -> z^e the class r/N pushes forward to the e classes
 (r + a*N)/(N*e), a = 0..e-1 (``power_pushforward``, ``ExpMultiset.pushforward``);
 it pulls back by ``scaled(e)``.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
-exponents at zero and infinity, pullback and pushforward along power maps of
-the punctured line, and Euler characteristics of composition factor lists.
+exponents at zero and infinity, and pullback and pushforward along power
+maps of the punctured line.
 Everything is pure, and immutable once built.
 """
 
@@ -243,26 +242,22 @@ def exponents(h: HypModule, place: str) -> ExpMultiset:
 # ---------------------------------------------------------------------------
 
 class FactorList:
-    """Multiset of composition factors: Kummer classes and hypergeometric data.
+    """Multiset of Kummer composition factors K_a, counted.
 
-    The Kummer classes K_a are held as residues 1..N over one minimal
-    denominator N with their counts, the way ``ExpMultiset`` holds its
-    classes: residue r stands for the class r/N in (0, 1], and residue N for
-    the structure sheaf O.  ``classes`` reads them as a fresh ``Counter`` of
-    canonical ``Fraction``s; ``hyps`` counts the hypergeometric factors, a
-    punctual factor being the type-(0, 0) datum at its point.  Multiplicities
-    are counted, never enumerated.  Either argument is an iterable of members
-    or a mapping member -> integer multiplicity >= 0; Kummer classes are
-    identified modulo Z.  Treat ``hyps`` as read-only.
+    The classes are held as residues 1..N over one minimal denominator N
+    with their counts, the way ``ExpMultiset`` holds its classes: residue r
+    stands for the class r/N in (0, 1], and residue N for the structure
+    sheaf O.  ``classes`` reads them as a fresh ``Counter`` of canonical
+    ``Fraction``s.  Multiplicities are counted, never enumerated.  The
+    argument is an iterable of classes or a mapping class -> integer
+    multiplicity >= 0; classes are identified modulo Z.
     """
 
-    __slots__ = ("_den", "_counts", "hyps")
+    __slots__ = ("_den", "_counts")
 
-    def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = (),
-                 hyps: Iterable[HypModule] | Mapping[HypModule, int] = ()):
+    def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = ()):
         _refuse_float(classes)  # a string is not the list of its digits
-        _refuse_float(hyps)
-        classes, hyps = Counter(classes), Counter(hyps)
+        classes = Counter(classes)
         nums, den = _clear_denominators(list(classes))
         counts: dict[int, int] = {}
         for x, mult in zip(nums, map(_multiplicity, classes.values())):
@@ -270,15 +265,12 @@ class FactorList:
                 r = x % den or den
                 counts[r] = counts.get(r, 0) + mult
         self._den, self._counts = _lowest_terms(den, counts)
-        self.hyps = +Counter({h: _multiplicity(m) for h, m in hyps.items()})
 
     @classmethod
-    def _residues(cls, den: int, counts: dict[int, int],
-                  hyps: Counter | None = None) -> "FactorList":
+    def _residues(cls, den: int, counts: dict[int, int]) -> "FactorList":
         """The classes r/den (r in 1..den, den for O) counted by counts[r] > 0."""
         out = cls.__new__(cls)
         out._den, out._counts = _lowest_terms(den, counts)
-        out.hyps = Counter() if hyps is None else hyps
         return out
 
     @property
@@ -293,30 +285,25 @@ class FactorList:
         s = n // other._den
         for r, m in other._counts.items():
             counts[r * s] = counts.get(r * s, 0) + m
-        return FactorList._residues(n, counts, self.hyps + other.hyps)
+        return FactorList._residues(n, counts)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FactorList):
-            return (self._den == other._den and self._counts == other._counts
-                    and self.hyps == other.hyps)
+            return self._den == other._den and self._counts == other._counts
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._counts.items()),
-                     frozenset(self.hyps.items())))
+        return hash((self._den, frozenset(self._counts.items())))
 
     def rank(self) -> int:
-        """Generic rank: 1 per Kummer class, n per type-(n, n) hyp."""
-        return (sum(self._counts.values())
-                + sum(h.type[0] * mult for h, mult in self.hyps.items()))
+        """Generic rank: 1 per Kummer class."""
+        return sum(self._counts.values())
 
     def __str__(self) -> str:
-        """Hyp factors first, then K(a) by ascending a, then O, with ^mult."""
+        """K(a) by ascending a, then O, with ^mult."""
         n = self._den
-        parts = [(str(h), mult) for h, mult in
-                 sorted(self.hyps.items(), key=lambda item: str(item[0]))]
-        parts += [("O" if r == n else f"K({Fraction(r, n)})", self._counts[r])
-                  for r in sorted(self._counts)]
+        parts = [("O" if r == n else f"K({Fraction(r, n)})", self._counts[r])
+                 for r in sorted(self._counts)]
         if not parts:
             return "0"
         return " + ".join(s if mult == 1 else f"{s}^{mult}" for s, mult in parts)
@@ -341,22 +328,6 @@ def _lowest_terms(den: int, counts: dict[int, int]) -> tuple[int, dict[int, int]
     return den // g, {r // g: m for r, m in counts.items()}
 
 
-def euler_char(factors: FactorList) -> int:
-    """Euler-Poincare characteristic of a composition-factor list.
-
-    Kummer classes (the structure sheaf included) contribute 0 and an
-    irreducible hypergeometric factor -1, of any type, punctual type (0, 0)
-    included.  Reducible hypergeometric entries are rejected: the list must
-    consist of composition factors.  Additive under concatenation.
-    """
-    total = 0
-    for h, mult in factors.hyps.items():
-        if not is_irreducible(h):
-            raise ValueError(f"reducible factor in composition list: {h}")
-        total -= mult
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Power maps of the punctured line
 # ---------------------------------------------------------------------------
@@ -373,10 +344,6 @@ class PushforwardHyp:
 
     e: int
     base: HypModule
-
-    @property
-    def rank(self) -> int:
-        return self.e * self.base.type[0]
 
     def exponents(self, place: str) -> ExpMultiset:
         return exponents(self.base, place).pushforward(self.e)
@@ -396,18 +363,15 @@ def power_pullback(h: HypModule, d: int) -> tuple[ExpMultiset, ExpMultiset]:
     return h.alpha.scaled(d), h.beta.scaled(d)
 
 
-def power_pushforward(module: Scalar | FactorList, e: int) -> FactorList:
-    """Direct image of Kummer classes along z -> z^e (e >= 1).
+def power_pushforward(fl: FactorList, e: int) -> FactorList:
+    """Direct image of a list of Kummer classes along z -> z^e (e >= 1).
 
     The Kummer class a goes to the sum of K_x over the e classes x with
-    e*x congruent to a, and a list of Kummer classes class by class: residue
-    r over N goes to r + a*N over N*e, a = 0..e-1.
+    e*x congruent to a: residue r over N goes to r + a*N over N*e,
+    a = 0..e-1.
     """
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
-    fl = module if isinstance(module, FactorList) else FactorList([module])
-    if fl.hyps:
-        raise ValueError("a list with hypergeometric factors has no Kummer pushforward")
     n = fl._den
     return FactorList._residues(n * e, {r + a * n: m for r, m in fl._counts.items()
                                         for a in range(e)})

@@ -194,3 +194,33 @@ def test_package_runs_as_a_module():
         [sys.executable, "-m", "dworkgm", "report", "--weights", "0,1"],
         capture_output=True, text=True, env=package_env())
     assert bad.returncode == 1 and bad.stdout == ""
+
+
+# A child Python in which the test extra cannot be imported, the way a plain
+# `pip install dworkgm` leaves it; argv follows the script.
+_WITHOUT_TEST_EXTRA = """\
+import runpy, sys
+
+class RefuseTestExtra:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("sympy", "numpy", "hypothesis"):
+            raise ImportError(f"{name} is not a runtime dependency")
+
+sys.meta_path.insert(0, RefuseTestExtra())
+sys.argv[0] = "dworkgm"
+runpy.run_module("dworkgm", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["report", "--weights", "2,4,6", "--json"], '"e": 2'),
+    # a quartic with no rational root reaches the Zassenhaus factoriser
+    (["weyl", "indicial", "--op", "D^4 + 3*D^2 + 2"],
+     "irreducible factors: ['s^2 + 1', 's^2 + 2']"),
+])
+def test_cli_runs_without_the_test_extra(argv, expected, capsys):
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_TEST_EXTRA, *argv],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout
+    assert (0, proc.stdout) == run_cli(capsys, *argv)[:2]

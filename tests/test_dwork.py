@@ -13,7 +13,7 @@ from dworkgm.dwork import (GBlock, c_set, consistency_checks,
                            g_block, gamma_n, invariant_hyp, k_table, m_table,
                            primitive_sweep, singular_fibers,
                            structure_multiplicities, validate_weights)
-from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp
+from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp, make_hyp
 
 F = Fraction
 
@@ -24,7 +24,8 @@ def test_validate_weights_examples():
     w = validate_weights((1, 1, 1, 1, 1))
     assert (w.d, w.e) == (5, 1)
     w = validate_weights((2, 2, 1, 1))
-    assert w.d == 6 and w.e_chain == (2, 2, 1, 1)
+    assert w.d == 6 and w.e == 1
+    assert validate_weights((2, 2)).e == 2 and validate_weights((2, 2, 1)).e == 1
     w = validate_weights((2, 4, 6))
     assert w.d == 12 and w.e == 2 and not w.primitive
 
@@ -128,8 +129,9 @@ def test_g_block_repeated_class():
 
 def test_g_block_sequences_leave_splitness_open():
     gb = g_block((1, 2, 3))
-    assert [s.split for s in gb.sequences] == ["unknown", "unknown"]
-    assert gb.sequences[1].right == "K(1/3) + K(1/2) + K(2/3)"
+    assert [list(s) for s in gb.sequences] == [["left", "middle", "right", "split"]] * 2
+    assert [s["split"] for s in gb.sequences] == ["unknown", "unknown"]
+    assert gb.sequences[1]["right"] == "K(1/3) + K(1/2) + K(2/3)"
 
 
 def test_g_block_pushforward_pair():
@@ -339,6 +341,29 @@ def test_indicial_checks_read_the_singular_support(monkeypatch):
     assert checks["singular_support_gamma"] is False
     assert checks["regular"] is False
     assert checks["indicial_zero"] and checks["indicial_infinity"]
+
+
+def _patched_g_block(monkeypatch, **changes):
+    """Make dwork.g_block (and so k_table) hand out blocks with the given
+    fields replaced; a non-primitive block is built on a patched base."""
+    real = dwork.g_block
+    monkeypatch.setattr(dwork, "g_block",
+                        lambda w: dataclasses.replace(real(w), **changes))
+
+
+@pytest.mark.parametrize("w", [(1, 2, 3), (2, 4, 6)])
+def test_chi_block_reads_the_printed_chi(w, monkeypatch):
+    _patched_g_block(monkeypatch, chi=-2)
+    assert full_report(w)["g_block"]["chi"] == -2
+    checks = consistency_checks(w)
+    assert checks["chi_block"] is False
+    assert [k for k, ok in checks.items() if not ok] == ["chi_block"]
+
+
+def test_chi_block_is_false_on_a_reducible_base(monkeypatch):
+    _patched_g_block(monkeypatch, hyp=make_hyp(1, [F(1, 2)], [F(3, 2)]))
+    checks = consistency_checks((1, 2, 3))
+    assert checks["chi_block"] is False and checks["irreducible"] is False
 
 
 def test_primitive_sweep_counts():

@@ -1,7 +1,7 @@
 """Property test of composition-factor lists against a Fraction reference.
 
 ``RefFactorList`` keeps its Kummer classes as a ``Counter`` of canonical
-``Fraction``s in (0, 1] and its hyps as a ``Counter``; with ``ref_kummer_sum``
+``Fraction``s in (0, 1]; with ``ref_kummer_sum``
 and ``ref_power_pushforward`` it is the implementation that the
 residues-over-N representation replaced.  Every public read of
 ``FactorList``, its sum, the Kummer pushforward, ``structure_multiplicities``
@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dworkgm.dwork import _kummer_sum, structure_multiplicities
-from dworkgm.hypergeom import FactorList, make_hyp, power_pushforward
+from dworkgm.hypergeom import FactorList, power_pushforward
 
 _ONE = Fraction(1)
 
@@ -36,34 +36,29 @@ def ref_preimage_classes(c, e):
 
 
 class RefFactorList:
-    def __init__(self, classes=(), hyps=()):
-        classes, hyps = Counter(classes), Counter(hyps)
-        if any(m < 0 for c in (classes, hyps) for m in c.values()):
+    def __init__(self, classes=()):
+        classes = Counter(classes)
+        if any(m < 0 for m in classes.values()):
             raise ValueError("multiplicities of composition factors must be >= 0")
         self.classes = counts = Counter()
         for x, mult in classes.items():
             if mult:
                 counts[ref_canonical_rep(x)] += mult
-        self.hyps = +hyps
 
     def __add__(self, other):
         out = RefFactorList()
         out.classes = self.classes + other.classes
-        out.hyps = self.hyps + other.hyps
         return out
 
     def __eq__(self, other):
-        return self.classes == other.classes and self.hyps == other.hyps
+        return self.classes == other.classes
 
     def rank(self):
-        return (sum(self.classes.values())
-                + sum(h.type[0] * mult for h, mult in self.hyps.items()))
+        return sum(self.classes.values())
 
     def __str__(self):
-        parts = [(str(h), mult) for h, mult in
-                 sorted(self.hyps.items(), key=lambda item: str(item[0]))]
-        parts += [("O" if c == 1 else f"K({c})", self.classes[c])
-                  for c in sorted(self.classes)]
+        parts = [("O" if c == 1 else f"K({c})", self.classes[c])
+                 for c in sorted(self.classes)]
         if not parts:
             return "0"
         return " + ".join(s if mult == 1 else f"{s}^{mult}" for s, mult in parts)
@@ -82,9 +77,6 @@ def ref_structure_multiplicities(table):
     return {i: fl.classes[1] for i, fl in table.items() if fl.classes[1]}
 
 
-HYPS = [make_hyp(2), make_hyp(Fraction(1, 27), [0, 0], [Fraction(1, 3), Fraction(2, 3)]),
-        make_hyp(-1, [Fraction(1, 2)], [Fraction(1, 5)])]
-
 # integers, negative representatives and denominators up to 60
 classes = st.one_of(
     st.integers(-3, 3),
@@ -92,18 +84,13 @@ classes = st.one_of(
 multiplicities = st.one_of(st.integers(0, 3), st.integers(0, 10**30))
 
 
-@st.composite
-def class_maps(draw):
-    """(class -> multiplicity, hyp -> multiplicity); zero multiplicities kept."""
-    kummer = draw(st.dictionaries(classes, multiplicities, max_size=8))
-    hyps = draw(st.dictionaries(st.sampled_from(HYPS), st.integers(0, 3), max_size=2))
-    return kummer, hyps
+# class -> multiplicity; zero multiplicities kept
+class_maps = st.dictionaries(classes, multiplicities, max_size=8)
 
 
 def assert_agrees(new, ref):
     assert new.classes == ref.classes
     assert all(type(c) is Fraction and 0 < c <= 1 for c in new.classes)
-    assert new.hyps == ref.hyps
     assert str(new) == str(ref)
     assert new.rank() == ref.rank()
 
@@ -120,35 +107,33 @@ def respelled(kummer, draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(class_maps(), class_maps(), st.data())
-def test_factor_list_matches_the_fraction_reference(a, b, data):
-    (ka, ha), (kb, hb) = a, b
-    new_a, ref_a = FactorList(ka, ha), RefFactorList(ka, ha)
-    new_b, ref_b = FactorList(kb, hb), RefFactorList(kb, hb)
+@given(class_maps, class_maps, st.data())
+def test_factor_list_matches_the_fraction_reference(ka, kb, data):
+    new_a, ref_a = FactorList(ka), RefFactorList(ka)
+    new_b, ref_b = FactorList(kb), RefFactorList(kb)
     assert_agrees(new_a, ref_a)
     assert_agrees(new_a + new_b, ref_a + ref_b)
     assert (new_a == new_b) == (ref_a == ref_b)
     if new_a == new_b:
         assert hash(new_a) == hash(new_b)
     # the same list written differently is equal and hashes equally
-    again = FactorList(respelled(ka, data.draw), list(Counter(ha).elements()))
+    again = FactorList(respelled(ka, data.draw))
     assert again == new_a and hash(again) == hash(new_a)
-    assert new_a + new_b == new_b + new_a == FactorList((ref_a + ref_b).classes,
-                                                        (ref_a + ref_b).hyps)
+    assert new_a + new_b == new_b + new_a == FactorList((ref_a + ref_b).classes)
     table = {-1: new_a, 0: new_a + new_b, 1: new_b}
     ref_table = {-1: ref_a, 0: ref_a + ref_b, 1: ref_b}
     assert structure_multiplicities(table) == ref_structure_multiplicities(ref_table)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(class_maps(), st.integers(1, 7), classes)
-def test_kummer_pushforward_matches_the_reference(a, e, c):
-    kummer = a[0]
+@given(class_maps, st.integers(1, 7), classes)
+def test_kummer_pushforward_matches_the_reference(kummer, e, c):
     new, ref = power_pushforward(FactorList(kummer), e), \
         ref_power_pushforward(RefFactorList(kummer), e)
     assert_agrees(new, ref)
     assert new == FactorList(ref.classes)
-    assert_agrees(power_pushforward(c, e), ref_power_pushforward(RefFactorList([c]), e))
+    assert_agrees(power_pushforward(FactorList([c]), e),
+                  ref_power_pushforward(RefFactorList([c]), e))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -35,7 +35,6 @@ def parse_kummer_sum(text: str) -> Counter:
 
 
 def assert_round_trips(fl: FactorList) -> None:
-    assert not fl.hyps
     counts = parse_kummer_sum(str(fl))
     assert counts == fl.classes
     assert FactorList(counts) == fl
