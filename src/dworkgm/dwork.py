@@ -361,14 +361,17 @@ def ft_pair(w: WeightsLike) -> FTPair:
 
     P = gamma * prod_{i,j} (D - d*j/w_i) - t^d and
     Q = d^d - gamma * prod_{i,j} (d*t + d*j/w_i), with d*t the composite
-    operator D + 1.
+    operator D + 1.  Each is built in one integer pass by
+    ``weyl._euler_difference`` with an empty second product: P at
+    (m, k) = (d, 0), Q as the negation of gamma * prod(d*t + ...) - d^d at
+    (m, k) = (0, d).
     """
     w = validate_weights(w)
     g, d = gamma_n(w), w.d
     nums, n = _weight_exponents(w, d).numerators
     # the composite d*t is D + 1, so prod(d*t + c) = prod(D - (-1 - c))
-    p = weyl.euler_product(nums, n) * g - WeylOp.t(d)
-    q = WeylOp.d(d) - weyl.euler_product([-n - x for x in nums], n) * g
+    p = weyl._euler_difference(g, (nums, n), ((), 1), d, 0)
+    q = -weyl._euler_difference(g, ([-n - x for x in nums], n), ((), 1), 0, d)
     return FTPair(p=p, q=q, sign=ft_sign(d))
 
 
@@ -422,7 +425,8 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     # chi of G by its composition factors: each Kummer factor contributes 0
     # and the one irreducible hypergeometric factor -1
-    chi_block = is_irreducible(gb.base_hyp) and gb.chi == -1
+    irreducible = is_irreducible(gb.base_hyp)
+    chi_block = irreducible and gb.chi == -1
     if w.primitive:
         h = gb.hyp
         checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs
@@ -437,8 +441,9 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     else:
         kclasses = gb.kummer_block.classes
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
+        # the exponents of a pushforward exist for an irreducible base only
         for place, exps in (("zero", gb.exps_zero), ("infinity", gb.exps_infinity)):
-            checks[f"exps_{place}_identity"] = (
+            checks[f"exps_{place}_identity"] = irreducible and (
                 exps.classes() == gb.hyp.exponents(place).classes() + kclasses)
         checks["pushforward_exponents"] = (
             gb.exps_zero == gb.base.exps_zero.pushforward(e)

@@ -211,10 +211,10 @@ def make_hyp(gamma: Scalar,
 
 
 def hyp_operator(h: HypModule) -> WeylOp:
-    """The operator gamma*prod(D - a_i) - t*prod(D - b_j), in normal form."""
-    left = weyl.euler_product(*h.alpha.numerators)
-    right = weyl.euler_product(*h.beta.numerators)
-    return left * h.gamma - WeylOp.t() * right
+    """The operator gamma*prod(D - a_i) - t*prod(D - b_j), in normal form,
+    built in one integer pass from the numerators of alpha and beta by
+    ``weyl._euler_difference`` at (m, k) = (1, 0)."""
+    return weyl._euler_difference(h.gamma, h.alpha.numerators, h.beta.numerators, 1, 0)
 
 
 def is_irreducible(h: HypModule) -> bool:

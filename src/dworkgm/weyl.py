@@ -29,10 +29,14 @@ integers over one denominator in one place, ``_clear_denominators``, and the
 indicial layer (``IndicialPolynomial``, its evaluation and root check, the
 root oracle) stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
-float raises ``TypeError`` (0.1 is not 1/10).  Two private helpers hold the
-algebra they share: ``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__``
-and ``fourier``, and ``_times_euler`` multiplies by a*D + b on the right, for
-``euler_product`` and ``mobius_infinity``.
+float raises ``TypeError`` (0.1 is not 1/10).  Private helpers hold the
+algebra the callers share: ``_leibniz`` moves d^a past t^b, for
+``WeylOp.__mul__`` and ``fourier``; ``_times_euler`` multiplies by a*D + b on
+the right, for ``mobius_infinity`` and ``_euler_rows``, the one Euler-product
+recurrence, which ``euler_product`` and the builder ``_euler_difference``
+read.  The builder makes c*prod(D - a_i) - t^m * prod(D - b_j) * d^k in one
+integer pass with one normalisation, for its three callers:
+``hypergeom.hyp_operator`` and the operators P and Q of ``dwork.ft_pair``.
 
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
@@ -382,23 +386,52 @@ def euler_op() -> WeylOp:
     return _make(1, [{}, {1: 1}])
 
 
-def euler_product(constants: Iterable[Scalar], den: int = 1) -> WeylOp:
-    """Normal form of prod (D - c/den) over the rational constants c, den
-    being a plain scale, so integer numerators go in as they are.
+def _euler_rows(nums: Iterable[int], den: int) -> tuple[list[int], int]:
+    """prod (D - n/den) over the integers n as (r, scale), the product being
+    sum r_j/scale * t^j d^j.
 
-    With n/L the constants over one denominator, each factor enters as the
-    primitive (L/g)*D - n/g, g = gcd(L, n), over L/g; by Gauss's lemma the
-    product is primitive, so its scale is already minimal.  It is built by
-    the Horner recurrence of ``_times_euler`` in the basis t^j d^j, one
-    factor at a time, so every product is a big integer times a small one.
+    Each factor enters as the primitive (den/g)*D - n/g, g = gcd(den, n),
+    over den/g; by Gauss's lemma the product is primitive, so its scale is
+    already minimal.  It is built by the Horner recurrence of
+    ``_times_euler`` in the basis t^j d^j, one factor at a time, so every
+    product is a big integer times a small one.
     """
-    nums, den = _clear_denominators(constants, den)
     r, scale = [1], 1
     for n in nums:
         g = math.gcd(den, n)
         r = _times_euler(r, den // g, -n // g)
         scale *= den // g
+    return r, scale
+
+
+def euler_product(constants: Iterable[Scalar], den: int = 1) -> WeylOp:
+    """Normal form of prod (D - c/den) over the rational constants c, den
+    being a plain scale, so integer numerators go in as they are; the rows
+    come from ``_euler_rows``."""
+    r, scale = _euler_rows(*_clear_denominators(constants, den))
     return _from_numerators({j: {j: n} for j, n in enumerate(r)}, scale)
+
+
+def _euler_difference(c: Fraction, a: tuple[Iterable[int], int],
+                      b: tuple[Iterable[int], int], m: int, k: int) -> WeylOp:
+    """c*prod(D - a_i) - t^m * prod(D - b_j) * d^k, each product given as
+    (integer numerators, denominator), in one pass: the rows of both come
+    from ``_euler_rows``, the second shifted by (m, k), over one common
+    scale, and are normalised once."""
+    ra, sa = _euler_rows(*a)
+    rb, sb = _euler_rows(*b)
+    # gcd first, as a scalar product does: cancel g = gcd(sa, c's numerator)
+    # before multiplying, so the gcd chain of _from_numerators does not walk
+    # and divide every big numerator
+    g = math.gcd(sa, c.numerator)
+    sa = sa // g * c.denominator
+    scale = math.lcm(sa, sb)
+    fa, fb = c.numerator // g * (scale // sa), scale // sb
+    acc = {j: {j: n * fa} for j, n in enumerate(ra)}
+    for j, n in enumerate(rb):
+        row = acc.setdefault(j + k, {})
+        row[j + m] = row.get(j + m, 0) - n * fb
+    return _from_numerators(acc, scale)
 
 
 def euler_factorization(d: int) -> WeylOp:

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import package_env
+from conftest import package_env, random_hyp_data
 from dworkgm import dwork, weyl
 from dworkgm.dwork import (GBlock, c_set, consistency_checks,
                            ft_identity_holds, ft_pair, ft_sign, full_report,
                            g_block, gamma_n, invariant_hyp, k_table, m_table,
                            primitive_sweep, singular_fibers,
                            structure_multiplicities, validate_weights)
-from dworkgm.hypergeom import ExpMultiset, FactorList, PushforwardHyp, make_hyp
+from dworkgm.hypergeom import (ExpMultiset, FactorList, PushforwardHyp,
+                               hyp_operator, make_hyp)
 
 F = Fraction
 
@@ -364,6 +365,61 @@ def test_chi_block_is_false_on_a_reducible_base(monkeypatch):
     _patched_g_block(monkeypatch, hyp=make_hyp(1, [F(1, 2)], [F(3, 2)]))
     checks = consistency_checks((1, 2, 3))
     assert checks["chi_block"] is False and checks["irreducible"] is False
+
+
+def test_checks_report_false_on_a_reducible_pushforward_base(monkeypatch):
+    # the exponents of a pushforward exist for an irreducible base only, so
+    # the identities that read them are False instead of raising
+    real = dwork.g_block
+    reducible = make_hyp(1, [F(1, 2)], [F(3, 2)])
+
+    def patched(w):
+        block = real(w)
+        if validate_weights(w).w == (1, 2, 3):
+            block = dataclasses.replace(block, hyp=reducible)
+        return block
+
+    monkeypatch.setattr(dwork, "g_block", patched)
+    checks = consistency_checks((2, 4, 6))
+    assert checks["exps_zero_identity"] is False
+    assert checks["exps_infinity_identity"] is False
+    assert checks["chi_block"] is False
+
+
+# -- the one-pass operator builder against the multiply-and-subtract chain ----
+
+def _chain_hyp_operator(h):
+    return (weyl.euler_product(h.alpha.reps) * h.gamma
+            - weyl.WeylOp.t() * weyl.euler_product(h.beta.reps))
+
+
+def _chain_ft_pair(w):
+    w = validate_weights(w)
+    g, d = gamma_n(w), w.d
+    nums, n = dwork._weight_exponents(w, d).numerators
+    return (weyl.euler_product(nums, n) * g - weyl.WeylOp.t(d),
+            weyl.WeylOp.d(d) - weyl.euler_product([-n - x for x in nums], n) * g)
+
+
+_SWEEP_3_4 = [w.w for w in primitive_sweep(3, 4)]
+
+
+def test_hyp_operator_matches_the_chain():
+    data = ([invariant_hyp(w) for w in _SWEEP_3_4] + random_hyp_data(40, seed=1811)
+            + [make_hyp(F(-3, 7)),  # type (0, 0)
+               # gamma's numerator 4 shares the factor 4 with the Euler scale 2*2
+               make_hyp(4, [F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)])])
+    for h in data:
+        op, ref = hyp_operator(h), _chain_hyp_operator(h)
+        assert op == ref and hash(op) == hash(ref) and str(op) == str(ref), h
+
+
+def test_ft_pair_matches_the_chain():
+    for w in _SWEEP_3_4 + [(2, 4, 6), (96, 23), (140, 3)]:
+        ft = ft_pair(w)
+        p, q = _chain_ft_pair(w)
+        assert ft.p == p and hash(ft.p) == hash(p), w
+        assert ft.q == q and hash(ft.q) == hash(q), w
 
 
 def test_primitive_sweep_counts():

@@ -5,6 +5,12 @@ reproduce the recorded stdout bytes and exit code.
 Regenerate the recordings (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The stdout of ``dworkgm check --sweep 4,5`` is pinned by its sha256 alone,
+in ``golden/check_sweep_4_5.sha256``, which CI checks; re-record it with
+
+    PYTHONPATH=src python -m dworkgm check --sweep 4,5 > check_sweep_4_5.txt
+    sha256sum check_sweep_4_5.txt > tests/golden/check_sweep_4_5.sha256
 """
 
 import contextlib
