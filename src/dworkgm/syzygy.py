@@ -7,9 +7,10 @@ For weights w = (w_0, ..., w_n) the polynomial is
 homogeneous of degree d = sum(w_i).  The syzygies of (f, f'_1, ..., f'_n)
 are generated by the Euler relation (-d, x_1, ..., x_n) and, for i < j, the
 Koszul-like vectors with f-slot zero, i-slot x_i*l_j and j-slot -x_j*l_i,
-where l_i = w_i*sigma + w_0*x_i; the module computes one exact quotient
-q_j = x_j*sigma*f'_j / f per index, asserts that it equals l_j, and builds
-the Koszul slots x_i*q_j and -x_j*q_i from it.
+where l_i = w_i*sigma + w_0*x_i.  The module checks, once per index, the
+product identity x_j*sigma*f'_j = l_j*f, which over the domain Q[x] says
+exactly that the quotient x_j*sigma*f'_j / f is l_j, and builds the Koszul
+slots x_i*l_j and -x_j*l_i by shifting the keys of l.
 
 ``generation_oracle`` checks generation degree by degree up to a bound by
 exact linear algebra: the dimension of the space of homogeneous syzygies
@@ -24,10 +25,10 @@ exactly, and any mismatch falls back to the same elimination over Q.
 packs n + 1 fields of 16 bits, most significant first:
 [e_1 + ... + e_n | e_1 | ... | e_n].  A product of monomials is the sum of
 their keys, integer order is grlex order, and the dimension table builds its
-matrix rows by adding a shift key.  The top bit of each field is a guard bit
-for exact division, so every monomial degree must stay below
-``DEGREE_LIMIT`` = 2^15; the constructor and products raise ValueError
-beyond it.
+matrix rows by adding a shift key.  The top bit of each field stays clear,
+so the sum of two in-range keys never carries from one field into the next:
+every monomial degree must stay below ``DEGREE_LIMIT`` = 2^15, and the
+constructor and products raise ValueError beyond it.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .weyl import Scalar, _refuse_float, format_terms
+from .weyl import Scalar, _exact, _refuse_float, format_terms
 
 
 class InvariantError(RuntimeError):
     """An internal invariant failed: a bug in this program, not bad input."""
-
-
-class ExactDivisionError(ArithmeticError):
-    """The requested polynomial division is not exact."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +51,7 @@ class ExactDivisionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 # Packed monomial keys (see the module docstring): fields of _BITS bits whose
-# top bit, the guard bit of exact_divide, stays clear.
+# top bit stays clear, so adding two keys never carries between fields.
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 DEGREE_LIMIT = 1 << (_BITS - 1)
@@ -107,10 +104,12 @@ def _make(nvars: int, c: dict) -> "MultiPoly":
 class MultiPoly:
     """Polynomial in x_1..x_n with exact rational coefficients.
 
-    Stored as a sparse map from packed monomial keys to coefficients; zero
-    coefficients are never kept.  A key holds the total degree and then the
-    exponents of x_1..x_n in fixed 16-bit fields, most significant first, so
-    key order is grlex order and a product of monomials is a sum of keys.
+    Stored as a sparse map from packed monomial keys to int or Fraction
+    coefficients; zero coefficients are never kept, and the constructor
+    converts any other number exactly (a float, a string or a complex raises
+    TypeError).  A key holds the total degree and then the exponents of
+    x_1..x_n in fixed 16-bit fields, most significant first, so key order is
+    grlex order and a product of monomials is a sum of keys.
     Every monomial degree, given or produced by a product, must stay below
     DEGREE_LIMIT (2^15); a larger one raises ValueError.  The constructor and
     ``items()`` speak exponent tuples.
@@ -123,7 +122,8 @@ class MultiPoly:
         c = {}
         if coeffs:
             for exps, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
-                _refuse_float(v)
+                if type(v) is not int:
+                    v = _exact(v)  # a Decimal exactly, not in its context
                 if v:
                     if len(exps) != nvars:
                         raise ValueError("exponent vector of wrong length")
@@ -237,41 +237,6 @@ class MultiPoly:
                 c[k - unit] = v * e
         return _make(self.nvars, c)
 
-    def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact quotient self / divisor; raises ExactDivisionError otherwise."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return MultiPoly.zero(self.nvars)
-        # the top bit of each field: it survives (lt | guards) - dlead in
-        # every field exactly when lt >= dlead fieldwise
-        guards = sum(1 << (_BITS * i + _BITS - 1) for i in range(self.nvars + 1))
-        dlead = max(divisor._c)
-        dcoeff = divisor._c[dlead]
-        dterms = divisor._c.items()
-        rem = dict(self._c)
-        quo: dict = {}
-        while rem:
-            lt = max(rem)
-            diff = (lt | guards) - dlead
-            if diff & guards != guards:
-                raise ExactDivisionError("division is not exact")
-            diff ^= guards
-            rc = rem[lt]
-            if isinstance(rc, int) and isinstance(dcoeff, int) and rc % dcoeff == 0:
-                c = rc // dcoeff
-            else:
-                c = Fraction(rc) / Fraction(dcoeff)
-            quo[diff] = c
-            for k, v in dterms:
-                key = diff + k
-                s = rem.get(key, 0) - c * v
-                if s:
-                    rem[key] = s
-                else:
-                    rem.pop(key, None)
-        return _make(self.nvars, quo)
-
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -306,8 +271,11 @@ def l_poly(w, i: int) -> MultiPoly:
     """l_i = w_i * sigma + w_0 * x_i (1-based slot i)."""
     weights = _weights(w)
     n = len(weights) - 1
-    return (MultiPoly.sigma(n) * weights[i]
-            + MultiPoly.variable(i - 1, n) * weights[0])
+    if not 1 <= i <= n:
+        raise IndexError("variable index out of range")
+    c = {_unit(k, n): weights[i] for k in range(n)}
+    c[_unit(i - 1, n)] += weights[0]
+    return _make(n, c)
 
 
 @dataclass(frozen=True)
@@ -339,33 +307,40 @@ def jacobian_generators(w) -> list[MultiPoly]:
 def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVector]:
     """The Euler vector and the Koszul-like vectors for all pairs i < j.
 
-    The quotient q_j = x_j*sigma*f'_j / f is computed by exact division once
-    per index, and the pair i < j has slots x_i*q_j and -x_j*q_i; q_j other
-    than l_j would indicate an implementation bug and is surfaced loudly.
+    For each index j the identity x_j*sigma*f'_j - l_j*f = 0 is expanded into
+    one term map; since f is not zero it holds exactly when the quotient
+    x_j*sigma*f'_j / f is l_j.  A nonzero term would indicate an
+    implementation bug and is surfaced loudly.  The pair i < j has slots
+    x_i*l_j and -x_j*l_i, the keys of l shifted by the key of one variable.
     """
     weights = _weights(w)
     n = len(weights) - 1
     gens = _gens if _gens is not None else jacobian_generators(weights)
     f, partials = gens[0], gens[1:]
     d = sum(weights)
-    xs = [MultiPoly.variable(i, n) for i in range(n)]
-    sigma = MultiPoly.sigma(n)
+    units = [_unit(i, n) for i in range(n)]
 
     euler = SyzygyVector(
-        components=(MultiPoly.constant(n, -d), *xs),
+        components=(MultiPoly.constant(n, -d), *(_make(n, {u: 1}) for u in units)),
         kind="euler",
     )
     out = [euler]
-    qs = [(xs[j] * sigma * partials[j]).exact_divide(f) for j in range(n)]
-    for j, q in enumerate(qs):
-        if q != l_poly(weights, j + 1):
+    minus_f = {k: -v for k, v in f._c.items()}
+    ls = []
+    for j in range(n):
+        lj = l_poly(weights, j + 1)._c
+        acc: dict = {}
+        _add_product(acc, {units[j] + u: 1 for u in units}, partials[j]._c, n)
+        _add_product(acc, lj, minus_f, n)
+        if any(acc.values()):
             raise InvariantError(
                 f"Koszul quotient x_{j + 1}*sigma*f'_{j + 1} / f does not match "
                 f"the simplified form l_{j + 1}")
+        ls.append(lj)
     for i, j in combinations(range(n), 2):
         components = [MultiPoly.zero(n)] * (n + 1)
-        components[i + 1] = xs[i] * qs[j]
-        components[j + 1] = -(xs[j] * qs[i])
+        components[i + 1] = _make(n, {k + units[i]: v for k, v in ls[j].items()})
+        components[j + 1] = _make(n, {k + units[j]: -v for k, v in ls[i].items()})
         out.append(SyzygyVector(components=tuple(components),
                                 kind=f"koszul({i + 1},{j + 1})"))
     return out
@@ -488,7 +463,9 @@ def syzygy_dimension_table(w, degree_bound: int,
     A degree-m syzygy is a vector (a_0, ..., a_n) with deg a_0 = m - d and
     deg a_i = m - d + 1 such that a_0*f + sum a_i*f'_i = 0.  Both dimensions
     are exact: modular ranks certify equality when the two one-sided bounds
-    meet, otherwise exact rational elimination decides.  ``_parts`` is as in
+    meet, otherwise exact rational elimination decides.  Below degree d - 1
+    every slot degree is negative, so the domain is empty and both
+    dimensions are zero with no elimination.  ``_parts`` is as in
     ``verify_syzygies``.
     """
     weights = _weights(w)
@@ -506,7 +483,8 @@ def syzygy_dimension_table(w, degree_bound: int,
     eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
     span_pieces = [(d if v.kind == "euler" else d + 1,
                     [_int_terms(c) for c in v.components]) for v in vectors]
-    keys = {k: _monomial_keys(n, k) for k in range(degree_bound + 1)}
+    # the shift degrees m - degree of the pieces, for d - 1 <= m <= bound
+    keys = {k: _monomial_keys(n, k) for k in range(degree_bound - d + 2)}
 
     def rows(m: int, pieces, columns) -> Iterator[dict[int, int]]:
         for degree, parts in pieces:
@@ -514,9 +492,9 @@ def syzygy_dimension_table(w, degree_bound: int,
                 yield {cols[k + shift]: v
                        for cols, terms in zip(columns, parts) for k, v in terms}
 
-    results = []
-    for m in range(degree_bound + 1):
-        target = {key: col for col, key in enumerate(keys[m])}
+    results = [DegreeDims(m, 0, 0) for m in range(d - 1)]
+    for m in range(d - 1, degree_bound + 1):
+        target = {key: col for col, key in enumerate(_monomial_keys(n, m))}
         slot_columns = []
         dom_dim = 0
         for deg in slot_degrees:

@@ -34,6 +34,8 @@ PINNED_EXIT_CODES = GOLDEN / "pinned_exit_codes.txt"
 PINNED = [
     ["report", "--weights", "2,4,6", "--json"],
     ["check", "--weights", "2,4,6"],
+    # every degree of the syzygy table, the zero rows below d - 1 included
+    ["syzygy", "--weights", "60,2,1,1", "--bound", "66", "--json"],
 ]
 
 

@@ -2,14 +2,17 @@ import math
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from conftest import package_env
-from dworkgm.syzygy import (DEGREE_LIMIT, ExactDivisionError, InvariantError,
-                            MultiPoly, SyzygyVector, family_poly,
-                            generation_oracle, jacobian_generators, l_poly,
+from dworkgm import syzygy
+from dworkgm.syzygy import (DEGREE_LIMIT, InvariantError, MultiPoly,
+                            SyzygyVector, family_poly, generation_oracle,
+                            jacobian_generators, l_poly,
                             syzygy_dimension_table, syzygy_generators,
                             verify_syzygies)
 from dworkgm.weyl import format_terms
@@ -35,19 +38,6 @@ def test_partial_index_out_of_range():
 
 def test_product_of_conjugates():
     assert (x1 + x2) * (x1 - x2) == x1 ** 2 - x2 ** 2
-
-
-def test_exact_divide():
-    assert (x1 ** 2 * x2).exact_divide(x1) == x1 * x2
-    quotient = ((x1 + x2) ** 3).exact_divide((x1 + x2) ** 2)
-    assert quotient == x1 + x2
-
-
-def test_inexact_division_is_distinguished():
-    with pytest.raises(ExactDivisionError):
-        (x1 ** 2 + x2).exact_divide(x1)
-    with pytest.raises(ZeroDivisionError):
-        x1.exact_divide(MultiPoly.zero(2))
 
 
 def test_poly_str_grammar_fragment():
@@ -116,7 +106,8 @@ def _ref_grlex(a):
 
 
 def _ref_divide(a, b):
-    """The quotient a / b by grlex long division, None when not exact."""
+    """The quotient a / b by grlex long division, None when not exact; an
+    integral coefficient of the quotient is an int."""
     lead = _ref_grlex(b)[-1]
     rem, quo = dict(a), {}
     while rem:
@@ -124,7 +115,8 @@ def _ref_divide(a, b):
         diff = tuple(x - y for x, y in zip(lt, lead))
         if min(diff) < 0:
             return None
-        quo[diff] = F(rem[lt]) / F(b[lead])
+        c = F(rem[lt]) / F(b[lead])
+        quo[diff] = c.numerator if c.denominator == 1 else c
         rem = _ref_add(rem, _ref_mul({diff: -quo[diff]}, b))
     return quo
 
@@ -140,7 +132,6 @@ def _rand_terms(rng, nvars):
 
 def test_packed_keys_match_tuple_reference():
     rng = random.Random(2024)
-    inexact = 0
     for _ in range(300):
         nvars = rng.randint(1, 4)
         a, b = _rand_terms(rng, nvars), _rand_terms(rng, nvars)
@@ -155,18 +146,6 @@ def test_packed_keys_match_tuple_reference():
         assert dict((pa * pb).items()) == _ref_mul(a, b)
         for i in range(nvars):
             assert dict(pa.partial(i).items()) == _ref_partial(a, i)
-        if not b:
-            continue
-        product = _ref_mul(a, b)
-        assert dict(MultiPoly(nvars, product).exact_divide(pb).items()) == a
-        quotient = _ref_divide(a, b)
-        if quotient is None:
-            inexact += 1
-            with pytest.raises(ExactDivisionError):
-                pa.exact_divide(pb)
-        else:
-            assert dict(pa.exact_divide(pb).items()) == quotient
-    assert inexact > 100
 
 
 # -- the family polynomial ------------------------------------------------------
@@ -232,6 +211,56 @@ def test_a_wrong_partial_fails_the_koszul_quotient_check():
         gens[j] = gens[j] * 2
         with pytest.raises(InvariantError, match="Koszul quotient"):
             syzygy_generators(w, _gens=gens)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda lj, x: lj * 2,
+    lambda lj, x: -lj,
+    lambda lj, x: lj + x,
+], ids=["doubled", "negated", "extra_x1"])
+def test_a_wrong_l_at_one_index_fails_the_koszul_quotient_check(monkeypatch, wrong):
+    w = (2, 3, 1, 2)
+    real_l_poly = syzygy.l_poly
+    x = MultiPoly.variable(0, 3)
+    for bad in range(1, 4):
+        monkeypatch.setattr(syzygy, "l_poly", lambda w, i: (
+            wrong(real_l_poly(w, i), x) if i == bad else real_l_poly(w, i)))
+        with pytest.raises(InvariantError, match=rf"Koszul quotient x_{bad}\*"):
+            syzygy_generators(w)
+
+
+def _all_tuples(n_max, w_max):
+    """Every weight tuple (w_0, ..., w_n) with 1 <= n <= n_max, 1 <= w_i <= w_max."""
+    return [w for n in range(1, n_max + 1)
+            for w in product(range(1, w_max + 1), repeat=n + 1)]
+
+
+def _ref_generators(w):
+    """The generators built from the quotients q_j = x_j*sigma*f'_j / f, each
+    found by long division, with Koszul slots x_i*q_j and -x_j*q_i."""
+    n = len(w) - 1
+    gens = jacobian_generators(w)
+    f = dict(gens[0].items())
+    xs = [MultiPoly.variable(i, n) for i in range(n)]
+    sigma = MultiPoly.sigma(n)
+    qs = [MultiPoly(n, _ref_divide(dict((xs[j] * sigma * gens[j + 1]).items()), f))
+          for j in range(n)]
+    out = [SyzygyVector((MultiPoly.constant(n, -sum(w)), *xs), "euler")]
+    for i, j in combinations(range(n), 2):
+        components = [MultiPoly.zero(n)] * (n + 1)
+        components[i + 1] = xs[i] * qs[j]
+        components[j + 1] = -(xs[j] * qs[i])
+        out.append(SyzygyVector(tuple(components), f"koszul({i + 1},{j + 1})"))
+    return out
+
+
+def test_generators_match_the_division_built_reference():
+    for w in _all_tuples(3, 3) + [(60, 2, 1, 1)]:
+        got, expected = syzygy_generators(w), _ref_generators(w)
+        assert [v.kind for v in got] == [v.kind for v in expected]
+        for v, ref in zip(got, expected, strict=True):
+            assert v.components == ref.components
+            assert list(map(str, v.components)) == list(map(str, ref.components))
 
 
 def test_koszul_slot_without_sigma_is_not_a_syzygy():
@@ -337,6 +366,65 @@ def test_dimension_tables_pinned():
             assert (row.syzygy_dim, row.generated_dim) == (expected, expected)
 
 
+def _ref_dimension_table(w, bound):
+    """The table with both eliminations run in every degree 0..bound and the
+    monomial keys of every degree built up front."""
+    from dworkgm.syzygy import (DegreeDims, _int_terms, _monomial_keys,
+                                _rank_exact, _rank_mod, _syzygy_parts)
+    d, n = sum(w), len(w) - 1
+    gens, vectors = _syzygy_parts(w)
+    slot_degrees = [d] + [d - 1] * n
+    eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
+    span_pieces = [(d if v.kind == "euler" else d + 1,
+                    [_int_terms(c) for c in v.components]) for v in vectors]
+    keys = {k: _monomial_keys(n, k) for k in range(bound + 1)}
+
+    def rows(m, pieces, columns):
+        for degree, parts in pieces:
+            for shift in keys.get(m - degree, ()):
+                yield {cols[k + shift]: v
+                       for cols, terms in zip(columns, parts) for k, v in terms}
+
+    results = []
+    for m in range(bound + 1):
+        target = {key: col for col, key in enumerate(keys[m])}
+        slot_columns = []
+        dom_dim = 0
+        for deg in slot_degrees:
+            slot_basis = keys.get(m - deg, ())
+            slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
+            dom_dim += len(slot_basis)
+        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target]), len(target))
+        span_mod = _rank_mod(rows(m, span_pieces, slot_columns), dom_dim)
+        if syz_mod == span_mod:
+            results.append(DegreeDims(m, syz_mod, span_mod))
+        else:
+            syz = dom_dim - _rank_exact(rows(m, eval_pieces, [target]), len(target))
+            span = _rank_exact(rows(m, span_pieces, slot_columns), dom_dim)
+            results.append(DegreeDims(m, syz, span))
+    return results
+
+
+def test_dimension_table_matches_the_all_degrees_reference(monkeypatch):
+    cases = [(w, sum(w) + 4) for w in _all_tuples(3, 3)]
+    cases += [(w, sum(w) + extra) for w in ((2, 3), (5, 1), (70, 1, 1))
+              for extra in (0, 1)]
+    expected = {case: _ref_dimension_table(*case) for case in cases}
+    rank_mod = syzygy._rank_mod
+    calls = []
+
+    def counting_rank_mod(rows, ncols):
+        calls.append(ncols)
+        return rank_mod(rows, ncols)
+
+    monkeypatch.setattr(syzygy, "_rank_mod", counting_rank_mod)
+    for (w, bound), table in expected.items():
+        calls.clear()
+        assert syzygy_dimension_table(w, bound) == table
+        # two eliminations in each degree d - 1..bound, none below
+        assert len(calls) == 2 * (bound - sum(w) + 2)
+
+
 def _sparse(dense):
     return [{c: x for c, x in enumerate(row) if x} for row in dense]
 
@@ -431,6 +519,19 @@ def test_multipoly_refuses_floats():
     with pytest.raises(TypeError, match="exact"):
         0.5 * x1
     assert x1 * F(1, 2) == MultiPoly(2, {(1, 0): F(1, 2)})
+
+
+def test_multipoly_takes_a_decimal_exactly():
+    c = Decimal("1.00000000000001")
+    cube = MultiPoly(1, {(1,): c}) ** 3
+    assert cube == MultiPoly(1, {(3,): F(100000000000001, 10 ** 14) ** 3})
+    assert str(cube) == f"{F(100000000000001, 10 ** 14) ** 3}*x1^3"
+
+
+def test_multipoly_refuses_a_complex_coefficient():
+    for c in (1j, complex(2, 0)):
+        with pytest.raises(TypeError):
+            MultiPoly(1, {(1,): c})
 
 
 def test_multipoly_plus_a_scalar_is_a_type_error():
