@@ -16,9 +16,13 @@ slots x_i*l_j and -x_j*l_i by shifting the keys of l.
 exact linear algebra: the dimension of the space of homogeneous syzygies
 (kernel of the evaluation map on coefficient vectors) must equal the
 dimension of the span of the generators under polynomial multiplication.
-Its sparse rows {column: int} are yielded one at a time and eliminated mod
-a large prime first; since the generator span is contained in the syzygy
-space over Q, matching modular bounds certify the rational equality
+Its sparse rows {column: int} are yielded one at a time, in order of
+leading (smallest) column, which is read off each piece's smallest keys
+before any row is built: ascending for the evaluation matrix, descending for
+the span matrix, the faster order of each.  They are eliminated mod a large
+prime first, each pivot kept with the inverse of its leading entry instead
+of being divided through; since the generator span is contained in the
+syzygy space over Q, matching modular bounds certify the rational equality
 exactly, and any mismatch falls back to the same elimination over Q.
 
 ``MultiPoly`` keys each monomial x_1^{e_1} ... x_n^{e_n} by one int that
@@ -122,12 +126,13 @@ class MultiPoly:
         c = {}
         if coeffs:
             for exps, v in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
+                # every exponent vector is checked, a zero coefficient's too
+                if len(exps) != nvars:
+                    raise ValueError("exponent vector of wrong length")
+                key = _pack(exps)
                 if type(v) is not int:
                     v = _exact(v)  # a Decimal exactly, not in its context
                 if v:
-                    if len(exps) != nvars:
-                        raise ValueError("exponent vector of wrong length")
-                    key = _pack(exps)
                     c[key] = c.get(key, 0) + v
         self._c = {k: v for k, v in c.items() if v}
 
@@ -261,10 +266,31 @@ def _weights(w) -> tuple[int, ...]:
 
 
 def family_poly(w) -> MultiPoly:
-    """x_1^{w_1} ... x_n^{w_n} * (x_1+...+x_n)^{w_0}, expanded."""
+    """x_1^{w_1} ... x_n^{w_n} * (x_1+...+x_n)^{w_0}, expanded.
+
+    A degree d = sum(w) not below DEGREE_LIMIT raises ValueError before any
+    term is built.  The terms of sigma^{w_0} are written directly: the keys
+    of degree w_0 are walked field by field, as in ``_monomial_keys``, with
+    the multinomial coefficient w_0! / (e_1! ... e_n!) carried as the product
+    of the binomials C(w_0 - e_1 - ... - e_{i-1}, e_i), and each key is
+    shifted by the key of x_1^{w_1} ... x_n^{w_n}.
+    """
     weights = _weights(w)
-    n = len(weights) - 1
-    return MultiPoly(n, {tuple(weights[1:]): 1}) * MultiPoly.sigma(n) ** weights[0]
+    n, w0 = len(weights) - 1, weights[0]
+    d = sum(weights)
+    if d >= DEGREE_LIMIT:
+        raise ValueError(f"monomial degree {d} is not below {DEGREE_LIMIT}")
+    level = [(w0, w0, 1)]  # (key prefix, exponent left, coefficient so far)
+    for _ in range(n - 1):
+        next_level = []
+        for prefix, left, coeff in level:
+            for e in range(left + 1):
+                next_level.append(((prefix << _BITS) | e, left - e, coeff))
+                coeff = coeff * (left - e) // (e + 1)
+        level = next_level
+    shift = _pack(weights[1:])
+    return _make(n, {((prefix << _BITS) | left) + shift: coeff
+                     for prefix, left, coeff in level})
 
 
 def l_poly(w, i: int) -> MultiPoly:
@@ -384,21 +410,25 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
               p: int = 1_000_003) -> int:
     """Rank mod p of the sparse rows {column: int}; reads the iterable once.
 
-    Each row is reduced by the pivot rows so far, keyed by leading column and
-    stored divided by their leading entry, without it; columns are < ncols.
+    Each row is reduced by the pivot rows so far, keyed by leading column.
+    A pivot is stored as (inverse of its leading entry, rest of the row), so
+    no pivot row is divided through: a reduction multiplies the row's
+    leading entry by that inverse once to get its factor.  The rank does not
+    depend on the order of the rows; columns are < ncols.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for row in rows:
         r = {c: x % p for c, x in row.items() if x % p}
         while r:
             lead = min(r)
-            factor = r.pop(lead)
+            a = r.pop(lead)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(factor, -1, p)
-                pivots[lead] = {c: x * inv % p for c, x in r.items()}
+                pivots[lead] = (pow(a, -1, p), r)
                 break
-            for c, y in pivot.items():
+            inv, rest = pivot
+            factor = a * inv % p
+            for c, y in rest.items():
                 x = (r.get(c, 0) - factor * y) % p
                 if x:
                     r[c] = x
@@ -411,18 +441,19 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
 
 def _rank_exact(rows: Iterable[dict[int, int]], ncols: int) -> int:
     """Rank over Q of ``_rank_mod``'s rows, by its elimination over Fraction."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
     for row in rows:
         r = {c: Fraction(x) for c, x in row.items() if x}
         while r:
             lead = min(r)
-            factor = r.pop(lead)
+            a = r.pop(lead)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = 1 / factor
-                pivots[lead] = {c: x * inv for c, x in r.items()}
+                pivots[lead] = (1 / a, r)
                 break
-            for c, y in pivot.items():
+            inv, rest = pivot
+            factor = a * inv
+            for c, y in rest.items():
                 x = r.get(c, 0) - factor * y
                 if x:
                     r[c] = x
@@ -477,20 +508,33 @@ def syzygy_dimension_table(w, degree_bound: int,
     if not verify_syzygies(weights, _parts=(gens, vectors)):
         raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
-    # a row is a piece (degree, parts) times a monomial x^s of degree
-    # m - degree, each part placed by its own column map; the evaluation map
-    # (a_0..a_n) -> a_0 f + sum a_i f'_i has the one-part pieces f, f'_i
-    eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
-    span_pieces = [(d if v.kind == "euler" else d + 1,
-                    [_int_terms(c) for c in v.components]) for v in vectors]
+
+    # a row is a piece (degree, parts, lows) times a monomial x^s of degree
+    # m - degree, each part placed by its own column map; lows pairs each
+    # nonzero part with its smallest key, whose column plus the shift is the
+    # part's leading column.  The evaluation map (a_0..a_n) -> a_0 f +
+    # sum a_i f'_i has the one-part pieces f, f'_i.
+    def piece(degree: int, polys) -> tuple:
+        parts = [_int_terms(q) for q in polys]
+        return degree, parts, [(i, min(q._c)) for i, q in enumerate(polys) if q._c]
+
+    eval_pieces = [piece(deg, [g]) for g, deg in zip(gens, slot_degrees)]
+    span_pieces = [piece(d if v.kind == "euler" else d + 1, v.components)
+                   for v in vectors]
     # the shift degrees m - degree of the pieces, for d - 1 <= m <= bound
     keys = {k: _monomial_keys(n, k) for k in range(degree_bound - d + 2)}
 
-    def rows(m: int, pieces, columns) -> Iterator[dict[int, int]]:
-        for degree, parts in pieces:
-            for shift in keys.get(m - degree, ()):
-                yield {cols[k + shift]: v
-                       for cols, terms in zip(columns, parts) for k, v in terms}
+    def rows(m: int, pieces, columns, descending: bool) -> Iterator[dict[int, int]]:
+        """The rows of degree m, yielded one at a time in order of leading
+        column; each lead is read off the lows, so no row is built to sort."""
+        order = sorted(
+            ((min(columns[i][low + shift] for i, low in lows), index, shift)
+             for index, (degree, _, lows) in enumerate(pieces)
+             for shift in keys.get(m - degree, ())),
+            reverse=descending)
+        for _, index, shift in order:
+            yield {cols[k + shift]: v
+                   for cols, terms in zip(columns, pieces[index][1]) for k, v in terms}
 
     results = [DegreeDims(m, 0, 0) for m in range(d - 1)]
     for m in range(d - 1, degree_bound + 1):
@@ -501,15 +545,19 @@ def syzygy_dimension_table(w, degree_bound: int,
             slot_basis = keys.get(m - deg, ())
             slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
             dom_dim += len(slot_basis)
-        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target]), len(target))
-        span_mod = _rank_mod(rows(m, span_pieces, slot_columns), dom_dim)
+        # the evaluation rows go in ascending, the span rows in descending
+        # order of lead, the faster order of each as measured
+        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target], False),
+                                      len(target))
+        span_mod = _rank_mod(rows(m, span_pieces, slot_columns, True), dom_dim)
         if syz_mod == span_mod:
             # span <= kernel over Q, and the mod-p bounds squeeze both:
             # dom - rank_p(M) >= kernel_Q >= span_Q >= rank_p(G)
             results.append(DegreeDims(m, syz_mod, span_mod))
         else:
-            syz = dom_dim - _rank_exact(rows(m, eval_pieces, [target]), len(target))
-            span = _rank_exact(rows(m, span_pieces, slot_columns), dom_dim)
+            syz = dom_dim - _rank_exact(rows(m, eval_pieces, [target], False),
+                                        len(target))
+            span = _rank_exact(rows(m, span_pieces, slot_columns, True), dom_dim)
             results.append(DegreeDims(m, syz, span))
     return results
 

@@ -144,6 +144,16 @@ def test_domain_error_exit_code_and_object(capsys):
     assert "error" in json.loads(err)
 
 
+def test_syzygy_refuses_an_over_limit_family_before_expanding_it(capsys):
+    # d = 2^15: refused before sigma^16384 is built, which would take minutes
+    code, out, err = run_cli(capsys, "syzygy", "--weights", "16384,16383,1")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "32768" in error["message"]
+
+
 def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
     from dworkgm import syzygy
 

@@ -36,6 +36,8 @@ PINNED = [
     ["check", "--weights", "2,4,6"],
     # every degree of the syzygy table, the zero rows below d - 1 included
     ["syzygy", "--weights", "60,2,1,1", "--bound", "66", "--json"],
+    # the one n = 4 tuple the oracle runs at a bound above d
+    ["syzygy", "--weights", "6,5,4,3,2", "--bound", "22", "--json"],
 ]
 
 

@@ -50,6 +50,15 @@ def test_negative_exponent_is_rejected():
         MultiPoly(2, {(1, -1): 1})
 
 
+def test_exponents_of_a_zero_coefficient_are_checked():
+    # a zero coefficient is dropped, but its exponent vector is still checked
+    for exps in ((1, 2, 3), (1, -2)):
+        for c in (0, 1):
+            with pytest.raises(ValueError):
+                MultiPoly(2, {exps: c})
+    assert MultiPoly(2, {(1, 2): 0}).is_zero
+
+
 def test_non_integer_exponents_are_refused():
     for e in (1.5, F(3, 2), "2"):
         with pytest.raises(TypeError):
@@ -165,6 +174,27 @@ def test_family_poly_degree_is_weight_sum():
     for w in ((1, 2, 3), (2, 2, 1, 1), (3, 1, 4)):
         f = family_poly(w)
         assert {sum(e) for e, _ in f.items()} == {sum(w)}
+
+
+def test_family_poly_matches_the_power_reference():
+    # sigma^{w_0} written directly against w_0 successive products
+    for w in _all_tuples(4, 4) + [(40, 1, 1, 1), (6, 5, 4, 3, 2), (60, 2, 1, 1),
+                                  (70, 1, 1)]:
+        n = len(w) - 1
+        expected = MultiPoly(n, {w[1:]: 1}) * MultiPoly.sigma(n) ** w[0]
+        got = family_poly(w)
+        assert got == expected and str(got) == str(expected), w
+
+
+def test_family_poly_refuses_a_degree_at_the_limit():
+    # d = 2^15 is refused before sigma^{w_0} is expanded; d = 2^15 - 1 builds
+    with pytest.raises(ValueError, match="not below"):
+        family_poly((DEGREE_LIMIT - 1, 1))
+    with pytest.raises(ValueError, match="not below"):
+        family_poly((DEGREE_LIMIT // 2, DEGREE_LIMIT // 2 - 1, 1))
+    f = family_poly((DEGREE_LIMIT - 2, 1))
+    assert f == MultiPoly(1, {(DEGREE_LIMIT - 1,): 1})
+    assert f.degree() == DEGREE_LIMIT - 1
 
 
 # -- syzygy generators ------------------------------------------------------------
@@ -473,6 +503,39 @@ def test_ranks_of_seeded_rank_deficient_rows():
         rng.shuffle(rows)
         assert _rank_mod(iter(rows), ncols) == r
         assert _rank_exact(iter(rows), ncols) == r
+
+
+def test_ranks_do_not_depend_on_the_row_order():
+    # seeded sparse rank-deficient rows whose leading entries are not +-1 and
+    # whose entries reach beyond 2^64, in their own, reversed and shuffled
+    # order: the pivots keep their leading entries, so the order and the
+    # scaling of the pivot rows must not change the rank
+    from dworkgm.syzygy import _rank_exact, _rank_mod
+    rng = random.Random(1999)
+    big = (2**64 + 13, -(2**65) - 1, 3**50, 1_000_003 * 7 + 2)
+    for _ in range(40):
+        ncols = rng.randint(4, 12)
+        r = rng.randint(1, ncols - 2)
+        basis = []
+        for lead in sorted(rng.sample(range(ncols), r)):
+            row = {lead: rng.choice((2, -3, 5, 1_000_002, *big))}
+            row.update((c, rng.choice((rng.randint(-9, 9), *big)))
+                       for c in range(lead + 1, ncols) if rng.random() < 0.4)
+            basis.append(row)
+        rows = list(basis)
+        for _ in range(rng.randint(2, 8)):
+            combo = {}
+            for row in rng.sample(basis, rng.randint(1, r)):
+                a = rng.choice((-2, 3, 2**64 + 1))
+                for c, x in row.items():
+                    combo[c] = combo.get(c, 0) + a * x
+            rows.append({c: x for c, x in combo.items() if x})
+        orders = [rows, rows[::-1]]
+        for _ in range(3):
+            orders.append(rng.sample(rows, len(rows)))
+        for order in orders:
+            assert _rank_mod(order, ncols) == r
+            assert _rank_exact(iter(order), ncols) == r
 
 
 def test_int_coeff():
