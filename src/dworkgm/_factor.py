@@ -8,18 +8,31 @@ It uses the classical exact methods on integer polynomials:
    leading coefficient.
 2. Squarefree decomposition (Yun), with the heuristic gcd GCDHEU of Char,
    Geddes and Gonnet: the gcd of two values at a large integer xi, read back
-   in base xi and confirmed by exact division.  It forms no remainder
-   sequence, so no intermediate coefficients swell.
+   in base xi and confirmed by exact division unless it reads back as a
+   constant.  It forms no remainder sequence, so no intermediate
+   coefficients swell.  A polynomial prime to its derivative is its own
+   squarefree part.
 3. Rational roots of each squarefree part by p-adic expansion (Loos,
-   SIAM J. Comput. 12, 1983): the roots modulo the smallest odd prime p
-   that keeps the part squarefree and its degree, each Newton-lifted until
-   p^k exceeds twice the Cauchy bound of lc * root, read back symmetrically
-   and kept only if exact division confirms it.
+   SIAM J. Comput. 12, 1983).  One scan over the residues modulo each odd
+   prime p that does not divide the leading coefficient lc finds the roots
+   modulo p; the first p at which each of them is simple is taken.  A
+   rational root a/b has b | lc, so its residue is one of these simple
+   roots, and only the primes dividing lc * disc fail.  Each root is
+   Newton-lifted until p^k exceeds twice the Cauchy bound of lc * root,
+   read back symmetrically and kept only if exact division confirms it.
+   Once the cofactor has degree <= 2, its roots are read in closed form
+   (``weyl._low_degree_roots``) instead.
 4. A root-free rest of degree 2 or 3 is irreducible.  From degree 4 on,
-   Zassenhaus (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-   ch. 14-16): distinct- and equal-degree factorisation modulo p, Hensel
-   lifting of all the modular factors to the Mignotte bound, and
-   recombination of subsets in order of size.
+   degree analysis (Musser, J. ACM 22, 1975) first: the distinct-degree
+   factorisation modulo each of DEGREE_PRIMES good primes (not dividing lc,
+   rest squarefree modulo it; the Frobenius h -> h^p is the substitution
+   h(x^p)) leaves as possible degrees of a factor over Q the subset sums of
+   the modular degrees, and when only 0 and n are left at every prime, the
+   rest is irreducible.  Otherwise Zassenhaus (von zur Gathen and Gerhard,
+   *Modern Computer Algebra*, ch. 14-16) at the prime with the fewest
+   modular factors: equal-degree factorisation, Hensel lifting of all the
+   modular factors to the Mignotte bound, and recombination of subsets in
+   order of size.
 
 No step uses a float, and each answer is an exact division, so the result
 is exact; randomness (a seeded ``random.Random`` of its own, in the
@@ -37,9 +50,13 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .weyl import _clear_denominators, _primitive, _strip
+from .weyl import _clear_denominators, _low_degree_roots, _primitive, _strip
 
 Poly = list[int]  # lowest degree first, nonzero last entry; [] is zero
+
+# Good primes whose distinct-degree factorisations bound the degrees of the
+# factors before Zassenhaus lifts at one of them.
+DEGREE_PRIMES = 5
 
 
 def factor_over_q(
@@ -60,14 +77,10 @@ def factor_over_q(
     roots: dict[Fraction, int] = {}
     factors: list[tuple[Poly, int]] = []
     for part, mult in _squarefree(_primitive(f)):
-        if len(part) == 2:
-            roots[Fraction(-part[0], part[1])] = mult
-            continue
-        p = _good_prime(part)
-        found, rest = _rational_roots(part, p)
+        found, rest = _rational_roots(part)
         roots.update(dict.fromkeys(found, mult))
         if len(rest) > 4:  # degree >= 4: may split without a root
-            factors.extend((g, mult) for g in _zassenhaus(rest, p))
+            factors.extend((g, mult) for g in _zassenhaus(rest))
         elif len(rest) > 2:
             factors.append((rest, mult))
     factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
@@ -142,8 +155,6 @@ def _gcd(f: Poly, g: Poly) -> Poly:
     enough xi always succeeds; xi grows by a factor of about 2.73
     (1 + sqrt 3) per try.
     """
-    if len(f) == 1 or len(g) == 1:
-        return [1]
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     while True:
         gamma = math.gcd(_value(f, xi), _value(g, xi))
@@ -155,6 +166,11 @@ def _gcd(f: Poly, g: Poly) -> Poly:
             h.append(c)
             gamma = (gamma - c) // xi
         h = _primitive(h)
+        # a constant h is the gcd: a nonconstant gcd G has its roots below
+        # 1 + min(|f|, |g|) (Cauchy), so |gamma| >= |G(xi)| > xi / 2, which
+        # reads back as two digits or more
+        if len(h) == 1:
+            return h
         if _divide(f, h) is not None and _divide(g, h) is not None:
             return h
         xi = xi * 73794 // 27011
@@ -167,6 +183,8 @@ def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
         return []
     df = _derivative(f)
     a = _gcd(f, _primitive(df))
+    if len(a) == 1:
+        return [(f, 1)]
     b, c = _divide(f, a), _divide(df, a)
     parts = []
     i = 1
@@ -249,14 +267,6 @@ def _odd_primes():
         n += 2
 
 
-def _good_prime(f: Poly) -> int:
-    """The smallest odd prime p that divides no leading coefficient of f
-    and keeps f squarefree modulo p."""
-    df = _derivative(f)
-    return next(p for p in _odd_primes()
-                if f[-1] % p and len(_gcd_mod(_mod(f, p), _mod(df, p), p)) == 1)
-
-
 def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
     """(g, d): g the product of the irreducible factors of degree d of the
     monic squarefree f modulo p."""
@@ -264,7 +274,10 @@ def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
     h, d = [0, 1], 0
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        h = _pow_mod(h, p, f, p)
+        # h^p = h(x^p) modulo p: spread the coefficients, then reduce
+        spread = [0] * ((len(h) - 1) * p + 1)
+        spread[::p] = h
+        h = _rem_mod(spread, f, p)
         g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -283,8 +296,6 @@ def _equal_degree(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
     e = (p ** d - 1) // 2
     while True:
         a = _strip([rng.randrange(p) for _ in range(len(f) - 1)])
-        if len(a) < 2:
-            continue
         g = _gcd_mod(f, _sub_mod(_pow_mod(a, e, f, p), [1], p), p)
         if 1 < len(g) < len(f):
             return (_equal_degree(g, d, p, rng)
@@ -293,9 +304,17 @@ def _equal_degree(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
 
 # -- rational roots ----------------------------------------------------------
 
-def _roots_mod(f: Poly, p: int) -> list[int]:
-    """The roots modulo p of f: p is the smallest good prime, so small."""
-    return [x for x in range(p) if not _value_mod(f, x, p)]
+def _roots_mod(f: Poly, df: Poly, p: int) -> list[int] | None:
+    """The roots of f modulo p by trial of every residue, or None when one
+    of them is a root of df too; f and df are reduced modulo p, and p is
+    the first prime at which the roots are simple, so small."""
+    roots = []
+    for x in range(p):
+        if not _value_mod(f, x, p):
+            if not _value_mod(df, x, p):
+                return None
+            roots.append(x)
+    return roots
 
 
 def _exponents(k: int) -> list[int]:
@@ -308,43 +327,81 @@ def _exponents(k: int) -> list[int]:
     return out[::-1]
 
 
-def _rational_roots(f: Poly, p: int) -> tuple[list[Fraction], Poly]:
-    """The rational roots of the squarefree primitive f, which stays
-    squarefree modulo p, and the cofactor of their linear factors."""
-    lc = f[-1]
-    # |lc * root| <= |lc| + max |a_i| (Cauchy), and lc * root is an integer
-    bound = 2 * (abs(lc) + max(abs(a) for a in f[:-1]))
-    k = 1
-    while p ** k <= bound:
-        k += 1
-    modulus = p ** k
+def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
+    """The rational roots of the squarefree primitive nonconstant f and the
+    cofactor of their linear factors: each root lifted from a simple root
+    modulo the first odd prime p, not dividing lc, at which all are simple,
+    until the cofactor has degree <= 2 and is solved in closed form."""
     roots = []
-    for r in _roots_mod(f, p):
+    if len(f) > 3:
+        lc = f[-1]
         df = _derivative(f)
-        for e in _exponents(k):
-            m = p ** e
-            r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
-        w = lc * r % modulus
-        if 2 * w > modulus:
-            w -= modulus
-        root = Fraction(w, lc)
-        q = _divide(f, [-root.numerator, root.denominator])
-        if q is not None:
-            roots.append(root)
-            f = q
+        for p in _odd_primes():
+            if lc % p:
+                residues = _roots_mod(_mod(f, p), _mod(df, p), p)
+                if residues is not None:
+                    break
+        # |lc * root| <= |lc| + max |a_i| (Cauchy), and lc * root is an integer
+        bound = 2 * (abs(lc) + max(abs(a) for a in f[:-1]))
+        k = 1
+        while p ** k <= bound:
+            k += 1
+        modulus = p ** k
+        for r in residues:
+            if len(f) <= 3:
+                break
+            df = _derivative(f)
+            for e in _exponents(k):
+                m = p ** e
+                r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+            w = lc * r % modulus
+            if 2 * w > modulus:
+                w -= modulus
+            root = Fraction(w, lc)
+            q = _divide(f, [-root.numerator, root.denominator])
+            if q is not None:
+                roots.append(root)
+                f = q
+    if len(f) <= 3:
+        found = _low_degree_roots(f)
+        if found:  # all of f's roots
+            return roots + found, [1]
     return roots, f
 
 
 # -- Zassenhaus ---------------------------------------------------------------
 
-def _zassenhaus(f: Poly, p: int) -> list[Poly]:
+def _zassenhaus(f: Poly) -> list[Poly]:
     """The irreducible factors of the squarefree primitive f of degree >= 4,
-    which has no rational root and stays squarefree modulo p."""
-    modular = [u for g, d in _distinct_degree(_monic_mod(_mod(f, p), p), p)
-               for u in _equal_degree(g, d, p, random.Random(p))]
-    if len(modular) == 1:
-        return [f]
+    which has no rational root."""
     n = len(f) - 1
+    irreducible = 1 | 1 << n
+    possible = -1  # bit d set: a factor of degree d is not ruled out
+    best = None
+    primes = 0
+    df = _derivative(f)
+    for p in _odd_primes():
+        if not f[-1] % p:
+            continue
+        fp = _monic_mod(_mod(f, p), p)
+        if len(_gcd_mod(fp, _mod(df, p), p)) > 1:
+            continue
+        ddf = _distinct_degree(fp, p)
+        degrees = [d for g, d in ddf for _ in range((len(g) - 1) // d)]
+        sums = 1  # bit s set: some of the modular factors have degree sum s
+        for d in degrees:
+            sums |= sums << d
+        possible &= sums
+        if possible == irreducible:
+            return [f]
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, ddf)
+        primes += 1
+        if primes == DEGREE_PRIMES:
+            break
+    _, p, ddf = best
+    modular = [u for g, d in ddf
+               for u in _equal_degree(g, d, p, random.Random(p))]
     # b/lc(g) * g has coefficients below this for every factor g of f
     # (Mignotte; von zur Gathen and Gerhard, alg. 15.19)
     bound = (math.isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f)) * f[-1]

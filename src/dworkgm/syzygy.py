@@ -496,13 +496,16 @@ def syzygy_dimension_table(w, degree_bound: int,
     are exact: modular ranks certify equality when the two one-sided bounds
     meet, otherwise exact rational elimination decides.  Below degree d - 1
     every slot degree is negative, so the domain is empty and both
-    dimensions are zero with no elimination.  ``_parts`` is as in
+    dimensions are zero with no elimination.  A bound below d or not below
+    DEGREE_LIMIT raises ValueError before any work.  ``_parts`` is as in
     ``verify_syzygies``.
     """
     weights = _weights(w)
     d = sum(weights)
     if degree_bound < d:
         raise ValueError(f"degree bound must be at least d = {d}")
+    if degree_bound >= DEGREE_LIMIT:
+        raise ValueError(f"degree bound {degree_bound} is not below {DEGREE_LIMIT}")
     n = len(weights) - 1
     gens, vectors = _parts if _parts is not None else _syzygy_parts(weights)
     if not verify_syzygies(weights, _parts=(gens, vectors)):

@@ -453,9 +453,12 @@ def euler_factorization(d: int) -> WeylOp:
 #
 # 'D' desugars to t*d.  Negative exponents are legal only on the bare 't'.
 # A power of the bare 't' or 'd' is built as its monomial; any other base is
-# raised by repeated products.
+# raised by repeated products.  Parentheses nest at most _MAX_NESTING = 100
+# levels deep: the parser recurses through four methods per level, and a
+# deeper '(' is a ParseError at its position, not a RecursionError.
 
 _SYMBOLS = {"t", "d", "D"}
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -488,6 +491,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -587,8 +591,13 @@ class _Parser:
                 return WeylOp.constant(Fraction(numerator, int(den[1]))), None
             return WeylOp.constant(numerator), None
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING} levels", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner, None
         if kind == "/":
             raise ParseError("division token outside a rational literal", pos)
@@ -802,6 +811,20 @@ def format_poly(coeffs: Iterable[Fraction], var: str) -> str:
     return format_terms((cs[e], [(var, e)]) for e in range(len(cs) - 1, -1, -1))
 
 
+def _low_degree_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots of the integer polynomial f of degree 1 or 2, in
+    closed form; a double root is listed twice, and an irreducible
+    quadratic has none."""
+    if len(f) == 2:
+        return [Fraction(-f[0], f[1])]
+    c0, c1, c2 = f
+    disc = c1 * c1 - 4 * c2 * c0
+    sq = math.isqrt(max(disc, 0))
+    if sq * sq != disc:
+        return []
+    return [Fraction(-c1 + sq, 2 * c2), Fraction(-c1 - sq, 2 * c2)]
+
+
 def _rational_root_split(
     coeffs: list[Scalar],
 ) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[Fraction, ...]]]:
@@ -810,11 +833,12 @@ def _rational_root_split(
     Returns the rational roots with multiplicity, in increasing order, and
     the monic irreducible factors of degree >= 2, each listed once per
     multiplicity.  Zero roots and a rest of degree <= 2 are handled in
-    closed form, on the integer numerators; a rest of degree >= 3 goes to the
-    exact factoriser ``_factor.factor_over_q`` (rational roots by p-adic
-    lifting, Zassenhaus for the rest).  Factors are ordered by degree, then
-    multiplicity, then the coefficients, highest first, of the primitive
-    integer factor with positive leading coefficient.
+    closed form (``_low_degree_roots``), on the integer numerators; a rest
+    of degree >= 3 goes to the exact factoriser ``_factor.factor_over_q``
+    (rational roots by p-adic lifting, degree analysis and Zassenhaus for
+    the rest).  Factors are ordered by degree, then multiplicity, then the
+    coefficients, highest first, of the primitive integer factor with
+    positive leading coefficient.
     """
     coeffs = _strip(_clear_denominators(coeffs)[0])
     if not coeffs:
@@ -824,17 +848,13 @@ def _rational_root_split(
     coeffs = coeffs[v:]
     leftovers: list[tuple[Fraction, ...]] = []
     deg = len(coeffs) - 1
-    if deg == 1:  # a nonzero root, as in every case below
-        roots[Fraction(-coeffs[0], coeffs[1])] = 1
-    elif deg == 2:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c2 * c0
-        sq = math.isqrt(max(disc, 0))
-        if sq * sq != disc:
+    if deg in (1, 2):  # nonzero roots, as in every case below
+        found = _low_degree_roots(coeffs)
+        for r in found:
+            roots[r] = roots.get(r, 0) + 1
+        if not found:
+            c0, c1, c2 = coeffs
             leftovers.append((Fraction(c0, c2), Fraction(c1, c2), Fraction(1)))
-        else:
-            for r in (Fraction(-c1 + sq, 2 * c2), Fraction(-c1 - sq, 2 * c2)):
-                roots[r] = roots.get(r, 0) + 1
     elif deg > 2:
         # Imported on first use: reports and sweeps never get here, and
         # their start-up then pays nothing for the factoriser.

@@ -154,6 +154,28 @@ def test_syzygy_refuses_an_over_limit_family_before_expanding_it(capsys):
     assert "32768" in error["message"]
 
 
+def test_weyl_parse_refuses_deep_nesting(capsys):
+    code, out, err = run_cli(capsys, "weyl", "parse", "--op",
+                             "(" * 101 + "t" + ")" * 101)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"] == ("parentheses nested deeper than 100 levels"
+                                " (at position 100)")
+
+
+def test_syzygy_refuses_a_bound_at_the_key_limit(capsys):
+    code, out, err = run_cli(capsys, "syzygy", "--weights", "1,1", "--bound",
+                             "32768", "--json")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == "degree bound 32768 is not below 32768"
+
+
 def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
     from dworkgm import syzygy
 

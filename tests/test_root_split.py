@@ -10,6 +10,10 @@ still did the splitting, on
 * a part with repeated factors, a zero root of multiplicity 3, two
   irreducible polynomials of degree 12, a product of two sextics, and a
   quartic without roots modulo its prime 11;
+* rational roots that collide modulo 3 and 5, so the prime search passes
+  over both; (x^2 - 2)(x^2 - 3), which has a quadratic factor modulo every
+  prime, so degree analysis leaves it to recombination; and a binomial of
+  degree 12 with two rational roots;
 * the indicial polynomials of ``hyp_operator(invariant_hyp(w))`` for
   w = (96, 23) and (140, 3) at both places and (7, 11, ..., 29) at zero,
   of degree up to 142 with coefficients of up to 939 bits.
@@ -21,16 +25,19 @@ the corpus, rewrite the split lines with sympy (the ``test`` extra) by
     PYTHONPATH=src python tests/test_root_split.py --write
 """
 
+import dis
 import json
 import pathlib
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from itertools import groupby
 
 import pytest
 
 from conftest import package_env, sympy_root_split
+from dworkgm import _factor
 from dworkgm._factor import factor_over_q
 from dworkgm.weyl import _rational_root_split
 
@@ -73,6 +80,46 @@ def test_factoriser_edge_cases():
     assert factor_over_q([Fraction(-3, 4)]) == ({}, [])
     with pytest.raises(ValueError):
         factor_over_q([Fraction(0), Fraction(0)])
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_corpus_runs_every_line_of_the_factoriser():
+    # Line coverage of _factor.py by the corpus without the indicial cases
+    # (degree 96-142, seconds under a tracer) and by the edge cases above:
+    # a stdlib line tracer scoped to the module's code objects.
+    codes = {c for f in vars(_factor).values()
+             if isinstance(f, types.FunctionType) and f.__module__ == _factor.__name__
+             for c in _code_objects(f.__code__)}
+    # the body lines: every line with bytecode but the def line itself
+    body = {line for c in codes for _, line in dis.findlinestarts(c)
+            if line is not None and line != c.co_firstlineno}
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def scoped(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(scoped)
+    try:
+        for label, cases in CASES.items():
+            if not label.startswith("indicial"):
+                for coeffs, _ in cases:
+                    _rational_root_split(coeffs)
+        test_factoriser_edge_cases()
+    finally:
+        sys.settrace(previous)
+    assert sorted(body - ran) == []
 
 
 def write() -> None:

@@ -16,6 +16,14 @@ factor = st.tuples(
     st.integers(1, 6).flatmap(lambda a: st.sampled_from([a, -a])),  # leading
     st.integers(1, 3),  # multiplicity
 )
+# simple linear factors whose roots differ by multiples of 105 = 3 * 5 * 7,
+# so they collide modulo 3, 5 and 7, with up to two factors as above
+colliding = st.builds(
+    lambda r, ks, rest: [([-(r + 105 * k)], 1, 1) for k in ks] + rest,
+    st.integers(-9, 9),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True),
+    st.lists(factor, max_size=2),
+)
 
 
 def times(f, g):
@@ -27,7 +35,7 @@ def times(f, g):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.lists(factor, min_size=1, max_size=4))
+@given(st.one_of(st.lists(factor, min_size=1, max_size=4), colliding))
 def test_split_rebuilds_the_input_and_matches_sympy(factors):
     poly = [Fraction(1)]
     for low, lead, mult in factors:

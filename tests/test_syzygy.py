@@ -197,6 +197,18 @@ def test_family_poly_refuses_a_degree_at_the_limit():
     assert f.degree() == DEGREE_LIMIT - 1
 
 
+def test_dimension_table_refuses_a_bound_at_the_limit(monkeypatch):
+    # a bound of 2^15 or more would build shift keys past the 16-bit fields;
+    # it is refused before the generators are built
+    def no_work(weights):
+        raise AssertionError("the generators were built")
+
+    monkeypatch.setattr(syzygy, "_syzygy_parts", no_work)
+    for bound in (DEGREE_LIMIT, DEGREE_LIMIT + 1, 65600):
+        with pytest.raises(ValueError, match=f"{bound} is not below {DEGREE_LIMIT}"):
+            syzygy_dimension_table((1, 1), bound)
+
+
 # -- syzygy generators ------------------------------------------------------------
 
 def test_one_variable_euler_only():

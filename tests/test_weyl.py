@@ -85,6 +85,26 @@ def test_parse_errors_carry_position():
         parse_op("t +")
 
 
+def nested(levels: int, inner: str = "t") -> str:
+    return "(" * levels + inner + ")" * levels
+
+
+def test_parse_nesting_is_limited_to_100_levels():
+    def at_depth(frames: int, text: str):
+        return at_depth(frames - 1, text) if frames else parse_op(text)
+
+    # 100 levels parse, also with 200 frames already on the stack, and the
+    # depth is counted per nest, not per parenthesis in the input
+    assert at_depth(200, nested(100)) == WeylOp.t()
+    assert parse_op(nested(100) + "*" + nested(100, "d")) == parse_op("t*d")
+    for text, position in ((nested(101), 100), (nested(250), 100),
+                           ("t + " + nested(101, "d"), 104)):
+        with pytest.raises(ParseError, match="deeper than 100 levels") as err:
+            parse_op(text)
+        assert err.value.position == position
+        assert text[position] == "("
+
+
 def test_parse_precedence_and_power():
     assert parse_op("2^3") == WeylOp.constant(8)
     assert parse_op("t^2*d + 1") == parse_op("(t^2)*(d) + 1")
