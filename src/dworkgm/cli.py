@@ -1,8 +1,10 @@
 """Command-line front end: deterministic text and JSON emitters.
 
 Exit codes: 0 success, 1 domain error (with a machine-readable error object
-on stderr), 2 usage error, 3 internal invariant failure (a program bug, with
-an error object of type InvariantError on stderr).
+on stderr), 2 usage error, 3 internal failure: a program bug, either an
+internal invariant that failed (an error object of type InvariantError on
+stderr) or any other exception (an error object naming its type); the
+object of exit code 3 also carries the traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 from . import arrangement, dwork, hypergeom, syzygy, weyl
@@ -347,10 +350,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("check needs --weights or --sweep")
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, syzygy.InvariantError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
-        return 3 if isinstance(exc, syzygy.InvariantError) else 1
+    except Exception as exc:
+        # bad input raises a domain error; anything else, an InvariantError
+        # included, is a bug, reported with where it happened
+        domain = isinstance(exc, (ValueError, ArithmeticError))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if not domain:
+            error["traceback"] = "".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__))
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return 1 if domain else 3
 
 
 if __name__ == "__main__":

@@ -23,11 +23,11 @@ the ring arithmetic this module provides:
     Fuchs-type regularity flags, both read at zero and infinity from the rows;
   * singular-point detection for the leading coefficient.
 
-Products and transforms read the stored numerators (``_numerators``), run on
-integers and end in the one normaliser ``_from_numerators``; rationals become
-integers over one denominator in one place, ``_clear_denominators``, and the
-indicial layer (``IndicialPolynomial``, its evaluation and root check, the
-root oracle) stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
+Products and transforms walk the stored rows, run on integers and end in
+the one normaliser ``_from_numerators``; rationals become integers over one
+denominator in one place, ``_clear_denominators``, and the indicial layer
+(``IndicialPolynomial``, its evaluation and root check, the root oracle)
+stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
 float raises ``TypeError`` (0.1 is not 1/10).  Private helpers hold the
 algebra the callers share: ``_leibniz`` moves d^a past t^b, for
@@ -37,6 +37,14 @@ recurrence, which ``euler_product`` and the builder ``_euler_difference``
 read.  The builder makes c*prod(D - a_i) - t^m * prod(D - b_j) * d^k in one
 integer pass with one normalisation, for its three callers:
 ``hypergeom.hyp_operator`` and the operators P and Q of ``dwork.ft_pair``.
+
+These kernels cost one pass per coefficient.  ``_leibniz`` steps the target
+row and exponent down together and looks each row up once;
+``_times_euler`` carries the previous entry and the running multiplier
+a*j + b.  The Horner steps of ``_weight_part`` and the product of
+``IndicialPolynomial.has_roots_exactly`` have the same shape, each in its
+own loop: the root check is an oracle and shares no code with the operators
+it checks.
 
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
@@ -82,7 +90,7 @@ def _clear_denominators(values: Iterable[Scalar], den: int = 1) -> tuple[list[in
         raise ValueError(f"the scale den must be a positive integer, not {den!r}")
     _refuse_float(values)  # a string is not the list of its digits
     nums = list(values)
-    if all(type(v) is int for v in nums):
+    if {*map(type, nums)} <= {int}:  # a bool takes the path that converts it
         return nums, den
     fracs = [_exact(v) for v in nums]
     lcm = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)
@@ -282,13 +290,14 @@ class WeylOp:
         if not isinstance(other, WeylOp):
             return NotImplemented
         # n1*t^m1*d^k1 * n2*t^m2*d^k2 = n1*n2 * t^m1 * (d^k1 t^m2) * d^k2
-        scale1, monos1 = _numerators(self)
-        scale2, monos2 = _numerators(other)
+        rows2 = other._rows
         acc: dict[int, dict[int, int]] = {}
-        for k1, m1, n1 in monos1:
-            for k2, m2, n2 in monos2:
-                _leibniz(acc, n1 * n2, k1, m2, m1, k2)
-        return _from_numerators(acc, scale1 * scale2)
+        for k1, row1 in enumerate(self._rows):
+            for m1, n1 in row1.items():
+                for k2, row2 in enumerate(rows2):
+                    for m2, n2 in row2.items():
+                        _leibniz(acc, n1 * n2, k1, m2, m1, k2)
+        return _from_numerators(acc, self._den * other._den)
 
     def __rmul__(self, other: Scalar) -> "WeylOp":
         if isinstance(other, (int, Fraction)):
@@ -333,22 +342,19 @@ _W_ZERO = _make(1, [])
 _W_ONE = _make(1, [{0: 1}])
 
 
-def _numerators(op: WeylOp) -> tuple[int, list[tuple[int, int, int]]]:
-    """The stored form as (L, [(k, m, n), ...]), op = sum n/L * t^m d^k."""
-    return op._den, [(k, m, n) for k, row in enumerate(op._rows) for m, n in row.items()]
-
-
 def _from_numerators(acc: Mapping[int, dict[int, int]], scale: int) -> WeylOp:
     """The operator sum acc[k][m]/scale * t^m d^k in canonical form, made from
     acc's own rows: zero numerators and trailing empty rows dropped, then
     numerators and scale divided by their gcd, whose chain stops as soon as
-    it reaches 1."""
+    it reaches 1 (at once for the scale 1)."""
     rows = [acc.get(k, {}) for k in range(max(acc, default=-1) + 1)]
     for row in rows:
         if 0 in row.values():
             for m in [m for m, n in row.items() if not n]:
                 del row[m]
     _strip(rows)
+    if scale == 1:
+        return _make(1, rows)
     g = scale
     for row in rows:
         for n in row.values():
@@ -362,23 +368,41 @@ def _leibniz(acc: dict[int, dict[int, int]], n: int, a: int, b: int,
              t_shift: int, d_shift: int) -> None:
     """Add n * t^t_shift * (d^a t^b) * d^d_shift to acc[k][m], the integer
     coefficient of t^m d^k, by the Leibniz rule
-    d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j)."""
-    # n * C(a,j) * b(b-1)...(b-j+1), updated by exact division; for b >= 0
-    # it vanishes past j = b
+    d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j).
+
+    One pass over j, with k = a - j + d_shift and m = b - j + t_shift
+    stepping down together: each target row is looked up once, and a row
+    that acc lacks is inserted as {m: n}, so rows and keys enter acc in the
+    order of j."""
+    # n * C(a,j) * b(b-1)...(b-j+1), updated by exact division with one
+    # big-by-small product; for b >= 0 it vanishes past j = b
+    k, m = a + d_shift, b + t_shift
     for j in range(a + 1 if b < 0 else min(a, b) + 1):
-        target = acc.setdefault(a - j + d_shift, {})
-        m = b - j + t_shift
-        target[m] = target.get(m, 0) + n
-        n = n * (a - j) * (b - j) // (j + 1)
+        row = acc.get(k)
+        if row is None:
+            acc[k] = {m: n}
+        else:
+            row[m] = row.get(m, 0) + n
+        n = n * ((a - j) * (b - j)) // (j + 1)
+        k -= 1
+        m -= 1
 
 
 def _times_euler(r: list[int], a: int, b: int) -> list[int]:
     """sum r_j t^j d^j times a*D + b on the right, in the same basis:
     t^j d^j * D = t^(j+1) d^(j+1) + j * t^j d^j, so
-    r'_j = a * r_(j-1) + (a*j + b) * r_j."""
-    return ([b * r[0]]
-            + [a * r[j - 1] + (a * j + b) * r[j] for j in range(1, len(r))]
-            + [a * r[-1]])
+    r'_j = a * r_(j-1) + (a*j + b) * r_j, with r_(-1) = r_(len r) = 0.
+
+    One pass over r that carries the previous entry and the running
+    multiplier c = a*j + b, which grows by a at each step."""
+    out = []
+    prev, c = 0, b
+    for x in r:
+        out.append(a * prev + c * x)
+        prev = x
+        c += a
+    out.append(a * prev)
+    return out
 
 
 def euler_op() -> WeylOp:
@@ -455,10 +479,15 @@ def euler_factorization(d: int) -> WeylOp:
 # A power of the bare 't' or 'd' is built as its monomial; any other base is
 # raised by repeated products.  Parentheses nest at most _MAX_NESTING = 100
 # levels deep: the parser recurses through four methods per level, and a
-# deeper '(' is a ParseError at its position, not a RecursionError.
+# deeper '(' is a ParseError at its position, not a RecursionError.  An
+# exponent on any base but the bare 't' is at most _MAX_POWER = 4096: d^n
+# builds n + 1 rows and every other power n products, so a larger exponent
+# is a ParseError at its position, raised before any row is built.  A power
+# of the bare 't' is one monomial, and its exponent is not limited.
 
 _SYMBOLS = {"t", "d", "D"}
 _MAX_NESTING = 100
+_MAX_POWER = 4096
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -566,6 +595,8 @@ class _Parser:
             return WeylOp.t(-n if neg else n)
         if neg:
             raise ParseError("negative exponents are allowed only on t", num[2])
+        if n > _MAX_POWER:
+            raise ParseError(f"exponent {n} is above the limit {_MAX_POWER}", num[2])
         if symbol == "d":
             return WeylOp.d(n)
         return base ** n
@@ -627,18 +658,20 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    scale, monos = _numerators(op)
-    if any(m < 0 for _, m, _ in monos):
+    rows = op._rows
+    if any(row and min(row) < 0 for row in rows):
         raise ValueError("operator contains t^-1; the Fourier substitution "
                          "is defined only for polynomial coefficients")
+    forward = direction == "forward"
     acc: dict[int, dict[int, int]] = {}
-    for k, m, n in monos:
-        # n*t^m*d^k  ->  n * d^m * (-t)^k      (forward)
-        #            ->  n * (-d)^m * t^k      (inverse)
-        if (k if direction == "forward" else m) % 2:
-            n = -n
-        _leibniz(acc, n, m, k, 0, 0)
-    return _from_numerators(acc, scale)
+    for k, row in enumerate(rows):
+        for m, n in row.items():
+            # n*t^m*d^k  ->  n * d^m * (-t)^k      (forward)
+            #            ->  n * (-d)^m * t^k      (inverse)
+            if (k if forward else m) % 2:
+                n = -n
+            _leibniz(acc, n, m, k, 0, 0)
+    return _from_numerators(acc, op._den)
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +691,10 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
     sum_i r_i u^i d^i, where right multiplication by D + k is the integer
     recurrence of ``_times_euler``.
     """
-    scale, monos = _numerators(op)
     parts: dict[int, dict[int, int]] = {}  # t-weight m-k -> {k: +-n}
-    for k, m, n in monos:
-        parts.setdefault(m - k, {})[k] = -n if k % 2 else n
+    for k, row in enumerate(op._rows):
+        for m, n in row.items():
+            parts.setdefault(m - k, {})[k] = -n if k % 2 else n
     acc: dict[int, dict[int, int]] = {}
     for w, part in parts.items():
         # Horner: r <- r*(D + k) + part[k], from the top k down to 0
@@ -672,7 +705,7 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
             r[0] += part.get(k, 0)
         for i, c in enumerate(r):
             acc.setdefault(i, {})[i - w] = c
-    return _from_numerators(acc, scale)
+    return _from_numerators(acc, op._den)
 
 
 # ---------------------------------------------------------------------------
@@ -689,15 +722,22 @@ def _weight_part(op: WeylOp, place: str) -> list[int]:
     product under s -> -s.  Ascending integer coefficients, L times the
     rational ones; never zero, as the monomial of largest k reaches degree k.
     """
-    _, monos = _numerators(op)
-    weight = _extreme(place)(m - k for k, m, _ in monos)
-    part = {k: n for k, m, n in monos if m - k == weight}
-    # Horner: q <- q*(s - k) + part[k], from the top k down to 0
+    rows = op._rows
+    weight = _extreme(place)(m - k for k, row in enumerate(rows) for m in row)
+    part = {k: row[weight + k] for k, row in enumerate(rows) if weight + k in row}
+    # Horner: q <- q*(s - k) + part[k], from the top k down to 0, each step
+    # one pass that carries the previous entry: q'_i = q_(i-1) - k * q_i
     top = max(part)
     q = [part[top]]
     for k in range(top - 1, -1, -1):
-        q = ([part.get(k, 0) - k * q[0]]
-             + [q[i - 1] - k * q[i] for i in range(1, len(q))] + [q[-1]])
+        nxt = []
+        prev = 0
+        for x in q:
+            nxt.append(prev - k * x)
+            prev = x
+        nxt.append(prev)
+        nxt[0] += part.get(k, 0)
+        q = nxt
     return q
 
 
@@ -766,15 +806,21 @@ class IndicialPolynomial:
 
         Product comparison in integers, independent of any factorization
         routine: with the values n/L, prod (L*s - n) * lead = nums * L^deg.
+        The product grows one factor at a time, each in one pass that
+        carries the previous entry: p'_i = L * p_(i-1) - n * p_i.
         """
         claimed, scale = _clear_denominators(values, den)
         if len(claimed) != self.degree:
             return False
         prod = [1]
         for n in claimed:
-            prod = ([-n * prod[0]]
-                    + [scale * prod[i - 1] - n * prod[i] for i in range(1, len(prod))]
-                    + [scale * prod[-1]])
+            nxt = []
+            prev = 0
+            for x in prod:
+                nxt.append(scale * prev - n * x)
+                prev = x
+            nxt.append(scale * prev)
+            prod = nxt
         lead, top = self.nums[-1], scale ** len(claimed)
         return all(p * lead == top * c for p, c in zip(prod, self.nums))
 

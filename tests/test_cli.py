@@ -1,10 +1,13 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import package_env
+from dworkgm import weyl
 from dworkgm.cli import main
 
 
@@ -188,6 +191,90 @@ def test_invariant_failure_has_its_own_exit_code(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["type"] == "InvariantError"
     assert "Koszul quotient" in error["message"]
+
+
+@pytest.mark.parametrize("error", [KeyError("g_block"), RecursionError("too deep")])
+def test_any_other_exception_is_an_internal_failure(capsys, monkeypatch, error):
+    from dworkgm import dwork
+
+    def broken(w):
+        raise error
+
+    monkeypatch.setattr(dwork, "full_report", broken)
+    code, out, err = run_cli(capsys, "report", "--weights", "1,2,3")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)["error"]
+    assert doc["type"] == type(error).__name__
+    assert doc["message"] == str(error)
+    assert doc["traceback"].endswith(f"{type(error).__name__}: {error}\n")
+    assert "in broken" in doc["traceback"]
+
+
+def test_weyl_parse_refuses_a_power_above_the_limit(capsys):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "weyl", "parse", "--op", "d^1000000000")
+    assert time.process_time() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": {
+        "type": "ParseError",
+        "message": "exponent 1000000000 is above the limit 4096 (at position 2)"}}
+
+
+# -- failure lines, forced by a broken Weyl kernel -----------------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def leibniz_without_its_last_term(acc, n, a, b, t_shift, d_shift):
+    """weyl._leibniz that drops the last term of every expansion with more
+    than one: d*t comes out as t*d."""
+    terms = a + 1 if b < 0 else min(a, b) + 1
+    for j in range(max(terms - 1, 1)):
+        row = acc.setdefault(a - j + d_shift, {})
+        row[b - j + t_shift] = row.get(b - j + t_shift, 0) + n
+        n = n * (a - j) * (b - j) // (j + 1)
+
+
+def euler_step_with_a_stale_carry(r, a, b):
+    """weyl._times_euler whose carried entry stays r_0."""
+    return ([b * r[0]] + [a * r[0] + (a * j + b) * r[j] for j in range(1, len(r))]
+            + [a * r[-1]])
+
+
+def fourier_without_its_inverse(op, direction="forward", forward=weyl.fourier):
+    """weyl.fourier that runs the forward map in either direction: still a
+    ring map, but no longer inverted by "inverse"."""
+    return forward(op)
+
+
+def test_report_prints_its_failed_checks(capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "_leibniz", leibniz_without_its_last_term)
+    code, out, err = run_cli(capsys, "report", "--weights", "1,2,3")
+    assert code == 1 and err == ""
+    golden = (GOLDEN / "report_weights_1_2_3.txt").read_text().splitlines()
+    assert golden[-1] == "checks       : all passed"
+    assert out.splitlines() == golden[:-1] + ["checks       : FAILED ['fourier_pair']"]
+
+
+@pytest.mark.parametrize("kernel, broken, failed", [
+    ("_leibniz", leibniz_without_its_last_term,
+     ["fourier_pair", "weyl_ring_laws", "weyl_fourier_ring_map"]),
+    ("_times_euler", euler_step_with_a_stale_carry,
+     ["fourier_pair", "weyl_mobius_involution"]),
+    ("fourier", fourier_without_its_inverse, ["weyl_fourier_ring_map"]),
+], ids=["leibniz", "times_euler", "fourier_inverse"])
+def test_check_prints_its_failed_checks(capsys, monkeypatch, kernel, broken, failed):
+    monkeypatch.setattr(weyl, kernel, broken)
+    code, out, err = run_cli(capsys, "check", "--weights", "1,2,3")
+    assert code == 1 and err == ""
+    golden = (GOLDEN / "check_weights_1_2_3.txt").read_text().splitlines()
+    expected = [f"FAIL {line[5:]}" if line[5:] in failed else line for line in golden]
+    assert out.splitlines() == expected + ["some checks FAILED"]
+    assert sum(line.startswith("FAIL ") for line in expected) == len(failed)
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,7 +7,7 @@ the integer form replaced.  ``IndicialPolynomial`` built from the same
 polynomial at any nonzero scale must agree with them on ``coeffs``, ``str``,
 ``==``, ``hash``, ``roots()`` and ``has_roots_exactly``, the last on
 rational values, on integer numerators over one denominator and on rational
-values over a scale.
+values over a scale, and again on roots with numerators beyond 2^64.
 """
 
 import functools
@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dworkgm._factor import factor_over_q
 from dworkgm.weyl import IndicialPolynomial, format_poly
@@ -199,3 +199,26 @@ def test_equality_and_hash_match_fraction_reference(a, b, sa, sb, pa, pb):
     assert (ind_a == ind_b) == equal
     if equal:
         assert hash(ind_a) == hash(ind_b)
+
+
+# Roots that the draws above never reach: numerators beyond 2^64, one root
+# alone, and integer numerators over a scale next to the rational values.
+huge_roots = st.builds(Fraction,
+                       st.one_of(st.integers(2 ** 64, 2 ** 90),
+                                 st.integers(-2 ** 90, -2 ** 64), st.integers(-9, 9)),
+                       st.sampled_from(DENOMINATORS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(huge_roots, min_size=1, max_size=5), nonzero, st.integers(1, 6))
+@example([Fraction(2 ** 70 + 1, 3)], Fraction(1), 1)
+@example([Fraction(-2 ** 65, 7), Fraction(-2 ** 65, 7)], Fraction(-5, 2), 4)
+def test_has_roots_exactly_on_large_roots_matches_reference(roots, scale, extra):
+    monic = [Fraction(1)]
+    for r in roots:
+        monic = times_linear(monic, r)
+    ind = IndicialPolynomial([c * scale for c in monic], "zero")
+    ref = RefIndicial(monic, "zero")
+    assert check_roots(ind, ref, roots, extra)
+    for values in misses(roots) + [roots[:1], [roots[0] + 2 ** 64]]:
+        check_roots(ind, ref, values, extra)

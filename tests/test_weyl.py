@@ -105,6 +105,19 @@ def test_parse_nesting_is_limited_to_100_levels():
         assert text[position] == "("
 
 
+def test_parse_powers_are_limited_to_4096():
+    # the limit itself parses: d^4096 has 4097 rows, (t)^4096 is 4096 products
+    assert parse_op("d^4096") == WeylOp.d(4096)
+    assert parse_op("(t)^4096") == WeylOp.t(4096)
+    # a bare t builds one monomial, whatever its exponent
+    assert parse_op("t^1000000000") == WeylOp.t(10 ** 9)
+    assert parse_op("t^-4097") == WeylOp.t(-4097)
+    for text in ("d^4097", "D^4097", "(t)^4097", "t + 2*d^1000000000"):
+        with pytest.raises(ParseError, match="above the limit 4096") as err:
+            parse_op(text)
+        assert err.value.position == text.index("^") + 1
+
+
 def test_parse_precedence_and_power():
     assert parse_op("2^3") == WeylOp.constant(8)
     assert parse_op("t^2*d + 1") == parse_op("(t^2)*(d) + 1")

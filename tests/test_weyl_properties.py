@@ -7,7 +7,9 @@ implementation that the integer numerators over one denominator replaced.
 Every public operation of ``WeylOp`` must agree with them on localized
 operators whose coefficients have unrelated denominators, and every result
 must be in canonical form.  The readings at infinity, taken from the rows,
-must agree with the readings at zero after ``mobius_infinity``.
+must agree with the readings at zero after ``mobius_infinity``.  The
+integer kernels ``_leibniz``, ``_times_euler`` and ``_clear_denominators``
+are also checked directly, on inputs that operators never feed them.
 """
 
 import functools
@@ -17,8 +19,9 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dworkgm import weyl
 from dworkgm.dwork import ft_pair, invariant_hyp
 from dworkgm.hypergeom import hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, WeylOp,
@@ -316,3 +319,67 @@ def test_large_readings_at_infinity_match_mobius(w):
         assert_infinity_reads_mobius(op)
         flags.add(fuchs_regular(op, "infinity"))
     assert flags == {True, False}  # P = gamma*prod(D - c) - t^d is irregular there
+
+
+# -- the integer kernels against their references ----------------------------------
+
+# Inputs that the operator-level draws above never reach: coefficients beyond
+# 2^64, a single entry, constants below zero and at or above the multiplier,
+# nonzero shifts, and an accumulator that already holds the target rows.
+huge = st.one_of(st.integers(2 ** 64, 2 ** 90), st.integers(-2 ** 90, -2 ** 64))
+kernel_ints = st.one_of(st.integers(-9, 9), huge)
+accumulators = st.dictionaries(
+    st.integers(0, 14), st.dictionaries(st.integers(-14, 14), kernel_ints, max_size=5),
+    max_size=6)
+
+
+def layout(acc):
+    """acc with its rows and keys in insertion order."""
+    return [(k, list(row.items())) for k, row in acc.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(kernel_ints, min_size=1, max_size=7), st.integers(-12, 12),
+       st.integers(-12, 12))
+@example([1], 1, -1)
+@example([2 ** 70], 3, 3)
+@example([5, -2 ** 65, 7], 2, 9)
+@example([0, 0], 0, -4)
+def test_times_euler_matches_reference(r, a, b):
+    kept = list(r)
+    assert weyl._times_euler(r, a, b) == ref_times_euler(kept, a, b)
+    assert r == kept
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(accumulators, kernel_ints.filter(bool), st.integers(0, 7), st.integers(-7, 9),
+       st.integers(-6, 6), st.integers(0, 6))
+@example({}, 2 ** 65 + 1, 3, -2, 0, 0)
+@example({}, -7, 2, 5, 1, 1)
+@example({3: {2: 1}, 2: {1: -4}, 1: {0: 2}}, 4, 3, 3, 0, 0)
+def test_leibniz_matches_reference(acc, n, a, b, t_shift, d_shift):
+    ref = {k: dict(row) for k, row in acc.items()}
+    acc = {k: dict(row) for k, row in acc.items()}
+    weyl._leibniz(acc, n, a, b, t_shift, d_shift)
+    ref_leibniz(ref, n, a, b, t_shift, d_shift)
+    assert layout(acc) == layout(ref)
+
+
+def ref_clear_denominators(values, den):
+    fs = [Fraction(v) for v in values]
+    lcm = functools.reduce(math.lcm, (f.denominator for f in fs), 1)
+    return [int(f * lcm) for f in fs], den * lcm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(kernel_ints, st.booleans(), fractions,
+                          st.builds(Fraction, huge, st.sampled_from(DENOMINATORS))),
+                max_size=6),
+       st.integers(1, 30))
+@example([], 1)
+@example([], 7)
+@example([True, False, 3], 2)
+def test_clear_denominators_matches_reference(values, den):
+    nums, scale = weyl._clear_denominators(values, den)
+    assert (nums, scale) == ref_clear_denominators(values, den)
+    assert all(type(n) is int for n in nums)
