@@ -229,25 +229,23 @@ def _random_op(rng: random.Random, localized: bool = False) -> weyl.WeylOp:
 
 def _random_property_checks(seed: int, trials: int = 40) -> dict[str, bool]:
     rng = random.Random(seed)
-    ring_ok = True
-    for _ in range(trials):
-        a, b, c = (_random_op(rng, localized=True) for _ in range(3))
-        if (a + b) * c != a * c + b * c or (a * b) * c != a * (b * c):
-            ring_ok = False
-            break
-    fourier_ok = True
-    for _ in range(trials):
-        a, b = _random_op(rng), _random_op(rng)
-        if weyl.fourier(a * b) != weyl.fourier(a) * weyl.fourier(b):
-            fourier_ok = False
-            break
-        if weyl.fourier(weyl.fourier(a), "inverse") != a:
-            fourier_ok = False
-            break
-    mobius_ok = all(
-        weyl.mobius_infinity(weyl.mobius_infinity(op)) == op
-        for op in (_random_op(rng, localized=True) for _ in range(trials))
-    )
+
+    def draws(k: int, localized: bool = False):
+        return ([_random_op(rng, localized) for _ in range(k)]
+                for _ in range(trials))
+
+    ring_ok = all((a + b) * c == a * c + b * c and (a * b) * c == a * (b * c)
+                  for a, b, c in draws(3, localized=True))
+    fourier_ok = all(weyl.fourier(a * b) == weyl.fourier(a) * weyl.fourier(b)
+                     and weyl.fourier(weyl.fourier(a), "inverse") == a
+                     for a, b in draws(2))
+    # the images of the generators fix which involution it is: conjugating
+    # the right map by a power of t is an involution and a ring map too
+    d = weyl.WeylOp.d()
+    mobius_ok = (weyl.mobius_infinity(weyl.WeylOp.t()) == weyl.WeylOp.t(-1)
+                 and weyl.mobius_infinity(d) == -(weyl.WeylOp.t(2) * d)
+                 and all(weyl.mobius_infinity(weyl.mobius_infinity(op)) == op
+                         for op, in draws(1, localized=True)))
     return {"weyl_ring_laws": ring_ok, "weyl_fourier_ring_map": fourier_ok,
             "weyl_mobius_involution": mobius_ok}
 
@@ -268,13 +266,14 @@ def _cmd_check(args) -> int:
                     arrangement.projective_arrangement_consistent(w.n)
         ok = all(checks.values())
         all_ok = all_ok and ok
-        docs.append({"weights": list(w.w), "checks": checks, "passed": ok})
-        if not args.json:
+        if args.json:
+            docs.append({"weights": list(w.w), "checks": checks, "passed": ok})
+        else:
             prefix = f"[{','.join(str(x) for x in w.w)}] " if args.sweep else ""
             for name, result in checks.items():
                 print(f"{'PASS' if result else 'FAIL'} {prefix}{name}")
-    doc = docs[0] if not args.sweep else {"sweep": docs, "passed": all_ok}
     if args.json:
+        doc = {"sweep": docs, "passed": all_ok} if args.sweep else docs[0]
         print(json.dumps(doc, indent=2))
     elif not all_ok:
         print("some checks FAILED")

@@ -30,11 +30,12 @@ arrangement-cohomology tables.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
@@ -544,14 +545,11 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
     return report
 
 
-def primitive_sweep(n_max: int, w_max: int) -> list[Weights]:
-    """All primitive weight tuples with 1 <= n <= n_max and entries <= w_max."""
-    out = []
+def primitive_sweep(n_max: int, w_max: int) -> Iterator[Weights]:
+    """All primitive weight tuples with 1 <= n <= n_max and entries <= w_max,
+    yielded one at a time by n, then in lexicographic order."""
+    entries = range(1, w_max + 1)
     for n in range(1, n_max + 1):
-        stack: list[tuple[int, ...]] = [()]
-        for _ in range(n + 1):
-            stack = [t + (x,) for t in stack for x in range(1, w_max + 1)]
-        for t in stack:
+        for t in itertools.product(entries, repeat=n + 1):
             if math.gcd(*t) == 1:
-                out.append(Weights(t))
-    return out
+                yield Weights(t)

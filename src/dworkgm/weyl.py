@@ -475,7 +475,8 @@ def euler_factorization(d: int) -> WeylOp:
 #   atom     := 't' | 'd' | 'D' | rational | '(' expr ')'
 #   rational := integer ('/' positive-integer)?
 #
-# 'D' desugars to t*d.  Negative exponents are legal only on the bare 't'.
+# 'D' desugars to t*d, and an integer is a run of decimal digits in any
+# script (str.isdecimal).  Negative exponents are legal only on the bare 't'.
 # A power of the bare 't' or 'd' is built as its monomial; any other base is
 # raised by repeated products.  Parentheses nest at most _MAX_NESTING = 100
 # levels deep: the parser recurses through four methods per level, and a
@@ -498,9 +499,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
@@ -542,8 +543,6 @@ class _Parser:
         op = self.expr()
         tok = self.peek()
         if tok is not None:
-            if tok[0] == "/":
-                raise ParseError("division token outside a rational literal", tok[2])
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
         return op
 

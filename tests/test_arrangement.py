@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from dworkgm.arrangement import (projective_arrangement_consistent, projective_arrangement_dims,
@@ -47,6 +49,31 @@ def test_tn_alternating_sum_vanishes():
         assert sum((-1) ** i * v for i, v in torus_slice_dims(n).items()) == 0
 
 
+def ref_nbc_oracle(num_hyperplanes, ambient_dim):
+    """The Moebius recursion run on every flat: each subset of at most the
+    rank hyperplanes, as a sum over all its proper subsets."""
+    rank = min(num_hyperplanes, ambient_dim)
+    mu = {frozenset(): 1}
+    betti = {0: 1}
+    for k in range(1, rank + 1):
+        total = 0
+        for flat in combinations(range(num_hyperplanes), k):
+            value = 0
+            for j in range(k):
+                for sub in combinations(flat, j):
+                    value -= mu[frozenset(sub)]
+            mu[frozenset(flat)] = value
+            total += abs(value)
+        betti[k] = total
+    return betti
+
+
+def test_nbc_by_rank_matches_every_flat():
+    for n in range(1, 11):
+        for dim in range(1, 11):
+            assert nbc_oracle(n, dim) == ref_nbc_oracle(n, dim), (n, dim)
+
+
 def test_nbc_trivial_cases():
     assert nbc_oracle(2, 1) == {0: 1, 1: 2}      # a line minus two points
     assert nbc_oracle(1, 4) == {0: 1, 1: 1}      # complement of one hyperplane
@@ -71,6 +98,13 @@ def test_proj_space_table():
 def test_projective_arrangement_consistency_with_oracle():
     for n in range(2, 8):
         assert projective_arrangement_consistent(n)
+
+
+def test_projective_arrangement_consistency_up_to_200():
+    # the dimensions pass 2^53 from n = 57 on: an alternating sum in floats
+    # would round there
+    for n in range(2, 201):
+        assert projective_arrangement_consistent(n), n
 
 
 def test_milnor_fiber_weights_are_integers_not_truncated():

@@ -122,6 +122,38 @@ def test_check_passes(capsys):
     assert lines and all(l.startswith("PASS") for l in lines)
 
 
+def test_check_with_sixty_weights_passes(capsys):
+    # the Moebius oracle over all subsets of 60 hyperplanes would never end
+    code, out, err = run_cli(capsys, "check", "--weights", ",".join(["1"] * 60))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+    assert "PASS projective_arrangement_oracle" in lines
+
+
+def test_check_sweep_checks_each_tuple_as_it_is_built(capsys, monkeypatch):
+    from dworkgm import dwork
+    events = []
+    build = dwork.Weights
+
+    def recorded_build(t):
+        events.append(("built", t))
+        return build(t)
+
+    def recorded_checks(w, _parts=None):
+        events.append(("checked", w.w))
+        return {"ok": True}
+
+    monkeypatch.setattr(dwork, "Weights", recorded_build)
+    monkeypatch.setattr(dwork, "consistency_checks", recorded_checks)
+    code, out, _ = run_cli(capsys, "check", "--sweep", "2,2")
+    assert code == 0
+    tuples = [t for kind, t in events if kind == "checked"]
+    assert len(tuples) == 10
+    assert events == [(kind, t) for t in tuples for kind in ("built", "checked")]
+    assert out.splitlines() == [f"PASS [{','.join(map(str, t))}] ok" for t in tuples]
+
+
 def test_check_sweep(capsys):
     code, out, _ = run_cli(capsys, "check", "--sweep", "1,2", "--json")
     assert code == 0
@@ -212,6 +244,13 @@ def test_any_other_exception_is_an_internal_failure(capsys, monkeypatch, error):
     assert "in broken" in doc["traceback"]
 
 
+def test_weyl_parse_refuses_a_non_decimal_digit(capsys):
+    code, out, err = run_cli(capsys, "weyl", "parse", "--op", "t^²")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ParseError", "message": "unexpected character '²' (at position 2)"}}
+
+
 def test_weyl_parse_refuses_a_power_above_the_limit(capsys):
     start = time.process_time()
     code, out, err = run_cli(capsys, "weyl", "parse", "--op", "d^1000000000")
@@ -237,6 +276,14 @@ def leibniz_without_its_last_term(acc, n, a, b, t_shift, d_shift):
         row = acc.setdefault(a - j + d_shift, {})
         row[b - j + t_shift] = row.get(b - j + t_shift, 0) + n
         n = n * (a - j) * (b - j) // (j + 1)
+
+
+def euler_step_off_by_one(r, a, b):
+    """weyl._times_euler whose running multiplier is a*(j+1) + b: the Moebius
+    map becomes its conjugate by a power of t, still an involution."""
+    return ([(a + b) * r[0]]
+            + [a * r[j - 1] + (a * (j + 1) + b) * r[j] for j in range(1, len(r))]
+            + [a * r[-1]])
 
 
 def euler_step_with_a_stale_carry(r, a, b):
@@ -265,8 +312,11 @@ def test_report_prints_its_failed_checks(capsys, monkeypatch):
      ["fourier_pair", "weyl_ring_laws", "weyl_fourier_ring_map"]),
     ("_times_euler", euler_step_with_a_stale_carry,
      ["fourier_pair", "weyl_mobius_involution"]),
+    ("_times_euler", euler_step_off_by_one,
+     ["indicial_zero", "indicial_infinity", "fourier_pair",
+      "weyl_mobius_involution"]),
     ("fourier", fourier_without_its_inverse, ["weyl_fourier_ring_map"]),
-], ids=["leibniz", "times_euler", "fourier_inverse"])
+], ids=["leibniz", "times_euler", "times_euler_off_by_one", "fourier_inverse"])
 def test_check_prints_its_failed_checks(capsys, monkeypatch, kernel, broken, failed):
     monkeypatch.setattr(weyl, kernel, broken)
     code, out, err = run_cli(capsys, "check", "--weights", "1,2,3")

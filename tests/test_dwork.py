@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -425,6 +426,28 @@ def test_ft_pair_matches_the_chain():
 def test_primitive_sweep_counts():
     sweep = dwork.primitive_sweep(1, 2)
     assert sorted(w.w for w in sweep) == [(1, 1), (1, 2), (2, 1)]
+
+
+def ref_primitive_sweep(n_max, w_max):
+    """The sweep as one list, each length built by extending the last."""
+    out = []
+    for n in range(1, n_max + 1):
+        stack = [()]
+        for _ in range(n + 1):
+            stack = [t + (x,) for t in stack for x in range(1, w_max + 1)]
+        out += [t for t in stack if math.gcd(*t) == 1]
+    return out
+
+
+def test_primitive_sweep_is_lazy_and_in_order():
+    for n_max in range(1, 5):
+        for w_max in range(1, 5):
+            sweep = dwork.primitive_sweep(n_max, w_max)
+            assert iter(sweep) is sweep
+            assert [w.w for w in sweep] == ref_primitive_sweep(n_max, w_max)
+    # 2^(n+1) tuples for every n up to 10^6: only a lazy sweep gets to any
+    sweep = dwork.primitive_sweep(10**6, 2)
+    assert [next(sweep).w for _ in range(4)] == [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("bad", [(1.5, 2), (Fraction(3, 2), 2), ("1", 2)])

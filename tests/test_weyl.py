@@ -85,6 +85,21 @@ def test_parse_errors_carry_position():
         parse_op("t +")
 
 
+def test_parse_reads_only_decimal_digits():
+    # '²' is a digit to str.isdigit but not a decimal one, so int() refused it
+    with pytest.raises(ParseError, match="unexpected character '²'") as err:
+        parse_op("t^²")
+    assert err.value.position == 2
+    assert str(parse_op("t*٣")) == "3*t"  # ARABIC-INDIC DIGIT THREE
+    # a '/' after a rational literal is refused by term, one at the start by atom
+    with pytest.raises(ParseError, match="rational literal") as err:
+        parse_op("1/2/3")
+    assert err.value.position == 3
+    with pytest.raises(ParseError, match="rational literal") as err:
+        parse_op("/2")
+    assert err.value.position == 0
+
+
 def nested(levels: int, inner: str = "t") -> str:
     return "(" * levels + inner + ")" * levels
 
