@@ -1,7 +1,9 @@
 """Exact factorisation of a rational polynomial in one variable.
 
 This is the factoriser behind the root oracle of ``weyl``
-(``_rational_root_split``), and ``factor_over_q`` is its one entry point.
+(``_rational_root_split``, which calls ``_factor_integer`` on the integer
+polynomial it already holds), and ``factor_over_q`` is its public entry
+point.
 It uses the classical exact methods on integer polynomials:
 
 1. Clear denominators to a primitive integer polynomial with positive
@@ -17,13 +19,23 @@ It uses the classical exact methods on integer polynomials:
    prime p that does not divide the leading coefficient lc finds the roots
    modulo p; the first p at which each of them is simple is taken.  A
    rational root a/b has b | lc, so its residue is one of these simple
-   roots, and only the primes dividing lc * disc fail.  Each root is
-   Newton-lifted until p^k exceeds twice the Cauchy bound of lc * root,
-   read back symmetrically and kept only if exact division confirms it.
-   Once the cofactor has degree <= 2, its roots are read in closed form
+   roots, and only the primes dividing lc * disc fail.  Each residue is
+   read back at p and again after every step of its Newton lift, in two
+   ways: lc * root read symmetrically, and, for lc > 1, the fraction of
+   least height that the residue can be (Wang's rational reconstruction).
+   A reading whose numerator divides the constant term (the rational root
+   test) is kept as soon as exact division confirms it, so a small root
+   needs no lift, and none goes past p^k above twice the Cauchy bound of
+   lc * root, where the symmetric reading is exact.  Once the cofactor has
+   degree <= 2, its roots are read in closed form
    (``weyl._low_degree_roots``) instead.
-4. A root-free rest of degree 2 or 3 is irreducible.  From degree 4 on,
-   degree analysis (Musser, J. ACM 22, 1975) first: the distinct-degree
+4. A root-free rest of degree 2 or 3 is irreducible.  From degree 4 on, a
+   binomial b*t^n + a is settled by Capelli's theorem (Lang, *Algebra*,
+   ch. VI, thm. 9.1): t^n - c is irreducible over Q iff c is no p-th power
+   for a prime p | n and, when 4 | n, c is not in -4*Q^4; the powers are
+   tested by exact integer roots (``weyl._integer_nthroot``).  Only a
+   reducible binomial and any other rest go on, to degree analysis
+   (Musser, J. ACM 22, 1975) first: the distinct-degree
    factorisation modulo each of DEGREE_PRIMES good primes (not dividing lc,
    rest squarefree modulo it; the Frobenius h -> h^p is the substitution
    h(x^p)) leaves as possible degrees of a factor over Q the subset sums of
@@ -50,7 +62,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .weyl import _clear_denominators, _low_degree_roots, _primitive, _strip
+from .weyl import (_clear_denominators, _integer_nthroot, _low_degree_roots,
+                   _primitive, _strip)
 
 Poly = list[int]  # lowest degree first, nonzero last entry; [] is zero
 
@@ -74,11 +87,20 @@ def factor_over_q(
     f = _strip(_clear_denominators(coeffs)[0])
     if not f:
         raise ValueError("zero polynomial has no factorisation")
-    roots: dict[Fraction, int] = {}
+    roots, factors = _factor_integer(f)
+    return dict(roots), factors
+
+
+def _factor_integer(
+    f: Poly,
+) -> tuple[list[tuple[Fraction, int]], list[tuple[Poly, int]]]:
+    """``factor_over_q`` of the nonzero integer polynomial f, with its
+    rational roots as a list of distinct (root, multiplicity) pairs."""
+    roots: list[tuple[Fraction, int]] = []
     factors: list[tuple[Poly, int]] = []
     for part, mult in _squarefree(_primitive(f)):
         found, rest = _rational_roots(part)
-        roots.update(dict.fromkeys(found, mult))
+        roots += [(r, mult) for r in found]
         if len(rest) > 4:  # degree >= 4: may split without a root
             factors.extend((g, mult) for g in _zassenhaus(rest))
         elif len(rest) > 2:
@@ -329,9 +351,10 @@ def _exponents(k: int) -> list[int]:
 
 def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
     """The rational roots of the squarefree primitive nonconstant f and the
-    cofactor of their linear factors: each root lifted from a simple root
-    modulo the first odd prime p, not dividing lc, at which all are simple,
-    until the cofactor has degree <= 2 and is solved in closed form."""
+    cofactor of their linear factors: each simple root modulo the first odd
+    prime p, not dividing lc, at which all are simple, read back at p and at
+    every precision of its lift, until the cofactor has degree <= 2 and is
+    solved in closed form."""
     roots = []
     if len(f) > 3:
         lc = f[-1]
@@ -346,27 +369,63 @@ def _rational_roots(f: Poly) -> tuple[list[Fraction], Poly]:
         k = 1
         while p ** k <= bound:
             k += 1
-        modulus = p ** k
         for r in residues:
             if len(f) <= 3:
                 break
             df = _derivative(f)
-            for e in _exponents(k):
+            for e in [1, *_exponents(k)]:
                 m = p ** e
-                r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
-            w = lc * r % modulus
-            if 2 * w > modulus:
-                w -= modulus
-            root = Fraction(w, lc)
-            q = _divide(f, [-root.numerator, root.denominator])
-            if q is not None:
-                roots.append(root)
-                f = q
+                if e > 1:  # one Newton step from the precision before
+                    r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+                found = _read_back(f, lc, r, m)
+                if found is not None:
+                    roots.append(found[0])
+                    f = found[1]
+                    break
     if len(f) <= 3:
         found = _low_degree_roots(f)
         if found:  # all of f's roots
             return roots + found, [1]
     return roots, f
+
+
+def _read_back(f: Poly, lc: int, r: int, m: int) -> tuple[Fraction, Poly] | None:
+    """The root of f that is r modulo m, with the cofactor of its linear
+    factor, when the precision m already shows it; lc is a multiple of
+    every root's denominator.
+
+    Two readings of r: lc * root read centred, and, for lc > 1, the
+    fraction a/b of least height, |a| and b at most sqrt(m/2), that is r
+    modulo m (Wang's rational reconstruction).  A reading is a root when
+    b | lc, a | f[0] (the rational root test) and exact division confirms
+    it; being r modulo p, it is then the lift of r.
+    """
+    w = lc * r % m
+    if 2 * w > m:
+        w -= m
+    g = math.gcd(w, lc)
+    reads = [(w // g, lc // g)]
+    if lc > 1:
+        reads.append(_reconstruct(r, m))
+    for a, b in reads:
+        if b and not lc % b and not (f[0] % a if a else f[0]):
+            q = _divide(f, [-a, b])
+            if q is not None:
+                return Fraction(a, b), q
+    return None
+
+
+def _reconstruct(r: int, m: int) -> tuple[int, int]:
+    """a/b = r modulo m with |a| and 0 < b at most sqrt(m/2), by the
+    extended Euclidean algorithm on (m, r); (0, 0) when there is none."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return 0, 0
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 # -- Zassenhaus ---------------------------------------------------------------
@@ -375,6 +434,8 @@ def _zassenhaus(f: Poly) -> list[Poly]:
     """The irreducible factors of the squarefree primitive f of degree >= 4,
     which has no rational root."""
     n = len(f) - 1
+    if not any(f[1:-1]) and _capelli_irreducible(f):
+        return [f]
     irreducible = 1 | 1 << n
     possible = -1  # bit d set: a factor of degree d is not ruled out
     best = None
@@ -409,6 +470,34 @@ def _zassenhaus(f: Poly) -> list[Poly]:
     while p ** k <= 2 * bound:
         k += 1
     return _recombine(f, _hensel_lift(f, modular, p, k), p ** k)
+
+
+def _capelli_irreducible(f: Poly) -> bool:
+    """Whether the binomial f = b*t^n + a, n >= 2 and a != 0, is irreducible
+    over Q, by Capelli's theorem (Lang, *Algebra*, ch. VI, thm. 9.1): t^n - c
+    is irreducible iff c is no p-th power in Q for any prime p | n and, when
+    4 | n, c is not in -4*Q^4."""
+    n = len(f) - 1
+    c = Fraction(-f[0], f[-1])
+    if n % 4 == 0 and _is_power(c / -4, 4):
+        return False
+    rest, p = n, 2
+    while rest > 1:  # p runs through the prime factors of n
+        if rest % p == 0:
+            if _is_power(c, p):
+                return False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return True
+
+
+def _is_power(c: Fraction, n: int) -> bool:
+    """Whether c is the n-th power of a rational."""
+    if c < 0 and n % 2 == 0:
+        return False
+    return (_integer_nthroot(abs(c.numerator), n)[1]
+            and _integer_nthroot(c.denominator, n)[1])
 
 
 def _hensel_lift(f: Poly, modular: list[Poly], p: int, k: int) -> list[Poly]:

@@ -190,15 +190,16 @@ def _cmd_syzygy(args) -> int:
 
 def _cmd_arrangement(args) -> int:
     n = args.n
+    if n < 2:
+        raise ValueError(f"--n must be at least 2, got {n}")
     doc: dict = {"n": n}
-    if n >= 2:
-        doc["projective_arrangement"] = {
-            str(i): v
-            for i, v in sorted(arrangement.projective_arrangement_dims(n).items())}
-        doc["torus_slice"] = {
-            str(i): v for i, v in sorted(arrangement.torus_slice_dims(n).items())}
-        doc["projective_arrangement_consistent"] = \
-            arrangement.projective_arrangement_consistent(n)
+    doc["projective_arrangement"] = {
+        str(i): v
+        for i, v in sorted(arrangement.projective_arrangement_dims(n).items())}
+    doc["torus_slice"] = {
+        str(i): v for i, v in sorted(arrangement.torus_slice_dims(n).items())}
+    doc["projective_arrangement_consistent"] = \
+        arrangement.projective_arrangement_consistent(n)
     doc["oracle"] = {
         "betti": {str(k): v for k, v in
                   sorted(arrangement.nbc_oracle(n, n - 1).items())},

@@ -30,7 +30,6 @@ arrangement-cohomology tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
                         hyp_operator, is_irreducible, make_hyp, power_pullback,
                         power_pushforward)
-from .weyl import WeylOp, format_poly
+from .weyl import WeylOp, _integer_nthroot, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
 
@@ -108,22 +107,6 @@ def gamma_n(w: WeightsLike) -> Fraction:
     for x in w:
         num *= x ** x
     return Fraction(num, w.d ** w.d)
-
-
-def _integer_nthroot(x: int, n: int) -> tuple[int, bool]:
-    """Floor of the n-th root of x >= 0, and whether it is exact.
-
-    Integer Newton iteration from the upper bound 2^ceil(bits/n); the
-    iterates decrease strictly until they reach the floor root.
-    """
-    if x == 0:
-        return 0, True
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r, r ** n == x
-        r = s
 
 
 @dataclass(frozen=True)
@@ -547,9 +530,20 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
 
 def primitive_sweep(n_max: int, w_max: int) -> Iterator[Weights]:
     """All primitive weight tuples with 1 <= n <= n_max and entries <= w_max,
-    yielded one at a time by n, then in lexicographic order."""
-    entries = range(1, w_max + 1)
+    yielded one at a time by n, then in lexicographic order.  The tuples of
+    one length are counted up like an odometer, so no list of the entries
+    is made: the first tuple comes at once, whatever w_max."""
+    if w_max < 1:
+        return
     for n in range(1, n_max + 1):
-        for t in itertools.product(entries, repeat=n + 1):
+        t = [1] * (n + 1)
+        while True:
             if math.gcd(*t) == 1:
-                yield Weights(t)
+                yield Weights(tuple(t))
+            i = n  # the last entry below w_max steps up, those after it reset
+            while i >= 0 and t[i] == w_max:
+                t[i] = 1
+                i -= 1
+            if i < 0:
+                break
+            t[i] += 1

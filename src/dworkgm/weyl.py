@@ -477,18 +477,31 @@ def euler_factorization(d: int) -> WeylOp:
 #
 # 'D' desugars to t*d, and an integer is a run of decimal digits in any
 # script (str.isdecimal).  Negative exponents are legal only on the bare 't'.
-# A power of the bare 't' or 'd' is built as its monomial; any other base is
+# A term is kept as one monomial num/den * t^m * d^k while its factors are
+# rationals, powers of the bare 't' before any 'd', or powers of the bare
+# 'd'; from the first other factor on (a 't' after a 'd', a 'D', a
+# parenthesised or powered base) it is an operator built by products.  An
+# expression adds its terms into one row map over the lcm of their
+# denominators and normalises it once, so a normal form, as printed, parses
+# without any product or sum of operators.  A power of any other base is
 # raised by repeated products.  Parentheses nest at most _MAX_NESTING = 100
 # levels deep: the parser recurses through four methods per level, and a
 # deeper '(' is a ParseError at its position, not a RecursionError.  An
-# exponent on any base but the bare 't' is at most _MAX_POWER = 4096: d^n
-# builds n + 1 rows and every other power n products, so a larger exponent
-# is a ParseError at its position, raised before any row is built.  A power
-# of the bare 't' is one monomial, and its exponent is not limited.
+# exponent on any base but the bare 't' is at most _MAX_POWER = 4096.  A
+# power of any base but the bare 't' or 'd' must also keep an a-priori bound
+# on the work of its products (``_power_work``, from the exponent and the
+# base's order, t-weights and term count) within _MAX_POWER_WORK = 10^6,
+# which the slowest allowed power, D^815, takes about 1 s to meet; either
+# excess is a ParseError at the exponent, raised before any row is built.
+# A power of the bare 't' is one monomial, and its exponent is not limited.
 
 _SYMBOLS = {"t", "d", "D"}
 _MAX_NESTING = 100
 _MAX_POWER = 4096
+_MAX_POWER_WORK = 10 ** 6
+
+# num/den * t^m * d^k: a term of the parser before it needs a product
+_Monomial = tuple[int, int, int, int]
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -548,36 +561,45 @@ class _Parser:
 
     def expr(self) -> WeylOp:
         tok = self.peek()
+        sign = 1
         if tok is not None and tok[0] in "+-":
             self.next()
-        result = self.term()
-        if tok is not None and tok[0] == "-":
-            result = -result
+            sign = -1 if tok[0] == "-" else 1
+        terms = [(sign, self.term())]
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
                 break
             self.next()
-            rhs = self.term()
-            result = result + (rhs if tok[0] == "+" else -rhs)
-        return result
+            terms.append((-1 if tok[0] == "-" else 1, self.term()))
+        return _sum_terms(terms)
 
-    def term(self) -> WeylOp:
-        result = self.factor()
+    def term(self) -> WeylOp | _Monomial:
+        """The product of the factors: the monomial (num, den, m, k) while
+        they can be absorbed into it, the operator from the first factor
+        that cannot."""
+        num, den, m, k = 1, 1, 0, 0
+        op = None
         while True:
+            f = self.factor()
+            if op is None and isinstance(f, tuple) and not (k and f[2]):
+                num, den, m, k = num * f[0], den * f[1], m + f[2], k + f[3]
+            else:
+                if op is None:
+                    op = _monomial(num, den, m, k)
+                op = op * (_monomial(*f) if isinstance(f, tuple) else f)
             tok = self.peek()
             if tok is None:
                 break
             if tok[0] == "*":
                 self.next()
-                result = result * self.factor()
             elif tok[0] == "/":
                 raise ParseError("division token outside a rational literal", tok[2])
             else:
                 break
-        return result
+        return (num, den, m, k) if op is None else op
 
-    def factor(self) -> WeylOp:
+    def factor(self) -> WeylOp | _Monomial:
         base, symbol = self.atom()
         tok = self.peek()
         if tok is None or tok[0] != "^":
@@ -591,24 +613,30 @@ class _Parser:
         num = self.expect("num")
         n = int(num[1])
         if symbol == "t":
-            return WeylOp.t(-n if neg else n)
+            return (1, 1, -n if neg else n, 0)
         if neg:
             raise ParseError("negative exponents are allowed only on t", num[2])
         if n > _MAX_POWER:
             raise ParseError(f"exponent {n} is above the limit {_MAX_POWER}", num[2])
         if symbol == "d":
-            return WeylOp.d(n)
+            return (1, 1, 0, n)
+        if isinstance(base, tuple):
+            base = _monomial(*base)
+        if _power_work(base, n) > _MAX_POWER_WORK:
+            raise ParseError(f"exponent {n} on this base is above the work limit "
+                             f"{_MAX_POWER_WORK}", num[2])
         return base ** n
 
-    def atom(self) -> tuple[WeylOp, str | None]:
-        """The next atom, with its symbol if it is the bare 't' or 'd'."""
+    def atom(self) -> tuple[WeylOp | _Monomial, str | None]:
+        """The next atom, with its symbol if it is the bare 't' or 'd'; 't',
+        'd' and a rational come as their monomials."""
         tok = self.next()
         kind, value, pos = tok
         if kind == "sym":
             if value == "t":
-                return WeylOp.t(), "t"
+                return (1, 1, 1, 0), "t"
             if value == "d":
-                return WeylOp.d(), "d"
+                return (1, 1, 0, 1), "d"
             return euler_op(), None
         if kind == "num":
             numerator = int(value)
@@ -618,8 +646,8 @@ class _Parser:
                 den = self.expect("num")
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator in rational literal", den[2])
-                return WeylOp.constant(Fraction(numerator, int(den[1]))), None
-            return WeylOp.constant(numerator), None
+                return (numerator, int(den[1]), 0, 0), None
+            return (numerator, 1, 0, 0), None
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(
@@ -632,6 +660,64 @@ class _Parser:
         if kind == "/":
             raise ParseError("division token outside a rational literal", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def _monomial(num: int, den: int, m: int, k: int) -> WeylOp:
+    """num/den * t^m * d^k in normal form."""
+    return _from_numerators({k: {m: num}}, den)
+
+
+def _sum_terms(terms: list[tuple[int, WeylOp | _Monomial]]) -> WeylOp:
+    """The sum of sign * term over (sign, term), each term an operator or a
+    monomial: one row map over the lcm of their denominators, normalised
+    once."""
+    scale = math.lcm(*[t[1] if isinstance(t, tuple) else t._den for _, t in terms])
+    acc: dict[int, dict[int, int]] = {}
+    for sign, t in terms:
+        if isinstance(t, tuple):
+            num, den, m, k = t
+            row = acc.setdefault(k, {})
+            row[m] = row.get(m, 0) + sign * num * (scale // den)
+        else:
+            s = sign * (scale // t._den)
+            for k, row in enumerate(t._rows):
+                target = acc.setdefault(k, {})
+                for m, n in row.items():
+                    target[m] = target.get(m, 0) + n * s
+    return _from_numerators(acc, scale)
+
+
+def _power_work(base: WeylOp, n: int) -> int:
+    """An upper bound on the work, in Leibniz steps and rows, of raising
+    base to the n-th power by n products P^j * P.
+
+    With r the order of P and T its number of terms: P^j has order at most
+    j*r, and its t-weights m - k are sums of j of the c distinct weights of
+    P, so there are at most C(j + c - 1, c - 1) of them, and at most j*S + 1
+    for weights spread over S steps of their gcd.  Each weight holds at most
+    j*r + 1 terms, and each term meets the T terms of P in one Leibniz
+    expansion of at most min(j*r, b) + 1 steps, b being the largest
+    t-exponent of P (j*r + 1 steps when one is negative); the product has
+    (j + 1)*r + 1 rows.
+    """
+    cells = [(m, k) for k, row in enumerate(base._rows) for m in row]
+    if not cells:
+        return n
+    r = len(base._rows) - 1
+    weights = {m - k for m, k in cells}
+    low = min(weights)
+    step = functools.reduce(math.gcd, [w - low for w in weights], 0)
+    spread = (max(weights) - low) // step if step else 0
+    b = max(m for m, _ in cells)
+    if min(m for m, _ in cells) < 0:
+        b = r * n
+    work, sums = 0, 1  # sums = C(j + c - 1, c - 1)
+    for j in range(n):
+        if j:
+            sums = sums * (j + len(weights) - 1) // j
+        work += ((j + 1) * r + 1 + min(sums, j * spread + 1) * (j * r + 1)
+                 * len(cells) * (min(j * r, b) + 1))
+    return work
 
 
 def parse_op(text: str) -> WeylOp:
@@ -870,6 +956,22 @@ def _low_degree_roots(f: list[int]) -> list[Fraction]:
     return [Fraction(-c1 + sq, 2 * c2), Fraction(-c1 - sq, 2 * c2)]
 
 
+def _integer_nthroot(x: int, n: int) -> tuple[int, bool]:
+    """Floor of the n-th root of x >= 0, and whether it is exact.
+
+    Integer Newton iteration from the upper bound 2^ceil(bits/n); the
+    iterates decrease strictly until they reach the floor root.
+    """
+    if x == 0:
+        return 0, True
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r, r ** n == x
+        r = s
+
+
 def _rational_root_split(
     coeffs: list[Scalar],
 ) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[Fraction, ...]]]:
@@ -879,38 +981,43 @@ def _rational_root_split(
     the monic irreducible factors of degree >= 2, each listed once per
     multiplicity.  Zero roots and a rest of degree <= 2 are handled in
     closed form (``_low_degree_roots``), on the integer numerators; a rest
-    of degree >= 3 goes to the exact factoriser ``_factor.factor_over_q``
-    (rational roots by p-adic lifting, degree analysis and Zassenhaus for
-    the rest).  Factors are ordered by degree, then multiplicity, then the
-    coefficients, highest first, of the primitive integer factor with
-    positive leading coefficient.
+    of degree >= 3 goes to the exact factoriser (``_factor``: rational roots
+    by p-adic lifting, Capelli's criterion for binomials, degree analysis
+    and Zassenhaus for the rest).  Factors are ordered by degree, then
+    multiplicity, then the coefficients, highest first, of the primitive
+    integer factor with positive leading coefficient.
     """
     coeffs = _strip(_clear_denominators(coeffs)[0])
     if not coeffs:
         raise ValueError("zero polynomial has no root data")
     v = next(i for i, c in enumerate(coeffs) if c)  # the zero root's multiplicity
-    roots: dict[Fraction, int] = {Fraction(0): v} if v else {}
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), v)] if v else []
     coeffs = coeffs[v:]
     leftovers: list[tuple[Fraction, ...]] = []
     deg = len(coeffs) - 1
     if deg in (1, 2):  # nonzero roots, as in every case below
         found = _low_degree_roots(coeffs)
         for r in found:
-            roots[r] = roots.get(r, 0) + 1
+            if roots and roots[-1][0] == r:  # the second of a double root
+                roots[-1] = (r, 2)
+            else:
+                roots.append((r, 1))
         if not found:
             c0, c1, c2 = coeffs
             leftovers.append((Fraction(c0, c2), Fraction(c1, c2), Fraction(1)))
     elif deg > 2:
         # Imported on first use: reports and sweeps never get here, and
         # their start-up then pays nothing for the factoriser.
-        from ._factor import factor_over_q
+        from ._factor import _factor_integer
 
-        found, factors = factor_over_q(coeffs)
-        roots.update(found)  # no zero root is left to collide with
+        found, factors = _factor_integer(coeffs)
+        roots += found  # distinct, and no zero root is left among them
         for f, m in factors:
             leftovers.extend([tuple([Fraction(c, f[-1]) for c in f])] * m)
-    ordered = tuple(sorted(roots.items()))
-    return ordered, leftovers
+    # exact integer keys: every rational root a/b of coeffs has b | lead
+    lead = abs(coeffs[-1])
+    roots.sort(key=lambda rm: rm[0].numerator * (lead // rm[0].denominator))
+    return tuple(roots), leftovers
 
 
 def indicial_polynomial(op: WeylOp, place: str = "zero") -> IndicialPolynomial:
@@ -968,7 +1075,7 @@ def finite_singular_points(op: WeylOp) -> tuple[tuple[Fraction, ...], tuple[str,
     lead = op._rows[op.order()]
     coeffs = [lead.get(e, 0) for e in range(min(lead), max(lead) + 1)]
     rational, leftovers = _rational_root_split(coeffs)
-    finite = tuple(sorted([r for r, _ in rational if r != 0]))
+    finite = tuple([r for r, _ in rational if r])  # in increasing order
     return finite, tuple([format_poly(f, "t") for f in leftovers])
 
 

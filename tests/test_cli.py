@@ -115,6 +115,14 @@ def test_arrangement_subcommand(capsys):
     assert doc["milnor"] == {"-2": 1, "-1": 3, "0": 6}
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_arrangement_refuses_n_below_2(capsys, n):
+    code, out, err = run_cli(capsys, "arrangement", "--n", n)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ValueError", "message": f"--n must be at least 2, got {n}"}}
+
+
 def test_check_passes(capsys):
     code, out, _ = run_cli(capsys, "check", "--weights", "1,2,3")
     assert code == 0
@@ -261,6 +269,17 @@ def test_weyl_parse_refuses_a_power_above_the_limit(capsys):
     assert json.loads(err) == {"error": {
         "type": "ParseError",
         "message": "exponent 1000000000 is above the limit 4096 (at position 2)"}}
+
+
+def test_weyl_parse_refuses_a_power_above_the_work_limit(capsys):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "weyl", "parse", "--op", "(d+t)^4096")
+    assert time.process_time() - start < 0.5
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ParseError",
+        "message": "exponent 4096 on this base is above the work limit 1000000"
+                   " (at position 6)"}}
 
 
 # -- failure lines, forced by a broken Weyl kernel -----------------------------------

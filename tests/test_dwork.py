@@ -450,6 +450,20 @@ def test_primitive_sweep_is_lazy_and_in_order():
     assert [next(sweep).w for _ in range(4)] == [(1, 1), (1, 2), (2, 1), (1, 1, 1)]
 
 
+def test_primitive_sweep_makes_no_list_of_its_entries():
+    # under a 1 GB address space: a copy of 1..10^9 would need about 36 GB
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from dworkgm.dwork import primitive_sweep\n"
+            "sweep = primitive_sweep(1, 10**9)\n"
+            "print([next(sweep).w for _ in range(3)])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[(1, 1), (1, 2), (1, 3)]\n"
+    assert list(dwork.primitive_sweep(3, 0)) == []
+
+
 @pytest.mark.parametrize("bad", [(1.5, 2), (Fraction(3, 2), 2), ("1", 2)])
 def test_weights_are_integers_not_truncated(bad):
     with pytest.raises(TypeError):

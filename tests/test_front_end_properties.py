@@ -1,10 +1,11 @@
 """Property tests of the Weyl front end against the forms it replaced.
 
 ``ref_value`` is the ``Fraction`` Horner loop that ``IndicialPolynomial``
-evaluated with before it ran in integers; ``RefParser`` raises every power
-with ``**``, as ``_Parser.factor`` did before it built a bare ``t^n`` or
-``d^n`` as its monomial.  The current forms must give equal values, of type
-``Fraction``, and equal operators.
+evaluated with before it ran in integers; ``RefParser`` is the parser before
+it built normal-form terms directly, with every sum and product an operation
+on ``WeylOp`` and every power but one of the bare ``t`` raised with ``**``.  The current forms must
+give equal values, of type ``Fraction``, and equal operators, or the same
+``ParseError`` at the same position.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
-                          _Parser, euler_op, parse_op)
+                          _tokenize, euler_op, parse_op)
 
 
 def ref_value(ind, x):
@@ -25,10 +26,70 @@ def ref_value(ind, x):
     return acc / ind.nums[-1]
 
 
-class RefParser(_Parser):
+class RefParser:
+    """The parser as it was before it built normal-form terms directly: each
+    sum, difference and product is an operation on ``WeylOp``, and every
+    power but one of the bare ``t`` is raised with ``**``.  Its
+    grammar, errors and error positions are the ones ``parse_op`` keeps."""
+
+    def __init__(self, text):
+        self.text, self.tokens, self.pos, self.depth = text, _tokenize(text), 0, 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        op = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        return op
+
+    def expr(self):
+        tok = self.peek()
+        if tok is not None and tok[0] in "+-":
+            self.next()
+        result = self.term()
+        if tok is not None and tok[0] == "-":
+            result = -result
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] not in "+-":
+                return result
+            self.next()
+            rhs = self.term()
+            result = result + (rhs if tok[0] == "+" else -rhs)
+
+    def term(self):
+        result = self.factor()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return result
+            if tok[0] == "*":
+                self.next()
+                result = result * self.factor()
+            elif tok[0] == "/":
+                raise ParseError("division token outside a rational literal", tok[2])
+            else:
+                return result
+
     def factor(self):
         bare_t = (self.peek() or ())[:2] == ("sym", "t")
-        base = self.atom()[0]
+        base = self.atom()
         tok = self.peek()
         if tok is None or tok[0] != "^":
             return base
@@ -40,11 +101,39 @@ class RefParser(_Parser):
             neg = True
         num = self.expect("num")
         n = int(num[1])
+        if bare_t:
+            return WeylOp.t(-n if neg else n)
         if neg:
-            if not bare_t:
-                raise ParseError("negative exponents are allowed only on t", num[2])
-            return WeylOp.t(-n)
+            raise ParseError("negative exponents are allowed only on t", num[2])
+        if n > 4096:
+            raise ParseError(f"exponent {n} is above the limit 4096", num[2])
         return base ** n
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if kind == "sym":
+            return {"t": WeylOp.t(), "d": WeylOp.d(), "D": euler_op()}[value]
+        if kind == "num":
+            numerator = int(value)
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == "/":
+                self.next()
+                den = self.expect("num")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator in rational literal", den[2])
+                return WeylOp.constant(Fraction(numerator, int(den[1])))
+            return WeylOp.constant(numerator)
+        if kind == "(":
+            if self.depth == 100:
+                raise ParseError("parentheses nested deeper than 100 levels", pos)
+            self.depth += 1
+            inner = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return inner
+        if kind == "/":
+            raise ParseError("division token outside a rational literal", pos)
+        raise ParseError(f"unexpected token {value!r}", pos)
 
 
 def ref_parse(text):
@@ -151,3 +240,61 @@ def test_round_trip_of_workload_shaped_operators(terms):
 @given(sums)
 def test_products_of_powers_match_reference(text):
     assert parse_op(text) == ref_parse(text), text
+
+
+# -- parser against the reference, errors included ------------------------------
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+# Words in which a t follows a d, a D, a parenthesised base or a power stops
+# the parser's monomial; "4/0" is a zero denominator and 5000 an exponent
+# above the limit.
+grammar_factors = st.one_of(
+    st.sampled_from(["t", "d", "D", "0", "3", "2/5", "7/4", "4/0", "(t)", "((d))",
+                     "(d*t + 1)", "(t - 2/3*d)", "(D^2 + t^-1)", "(-t + 1/2*D)"]),
+    st.tuples(st.sampled_from(["t", "d", "D", "2", "1/3", "(t + d)", "((t)^2 - d)"]),
+              st.sampled_from(["^0", "^1", "^2", "^3", "^-1", "^-3", "^5000"]))
+    .map("".join),
+)
+grammar_words = st.lists(grammar_factors, min_size=1, max_size=4).map("*".join)
+grammar_sums = st.tuples(
+    st.sampled_from(["", "-", "+"]), grammar_words,
+    st.lists(st.tuples(st.sampled_from([" + ", " - "]), grammar_words), max_size=3),
+).map(lambda s: s[0] + s[1] + "".join(sign + w for sign, w in s[2]))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A string of the grammar, maybe with one character of its alphabet
+    inserted or one character deleted."""
+    text = draw(texts)
+    edit = draw(st.sampled_from(["none", "insert", "delete"]))
+    i = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        return text[:i] + draw(st.sampled_from(list("tdD0123+-*^()/ "))) + text[i:]
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mutated(st.one_of(grammar_sums, grammar_sums.map(lambda s: f"({s})^2"))))
+def test_parser_matches_the_reference_on_grammar_strings(text):
+    assert outcome(parse_op, text) == outcome(ref_parse, text), text
+
+
+# Every token spaced apart, so that no two numbers run together into a large
+# exponent: mostly parse errors, at every kind of position.
+TOKENS = ["t", "d", "D", "0", "1", "2", "3", "5000", "7/2", "4/0",
+          "+", "-", "*", "^", "(", ")", "/"]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(TOKENS), max_size=14).map(" ".join))
+def test_parser_matches_the_reference_on_token_strings(text):
+    assert outcome(parse_op, text) == outcome(ref_parse, text), text

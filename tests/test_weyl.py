@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,20 @@ def test_parse_powers_are_limited_to_4096():
         with pytest.raises(ParseError, match="above the limit 4096") as err:
             parse_op(text)
         assert err.value.position == text.index("^") + 1
+
+
+def test_parse_powers_keep_their_work_bound():
+    # refused from the base's shape before any product: the first four took
+    # seconds to hours by repeated products, (d + t)^91 is just past the bound
+    for text in ("(d+t)^4096", "D^4096", "(1+t)^4096", "(2*d)^4096", "(d + t)^91"):
+        start = time.process_time()
+        with pytest.raises(ParseError, match="above the work limit 1000000") as err:
+            parse_op(text)
+        assert time.process_time() - start < 0.1
+        assert err.value.position == text.index("^") + 1
+    # a monomial base costs one Leibniz step per product
+    assert parse_op("(t)^4096") == WeylOp.t(4096)
+    assert parse_op("(d + t)^90") == (WeylOp.d() + WeylOp.t()) ** 90
 
 
 def test_parse_precedence_and_power():
