@@ -12,6 +12,25 @@ product identity x_j*sigma*f'_j = l_j*f, which over the domain Q[x] says
 exactly that the quotient x_j*sigma*f'_j / f is l_j, and builds the Koszul
 slots x_i*l_j and -x_j*l_i by shifting the keys of l.
 
+Every such check is a combination c_0*f + c_1*f'_1 + ... + c_n*f'_n that
+must vanish, and all the checks of a call are tested in one packed pass
+(``_failing_checks``), a Kronecker substitution on the index of the check:
+check s is shifted into field s, W bits wide, of one integer per monomial
+key, so each generator is multiplied once by the packed components at its
+index instead of once per check.  With M the largest |coefficient| of a
+generator and N the largest sum over a check's components of the absolute
+values of their coefficients, every coefficient of a check's combination is
+at most M*N in absolute value, and W = bit_length(M*N) + 2 keeps each field
+a signed value below a quarter of its range.  The packed value of a key is
+then sum_s v_s * 2^(W*s) with |v_s| < 2^(W-2): its lowest field is the
+centred residue modulo 2^W, and removing it leaves the rest divisible by
+2^W, so no field carries into or cancels another.  Every packed value is
+zero exactly when every check vanishes, and the failing checks are read off
+the fields only when one is not.  ``syzygy_generators`` checks its n
+identities in one pass; ``verify_syzygies`` without prebuilt parts, and the
+dimension table that builds its own, check the identities and the 1 + C(n,2)
+vectors in one fused pass.
+
 ``generation_oracle`` checks generation degree by degree up to a bound by
 exact linear algebra: the dimension of the space of homogeneous syzygies
 (kernel of the evaluation map on coefficient vectors) must equal the
@@ -40,7 +59,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .weyl import Scalar, _exact, _refuse_float, format_terms
@@ -330,62 +349,144 @@ def jacobian_generators(w) -> list[MultiPoly]:
     return [f] + [f.partial(i) for i in range(n)]
 
 
-def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVector]:
-    """The Euler vector and the Koszul-like vectors for all pairs i < j.
+def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
+                    nvars: int) -> list[int]:
+    """The indices, ascending, of the checks whose sum c_0*g_0 + ... +
+    c_n*g_n is not zero; each check is a list of term maps c_0..c_n aligned
+    with the generator term maps gens.
 
-    For each index j the identity x_j*sigma*f'_j - l_j*f = 0 is expanded into
-    one term map; since f is not zero it holds exactly when the quotient
-    x_j*sigma*f'_j / f is l_j.  A nonzero term would indicate an
-    implementation bug and is surfaced loudly.  The pair i < j has slots
-    x_i*l_j and -x_j*l_i, the keys of l shifted by the key of one variable.
+    One packed pass (see the module docstring): check s is shifted into
+    field s of one int per monomial key, and each generator meets the packed
+    components at its index in one ``_add_product``.  The fields are decoded
+    only when some accumulated value is not zero.  A coefficient that is not
+    an integer raises ValueError before any product, and a check whose
+    component count differs from the generators' raises ValueError.
     """
-    weights = _weights(w)
-    n = len(weights) - 1
-    gens = _gens if _gens is not None else jacobian_generators(weights)
-    f, partials = gens[0], gens[1:]
-    d = sum(weights)
-    units = [_unit(i, n) for i in range(n)]
+    gens = [_int_map(g) for g in gens]
+    top = max(map(abs, _values(gens)), default=0)
+    norm = max([sum(map(abs, _values(check))) for check in checks], default=0)
+    # norm is a Fraction when a component has one; a non-integral one is
+    # refused while packing, an integral one is exact under int()
+    width = int(top * norm).bit_length() + 2
+    packed: list[dict] = [{} for _ in gens]
+    for s, check in enumerate(checks):
+        shift = s * width
+        for p, c in zip(packed, check, strict=True):
+            get = p.get
+            for k, v in c.items():
+                if type(v) is not int:
+                    v = _int_coeff(v)
+                p[k] = get(k, 0) + (v << shift)
+    acc: dict = {}
+    for p, g in zip(packed, gens):
+        _add_product(acc, p, g, nvars)
+    if not any(acc.values()):
+        return []
+    # every field is a signed value below a quarter of its range: the low
+    # field is the centred residue, and removing it leaves the others exact
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    failing = set()
+    for value in acc.values():
+        s = 0
+        while value:
+            field = value & mask
+            if field >= half:
+                field -= mask + 1
+            if field:
+                failing.add(s)
+            value = (value - field) >> width
+            s += 1
+    return sorted(failing)
 
+
+def _raise_on_identity(failing: list[int], n: int) -> None:
+    """Raise for the first failing Koszul-quotient identity: the identities
+    are the first n checks of a packed pass."""
+    if failing and failing[0] < n:
+        j = failing[0] + 1
+        raise InvariantError(
+            f"Koszul quotient x_{j}*sigma*f'_{j} / f does not match "
+            f"the simplified form l_{j}")
+
+
+def _syzygy_checks(weights: tuple[int, ...]
+                   ) -> tuple[list[SyzygyVector], list[list[dict]]]:
+    """The syzygy generators, and the n identity checks x_j*sigma*f'_j -
+    l_j*f as term maps aligned with (f, f'_1, ..., f'_n).
+
+    Since f is not zero, identity j holds exactly when the quotient
+    x_j*sigma*f'_j / f is l_j.  The pair i < j has slots x_i*l_j and
+    -x_j*l_i, the keys of l shifted by the key of one variable.
+    """
+    n = len(weights) - 1
+    units = [_unit(i, n) for i in range(n)]
     euler = SyzygyVector(
-        components=(MultiPoly.constant(n, -d), *(_make(n, {u: 1}) for u in units)),
+        components=(MultiPoly.constant(n, -sum(weights)),
+                    *(_make(n, {u: 1}) for u in units)),
         kind="euler",
     )
-    out = [euler]
-    minus_f = {k: -v for k, v in f._c.items()}
-    ls = []
+    ls = [l_poly(weights, j + 1)._c for j in range(n)]
+    identities = []
     for j in range(n):
-        lj = l_poly(weights, j + 1)._c
-        acc: dict = {}
-        _add_product(acc, {units[j] + u: 1 for u in units}, partials[j]._c, n)
-        _add_product(acc, lj, minus_f, n)
-        if any(acc.values()):
-            raise InvariantError(
-                f"Koszul quotient x_{j + 1}*sigma*f'_{j + 1} / f does not match "
-                f"the simplified form l_{j + 1}")
-        ls.append(lj)
+        check: list[dict] = [{}] * (n + 1)
+        check[0] = {k: -v for k, v in ls[j].items()}
+        check[j + 1] = {units[j] + u: 1 for u in units}
+        identities.append(check)
+    vectors = [euler]
     for i, j in combinations(range(n), 2):
         components = [MultiPoly.zero(n)] * (n + 1)
         components[i + 1] = _make(n, {k + units[i]: v for k, v in ls[j].items()})
         components[j + 1] = _make(n, {k + units[j]: -v for k, v in ls[i].items()})
-        out.append(SyzygyVector(components=tuple(components),
-                                kind=f"koszul({i + 1},{j + 1})"))
-    return out
+        vectors.append(SyzygyVector(components=tuple(components),
+                                    kind=f"koszul({i + 1},{j + 1})"))
+    return vectors, identities
 
 
-def _syzygy_parts(w) -> tuple[list[MultiPoly], list[SyzygyVector]]:
-    """The Jacobian generators and the syzygy generators, built once."""
-    gens = jacobian_generators(w)
-    return gens, syzygy_generators(w, _gens=gens)
+def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVector]:
+    """The Euler vector and the Koszul-like vectors for all pairs i < j.
+
+    The n identities x_j*sigma*f'_j - l_j*f = 0 behind the Koszul slots are
+    checked in one packed pass; a failing one would indicate an
+    implementation bug and raises InvariantError naming the first failing j.
+    """
+    weights = _weights(w)
+    n = len(weights) - 1
+    gens = _gens if _gens is not None else jacobian_generators(weights)
+    vectors, identities = _syzygy_checks(weights)
+    _raise_on_identity(_failing_checks(identities, [g._c for g in gens], n), n)
+    return vectors
+
+
+def _syzygy_parts(w) -> tuple[list[MultiPoly], list[SyzygyVector], bool]:
+    """The Jacobian generators, the syzygy generators, and whether every
+    vector dots to zero: the identities and the dots in one fused packed
+    pass, a failing identity raising InvariantError as in
+    ``syzygy_generators``."""
+    weights = _weights(w)
+    n = len(weights) - 1
+    gens = jacobian_generators(weights)
+    vectors, identities = _syzygy_checks(weights)
+    failing = _failing_checks(
+        identities + [[c._c for c in v.components] for v in vectors],
+        [g._c for g in gens], n)
+    _raise_on_identity(failing, n)
+    return gens, vectors, not failing
 
 
 def verify_syzygies(w, _parts=None) -> bool:
     """True iff every generator dots to zero against (f, f'_1, ..., f'_n).
 
-    ``_parts`` is the pair (jacobian_generators(w), syzygy_generators(w)),
-    for callers that have built it already.
+    Without ``_parts`` the generators are built and checked, with the n
+    Koszul-quotient identities, in one fused packed pass.  ``_parts`` is the
+    pair (jacobian_generators(w), syzygy_generators(w)), for callers that
+    have built it already; its vectors are checked in one packed pass, and a
+    coefficient that is not an integer raises ValueError before any product.
     """
-    gens, vectors = _parts if _parts is not None else _syzygy_parts(w)
-    return all(v.dot(gens).is_zero for v in vectors)
+    if _parts is None:
+        return _syzygy_parts(w)[2]
+    gens, vectors = _parts
+    return not _failing_checks([[c._c for c in v.components] for v in vectors],
+                               [g._c for g in gens], gens[0].nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +573,19 @@ def _int_coeff(v: Scalar) -> int:
     return v.numerator
 
 
+def _values(maps: Iterable[dict]) -> Iterator:
+    """The coefficients of the term maps, one after another."""
+    return chain.from_iterable(map(dict.values, maps))
+
+
+def _int_map(terms: dict) -> dict:
+    """terms itself when every coefficient is an int, else a copy converted
+    by ``_int_coeff``."""
+    if all(map(isinstance, terms.values(), repeat(int))):
+        return terms
+    return {k: _int_coeff(v) for k, v in terms.items()}
+
+
 def _int_terms(poly: MultiPoly) -> list[tuple[int, int]]:
     return [(k, _int_coeff(v)) for k, v in poly._c.items()]
 
@@ -507,8 +621,12 @@ def syzygy_dimension_table(w, degree_bound: int,
     if degree_bound >= DEGREE_LIMIT:
         raise ValueError(f"degree bound {degree_bound} is not below {DEGREE_LIMIT}")
     n = len(weights) - 1
-    gens, vectors = _parts if _parts is not None else _syzygy_parts(weights)
-    if not verify_syzygies(weights, _parts=(gens, vectors)):
+    if _parts is None:
+        gens, vectors, verified = _syzygy_parts(weights)
+    else:
+        gens, vectors = _parts
+        verified = verify_syzygies(weights, _parts=_parts)
+    if not verified:
         raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
 

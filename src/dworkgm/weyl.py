@@ -490,9 +490,10 @@ def euler_factorization(d: int) -> WeylOp:
 # exponent on any base but the bare 't' is at most _MAX_POWER = 4096.  A
 # power of any base but the bare 't' or 'd' must also keep an a-priori bound
 # on the work of its products (``_power_work``, from the exponent and the
-# base's order, t-weights and term count) within _MAX_POWER_WORK = 10^6,
-# which the slowest allowed power, D^815, takes about 1 s to meet; either
-# excess is a ParseError at the exponent, raised before any row is built.
+# base's order, t-weights, term count and coefficient sizes) within
+# _MAX_POWER_WORK = 10^6, which the slowest allowed power, D^815, takes
+# about 1 s to meet; either excess is a ParseError at the exponent, raised
+# before any row is built.
 # A power of the bare 't' is one monomial, and its exponent is not limited.
 
 _SYMBOLS = {"t", "d", "D"}
@@ -689,7 +690,8 @@ def _sum_terms(terms: list[tuple[int, WeylOp | _Monomial]]) -> WeylOp:
 
 def _power_work(base: WeylOp, n: int) -> int:
     """An upper bound on the work, in Leibniz steps and rows, of raising
-    base to the n-th power by n products P^j * P.
+    base to the n-th power by n products P^j * P, each Leibniz step weighted
+    by the 64-bit words of the largest numerator or denominator it can make.
 
     With r the order of P and T its number of terms: P^j has order at most
     j*r, and its t-weights m - k are sums of j of the c distinct weights of
@@ -699,6 +701,16 @@ def _power_work(base: WeylOp, n: int) -> int:
     expansion of at most min(j*r, b) + 1 steps, b being the largest
     t-exponent of P (j*r + 1 steps when one is negative); the product has
     (j + 1)*r + 1 rows.
+
+    The numerators and the denominator of P^(j+1) carry (j + 1)-fold
+    products of P's own, at most (j + 1)*beta bits with beta = ceil(log2)
+    of P's largest numerator or denominator, and a step multiplies them by
+    a Leibniz factor C(a, i) * b(b-1)...(b-i+1), a <= j*r, at most
+    (a * (|b| + a))^i with i <= min(a, b) steps.  What the Leibniz factors
+    of earlier steps leave in P^j is not counted: D^815, whose coefficients
+    are Stirling numbers of thousands of bits, meets the limit with every
+    step at one word, so the limit prices that growth already.  A power
+    whose steps all stay within one word keeps the unweighted bound.
     """
     cells = [(m, k) for k, row in enumerate(base._rows) for m in row]
     if not cells:
@@ -709,14 +721,22 @@ def _power_work(base: WeylOp, n: int) -> int:
     step = functools.reduce(math.gcd, [w - low for w in weights], 0)
     spread = (max(weights) - low) // step if step else 0
     b = max(m for m, _ in cells)
-    if min(m for m, _ in cells) < 0:
+    negative = min(m for m, _ in cells) < 0
+    if negative:
         b = r * n
+    top = max(abs(m) for m, _ in cells)
+    largest = max(max(abs(x) for row in base._rows for x in row.values()), base._den)
+    beta = (largest - 1).bit_length()
     work, sums = 0, 1  # sums = C(j + c - 1, c - 1)
     for j in range(n):
         if j:
             sums = sums * (j + len(weights) - 1) // j
-        work += ((j + 1) * r + 1 + min(sums, j * spread + 1) * (j * r + 1)
-                 * len(cells) * (min(j * r, b) + 1))
+        a = j * r
+        steps = min(a, b)
+        leibniz = steps * (a * (top + a if negative else top)).bit_length()
+        words = max(1, -(-((j + 1) * beta + leibniz) // 64))
+        work += ((j + 1) * r + 1 + min(sums, j * spread + 1) * (a + 1)
+                 * len(cells) * (steps + 1) * words)
     return work
 
 

@@ -1,7 +1,8 @@
 """Property tests of the command line, run in-process through ``cli.main``.
 
 Every input gets an exit code of 0, 1 or 2.  On exit 1 stderr holds exactly
-one JSON error object; for ``weyl parse`` it is a ``ParseError``.
+one JSON error object; for ``weyl parse`` it is a ``ParseError``, for
+``syzygy`` a ``ValueError``.
 """
 
 import contextlib
@@ -75,3 +76,30 @@ def test_arrangement_exit_codes(n, as_json):
     elif code == 1:
         assert n == 1  # no hyperplane arrangement in dimension 0
         error_object(err)
+
+
+# weight entries, well formed or not: "٣" is a decimal digit int() reads,
+# "²" is not; an empty entry between commas is skipped
+WEIGHT_WORDS = ["0", "1", "2", "3", "-1", "٣", "²", "", " ", "x", "1.5", "+2"]
+weight_texts = st.one_of(
+    st.lists(st.integers(1, 3).map(str), min_size=2, max_size=5).map(",".join),
+    st.lists(st.sampled_from(WEIGHT_WORDS), max_size=5).map(",".join))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(weight_texts, st.one_of(st.none(), st.integers(-3, 16)), st.booleans())
+def test_syzygy_exit_codes(weights, bound, as_json):
+    # small weights and bounds: n <= 4 and w_i <= 3 keep each oracle fast
+    argv = ["syzygy", f"--weights={weights}"]
+    if bound is not None:
+        argv.append(f"--bound={bound}")
+    code, out, err = run(argv + ["--json"] * as_json)
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert out and err == ""
+        if as_json:
+            doc = json.loads(out)
+            assert doc["verified"] and doc["generation"]["generated"]
+    elif code == 1:
+        assert out == ""
+        assert error_object(err)["type"] == "ValueError"

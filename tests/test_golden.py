@@ -38,6 +38,9 @@ PINNED = [
     ["syzygy", "--weights", "60,2,1,1", "--bound", "66", "--json"],
     # the one n = 4 tuple the oracle runs at a bound above d
     ["syzygy", "--weights", "6,5,4,3,2", "--bound", "22", "--json"],
+    # the widest fields of the packed syzygy checks: binomials of 70
+    ["syzygy", "--weights", "70,1,1", "--bound", "74", "--json"],
+    ["syzygy", "--weights", "40,1,1,1", "--bound", "45", "--json"],
 ]
 
 

@@ -321,6 +321,55 @@ def test_koszul_slot_without_sigma_is_not_a_syzygy():
     assert not verify_syzygies(w, _parts=(gens, [vectors[0], bad, *vectors[2:]]))
 
 
+def test_packed_fields_at_the_width_edge():
+    # with M = 2^70 the largest generator coefficient and N = 1 the largest
+    # check norm, the bound is B = M*N: check 0 reaches B, check 2 reaches -B
+    # in the top field, and check 1 is -1.  At width bit_length(B) - 1 = 70
+    # the fields of checks 0 and 1 cancel, 2^70 - 1 * 2^70 = 0, so the pair
+    # is missed unless the fields are wide enough
+    from dworkgm.syzygy import _failing_checks
+    big = 2**70
+    gens = [{0: big}, {0: 1}]
+    checks = [[{0: 1}, {}], [{}, {0: -1}], [{0: -1}, {}]]
+    assert _failing_checks(checks, gens, 1) == [0, 1, 2]
+    assert _failing_checks(checks[:2], gens, 1) == [0, 1]
+    # packed at that width, check 0's value and check 1's shifted value cancel
+    narrow = big.bit_length() - 1
+    assert big + (-1 << narrow) == 0
+    # a vanishing check between failing ones, and none failing
+    zero = [{0: 1}, {0: -big}]
+    assert _failing_checks([checks[0], zero, checks[2]], gens, 1) == [0, 2]
+    assert _failing_checks([zero, zero], gens, 1) == []
+    assert _failing_checks([], gens, 1) == []
+
+
+def test_packed_pass_refuses_a_non_integral_coefficient(monkeypatch):
+    # refused before any product is built, as the oracle's rows are; an
+    # integral Fraction converts, in a vector or in a generator
+    w = (2, 3, 1, 2)
+    gens = jacobian_generators(w)
+    vectors = syzygy_generators(w, _gens=gens)
+    euler = vectors[0]
+    d = sum(w)
+    integral = SyzygyVector((MultiPoly.constant(3, F(-2 * d, 2)),
+                             *euler.components[1:]), "euler")
+    assert type(integral.components[0]._c[0]) is F
+    assert verify_syzygies(w, _parts=(gens, [integral, *vectors[1:]]))
+    assert verify_syzygies(w, _parts=(gens, [integral]))
+    f = MultiPoly(3, {e: F(c) for e, c in gens[0].items()})
+    assert verify_syzygies(w, _parts=([f, *gens[1:]], vectors))
+    products = []
+    monkeypatch.setattr(syzygy, "_add_product",
+                        lambda *args: products.append(args))
+    half = SyzygyVector((MultiPoly.constant(3, F(-2 * d + 1, 2)),
+                         *euler.components[1:]), "euler")
+    for parts in ((gens, [*vectors[1:], half]), (gens, [half]),
+                  ([f * F(1, 2), *gens[1:]], vectors)):
+        with pytest.raises(ValueError, match="expected an integer coefficient"):
+            verify_syzygies(w, _parts=parts)
+    assert products == []
+
+
 def _ref_dot(vector, generators):
     """The dot product as a sum of products, each built on its own."""
     acc = MultiPoly.zero(generators[0].nvars)
@@ -412,9 +461,10 @@ def _ref_dimension_table(w, bound):
     """The table with both eliminations run in every degree 0..bound and the
     monomial keys of every degree built up front."""
     from dworkgm.syzygy import (DegreeDims, _int_terms, _monomial_keys,
-                                _rank_exact, _rank_mod, _syzygy_parts)
+                                _rank_exact, _rank_mod)
     d, n = sum(w), len(w) - 1
-    gens, vectors = _syzygy_parts(w)
+    gens = jacobian_generators(w)
+    vectors = syzygy_generators(w, _gens=gens)
     slot_degrees = [d] + [d - 1] * n
     eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
     span_pieces = [(d if v.kind == "euler" else d + 1,

@@ -1,16 +1,22 @@
 """Property tests of the syzygy layer over random weight tuples and random
-sparse matrices."""
+sparse matrices, and of its packed zero test against one dot per check."""
 
 import math
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dworkgm.syzygy import (_rank_exact, _rank_mod, generation_oracle,
-                            verify_syzygies)
+from dworkgm import syzygy
+from dworkgm.syzygy import (InvariantError, MultiPoly, SyzygyVector,
+                            _failing_checks, _monomial_keys, _rank_exact,
+                            _rank_mod, generation_oracle, jacobian_generators,
+                            syzygy_generators, verify_syzygies)
+from test_syzygy import _ref_dot
 
 weights = st.lists(st.integers(1, 6), min_size=2, max_size=4).map(tuple)
 
@@ -84,3 +90,112 @@ def test_sparse_ranks_match_dense_exact_reduction(matrix):
     # a one-shot iterator: both ranks read their rows once
     assert _rank_exact(iter(rows), ncols) == expected
     assert _rank_mod(iter(rows), ncols) == expected
+
+
+# -- the packed pass against one dot per check ----------------------------------
+
+PACKED_CASES = [w for n in range(1, 4) for w in product(range(1, 4), repeat=n + 1)]
+PACKED_CASES += [(60, 2, 1, 1), (6, 5, 4, 3, 2)]
+deltas = st.one_of(st.integers(-5, 5).filter(bool),
+                   st.sampled_from((2**70 + 1, -(2**64), 3**45)))
+
+
+def _ref_failing(vectors, gens):
+    """The indices of the vectors whose dot is not zero, found check by
+    check by ``SyzygyVector.dot``, which must agree with ``_ref_dot``."""
+    failing = []
+    for s, v in enumerate(vectors):
+        dot = v.dot(gens)
+        assert dot == _ref_dot(v, gens)
+        if not dot.is_zero:
+            failing.append(s)
+    return failing
+
+
+def _identities(w):
+    """The n checks x_j*sigma*f'_j - l_j*f, l_j read through ``syzygy.l_poly``
+    (as patched), as vectors built by MultiPoly arithmetic."""
+    n = len(w) - 1
+    out = []
+    for j in range(n):
+        components = [MultiPoly.zero(n)] * (n + 1)
+        components[0] = -syzygy.l_poly(w, j + 1)
+        components[j + 1] = MultiPoly.variable(j, n) * MultiPoly.sigma(n)
+        out.append(SyzygyVector(tuple(components), f"identity({j + 1})"))
+    return out
+
+
+def _maps(vectors):
+    return [[c._c for c in v.components] for v in vectors]
+
+
+def _slot_degree(vector, i):
+    if vector.kind == "euler":
+        return 0 if i == 0 else 1
+    return 2
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(st.data())
+def test_a_perturbed_vector_fails_exactly_its_own_check(data):
+    # one coefficient of one component of one vector, present or not, moved
+    # by delta: the packed pass names that vector and no other
+    for w in PACKED_CASES:
+        n = len(w) - 1
+        gens = jacobian_generators(w)
+        vectors = syzygy_generators(w, _gens=gens)
+        s = data.draw(st.integers(0, len(vectors) - 1))
+        i = data.draw(st.integers(0, n))
+        key = data.draw(st.sampled_from(
+            _monomial_keys(n, _slot_degree(vectors[s], i))))
+        delta = data.draw(deltas)
+        c = dict(vectors[s].components[i]._c)
+        c[key] = c.get(key, 0) + delta
+        components = list(vectors[s].components)
+        components[i] = syzygy._make(n, {k: v for k, v in c.items() if v})
+        bad = list(vectors)
+        bad[s] = SyzygyVector(tuple(components), vectors[s].kind)
+        expected = _ref_failing(bad, gens)
+        assert expected == [s]
+        assert _failing_checks(_maps(bad), [g._c for g in gens], n) == expected
+        assert not verify_syzygies(w, _parts=(gens, bad))
+        # the fused pass of identities and vectors: the identities hold
+        fused = _identities(w) + bad
+        assert _failing_checks(_maps(fused), [g._c for g in gens], n) == [n + s]
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(st.data())
+def test_a_perturbed_l_fails_its_identity_and_its_koszul_vectors(data):
+    # l_j moved by delta at one linear monomial: identity j fails, and so do
+    # the Koszul vectors built from l_j; verify_syzygies raises naming j
+    real_l_poly = syzygy.l_poly
+    for w in PACKED_CASES:
+        n = len(w) - 1
+        bad_j = data.draw(st.integers(1, n))
+        key = data.draw(st.sampled_from(_monomial_keys(n, 1)))
+        delta = data.draw(deltas)
+
+        def perturbed(weights, i):
+            lj = real_l_poly(weights, i)
+            if i != bad_j:
+                return lj
+            c = dict(lj._c)
+            c[key] = c.get(key, 0) + delta
+            return syzygy._make(n, {k: v for k, v in c.items() if v})
+
+        with mock.patch.object(syzygy, "l_poly", perturbed):
+            gens = jacobian_generators(w)
+            vectors, identities = syzygy._syzygy_checks(w)
+            checks = _identities(w) + vectors
+            expected = _ref_failing(checks, gens)
+            assert expected[0] == bad_j - 1
+            assert [s for s in expected if s < n] == [bad_j - 1]
+            assert len(expected) == 1 + (n - 1)  # the pairs (i, bad_j)
+            assert _failing_checks(identities + _maps(vectors),
+                                   [g._c for g in gens], n) == expected
+            with pytest.raises(InvariantError,
+                               match=rf"Koszul quotient x_{bad_j}\*sigma\*f'_{bad_j} "):
+                verify_syzygies(w)
+            with pytest.raises(InvariantError, match=rf"x_{bad_j}\*sigma"):
+                syzygy_generators(w)

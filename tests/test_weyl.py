@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -146,6 +147,47 @@ def test_parse_powers_keep_their_work_bound():
     # a monomial base costs one Leibniz step per product
     assert parse_op("(t)^4096") == WeylOp.t(4096)
     assert parse_op("(d + t)^90") == (WeylOp.d() + WeylOp.t()) ** 90
+
+
+def _ref_unweighted_power_work(base, n):
+    """The work bound of ``weyl._power_work`` without coefficient sizes:
+    Leibniz steps and rows only, each step counted once."""
+    cells = [(m, k) for k, row in enumerate(base._rows) for m in row]
+    r = len(base._rows) - 1
+    weights = {m - k for m, k in cells}
+    low = min(weights)
+    step = functools.reduce(math.gcd, [w - low for w in weights], 0)
+    spread = (max(weights) - low) // step if step else 0
+    b = max(m for m, _ in cells)
+    if min(m for m, _ in cells) < 0:
+        b = r * n
+    work, sums = 0, 1
+    for j in range(n):
+        if j:
+            sums = sums * (j + len(weights) - 1) // j
+        work += ((j + 1) * r + 1 + min(sums, j * spread + 1) * (j * r + 1)
+                 * len(cells) * (min(j * r, b) + 1))
+    return work
+
+
+def test_parse_powers_weigh_coefficient_size():
+    from dworkgm.weyl import _power_work
+    # (c/7*D)^800 with a 97-bit c was within the unweighted bound and took
+    # seconds, every Leibniz step multiplying integers of thousands of bits
+    for text in ("(123456789012345678901234567890/7*D)^800", "(2*D)^815",
+                 "(1000*D)^400", "(2*d + t)^90"):
+        start = time.process_time()
+        with pytest.raises(ParseError, match="above the work limit 1000000") as err:
+            parse_op(text)
+        assert time.process_time() - start < 0.05
+        assert err.value.position == text.index("^") + 1
+    # bases whose steps stay within one 64-bit word keep the unweighted bound
+    for text, n in (("D", 815), ("d + t", 90), ("t^2*d", 706), ("d^3 + t^3", 49),
+                    ("1 + t", 999), ("D", 4096), ("d + t", 4096)):
+        base = parse_op(text)
+        assert _power_work(base, n) == _ref_unweighted_power_work(base, n)
+    op = parse_op("D^815")
+    assert op.order() == 815 and op == parse_op(str(op))
 
 
 def test_parse_precedence_and_power():
