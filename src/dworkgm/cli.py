@@ -346,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 strips the value of --opt=-- to [], not '--'
+    for name, value in vars(args).items():
+        if value == []:
+            setattr(args, name, "")
     if args.command == "check" and not args.sweep and not args.weights:
         parser.error("check needs --weights or --sweep")
     try:

@@ -38,8 +38,8 @@ from typing import Iterator, Sequence, Union
 
 from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
-                        hyp_operator, is_irreducible, make_hyp, power_pullback,
-                        power_pushforward)
+                        _kummer_sum, hyp_operator, is_irreducible, make_hyp,
+                        power_pullback, power_pushforward)
 from .weyl import WeylOp, _integer_nthroot, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
@@ -237,11 +237,6 @@ class GBlock:
         }
 
 
-def _kummer_sum(e: int, mult: int) -> FactorList:
-    """K(a/e) for a = 1..e, the preimage of O, each with multiplicity mult."""
-    return FactorList._residues(e, dict.fromkeys(range(1, e + 1), mult) if mult else {})
-
-
 def g_block(w: WeightsLike) -> GBlock:
     """Assemble the G block of the degree-zero cohomology."""
     w = validate_weights(w)
@@ -250,8 +245,7 @@ def g_block(w: WeightsLike) -> GBlock:
     base = None
     if w.primitive:
         h: HypModule | PushforwardHyp = invariant_hyp(w)
-        nums, n = cs.numerators  # each class of C once, as its numerator in (0, N)
-        kblock = FactorList._residues(n, dict.fromkeys(nums, 1))
+        kblock = cs.factors  # each class of C once
         exps_zero = _weight_exponents(w).remove_class(1)
         exps_inf = ExpMultiset(range(1, d), d)
     else:
@@ -360,8 +354,9 @@ def ft_pair(w: WeightsLike) -> FTPair:
 
 
 def ft_identity_holds(pair: FTPair) -> bool:
-    """Exact check of fourier(P, inverse) = sign * Q."""
-    return weyl.fourier(pair.p, "inverse") == (pair.q if pair.sign == 1 else -pair.q)
+    """Exact check of fourier(P, inverse) = sign * Q, the sign being 1 or -1."""
+    return pair.sign in (1, -1) and weyl.fourier(pair.p, "inverse") == (
+        pair.q if pair.sign == 1 else -pair.q)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +408,8 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     chi_block = irreducible and gb.chi == -1
     if w.primitive:
         h = gb.hyp
-        checks["exps_zero_identity"] = gb.exps_zero == h.alpha + cs
-        checks["exps_infinity_identity"] = gb.exps_infinity == h.beta + cs
+        checks["exps_zero_identity"] = gb.exps_zero.factors == h.alpha.factors + cs.factors
+        checks["exps_infinity_identity"] = gb.exps_infinity.factors == h.beta.factors + cs.factors
         checks["alpha_count"] = len(h.alpha) == d - 1 - len(cs)
         checks["irreducible"] = is_irreducible(h)
         checks["chi_block"] = chi_block
@@ -423,12 +418,11 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
             c == 1 for c in cs.scaled(-d).canonical())
         checks.update(_indicial_checks(h, gamma_n(w)))
     else:
-        kclasses = gb.kummer_block.classes
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
         # the exponents of a pushforward exist for an irreducible base only
         for place, exps in (("zero", gb.exps_zero), ("infinity", gb.exps_infinity)):
             checks[f"exps_{place}_identity"] = irreducible and (
-                exps.classes() == gb.hyp.exponents(place).classes() + kclasses)
+                exps.factors == gb.hyp.exponents(place).factors + gb.kummer_block)
         checks["pushforward_exponents"] = (
             gb.exps_zero == gb.base.exps_zero.pushforward(e)
             and gb.exps_infinity == gb.base.exps_infinity.pushforward(e)

@@ -5,27 +5,20 @@ and two exponent multisets; it is realized on the operator side as
 
     gamma * prod_i (D - a_i)  -  t * prod_j (D - b_j),        D = t*d.
 
-Exponents matter modulo the integers: two representatives are congruent when
-their difference is an integer, and the canonical display representative of
-each class lies in the half-open interval (0, 1], so the trivial class shows
-up as 1.  Multisets keep the representatives they were built from (the
-operator realization depends on them) as integers over one denominator N,
-and all class bookkeeping works on residues mod N.  Floats and strings are
-refused.
-
-A Kummer module K_a is named by its class a mod Z, shown by the canonical
-representative in (0, 1], class 1 being the structure sheaf O.  A
-composition-factor list (``FactorList``) counts such classes, as residues
-1..N over one minimal denominator N (residue N is O), with multiplicity.
-Along z -> z^e the class r/N pushes forward to the e classes
-(r + a*N)/(N*e), a = 0..e-1 (``power_pushforward``, ``ExpMultiset.pushforward``);
-it pulls back by ``scaled(e)``.
+Exponents matter modulo the integers, and the canonical representative of
+each class lies in (0, 1], so the trivial class shows up as 1.  An
+``ExpMultiset`` keeps the representatives it was built from (the operator
+depends on them) as integers over one denominator N, and counts its classes
+as a ``FactorList``: residues 1..N over the minimal N, with multiplicity.
+The same type counts Kummer composition factors K_a, class 1 (residue N)
+being the structure sheaf O.  Along z -> z^e the class r/N pushes forward to
+the e classes (r + a*N)/(N*e), a = 0..e-1, in ``power_pushforward`` alone;
+a class pulls back by ``scaled(e)``.  Floats and strings are refused.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
 exponents at zero and infinity, and pullback and pushforward along power
-maps of the punctured line.
-Everything is pure, and immutable once built.
+maps of the punctured line.  Everything is pure, and immutable once built.
 """
 
 from __future__ import annotations
@@ -55,42 +48,41 @@ class ExpMultiset:
     """Multiset of rational exponent representatives, compared modulo Z.
 
     ``ExpMultiset(reps, den)`` holds the representatives r/den, for ints and
-    Fractions r and a positive integer scale den (default 1), so integer
-    numerators over one denominator go in as they are.  It keeps sorted
-    numerators over N, the least common denominator of the representatives:
-    a class is a residue mod N, shown as (residue or N)/N in (0, 1].  N is
-    minimal, so equal class multisets have equal N; two multisets meet at the
-    lcm of their N.  ``numerators`` hands the operator code and the indicial
-    checks (numerators, N) as they are; only ``reps``, ``classes()`` and
-    ``canonical()`` build Fractions.
+    Fractions r and a positive integer scale den (default 1).  It keeps sorted
+    numerators over N, the least common denominator of the representatives,
+    and counts its classes in ``factors``, a ``FactorList`` over the same N.
+    Equal class multisets have equal factor lists, which ``==``, ``hash``,
+    ``classes()``, ``canonical()``, ``cancel``, ``is_irreducible`` and
+    ``exponents`` read.  ``numerators`` is (numerators, N) for the operator
+    code; only ``reps``, ``classes()`` and ``canonical()`` build Fractions.
     """
 
-    __slots__ = ("_nums", "_den", "_key")
+    __slots__ = ("_nums", "factors")
 
     def __init__(self, reps: Iterable[Scalar] = (), den: int = 1):
         nums, den = _clear_denominators(reps, den)
+        counts: dict[int, int] = {}
+        for x in nums:
+            r = x % den or den
+            counts[r] = counts.get(r, 0) + 1
+        self.factors = fl = FactorList._residues(den, counts)
         nums.sort()
-        g = math.gcd(den, *nums)
-        self._den = n = den // g
+        g = den // fl._den  # gcd(den, residues) = gcd(den, numerators)
         self._nums = tuple([x // g for x in nums]) if g > 1 else tuple(nums)
-        self._key = tuple(sorted(x % n or n for x in self._nums))
 
     @property
     def numerators(self) -> tuple[tuple[int, ...], int]:
         """The representatives as (sorted integer numerators, N)."""
-        return self._nums, self._den
+        return self._nums, self.factors._den
 
     @property
     def reps(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(x, self._den) for x in self._nums])
-
-    def _over(self, n: int) -> list[int]:
-        """The class numerators over a multiple n of N."""
-        return [r * (n // self._den) for r in self._key]
+        n = self.factors._den
+        return tuple([Fraction(x, n) for x in self._nums])
 
     def _without(self, n: int, counts: Mapping[int, int]) -> "ExpMultiset":
         """Over n, a multiple of N: less the counts[c] largest of class c/n."""
-        left, s, keep = dict(counts), n // self._den, []
+        left, s, keep = dict(counts), n // self.factors._den, []
         for x in reversed(self._nums):
             x *= s
             c = x % n or n
@@ -101,10 +93,11 @@ class ExpMultiset:
         return ExpMultiset(keep, n)
 
     def classes(self) -> Counter:
-        return Counter(self.canonical())
+        return self.factors.classes
 
     def canonical(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(r, self._den) for r in self._key])
+        n = self.factors._den
+        return tuple([Fraction(r, n) for r in _enumerated(self.factors)])
 
     def __len__(self) -> int:
         return len(self._nums)
@@ -114,33 +107,32 @@ class ExpMultiset:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExpMultiset):
-            return self._den == other._den and self._key == other._key
+            return self.factors == other.factors
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._den, self._key))
+        return hash(self.factors)
 
     def __add__(self, other: "ExpMultiset") -> "ExpMultiset":
         """Multiset union (disjoint sum of representatives)."""
-        return ExpMultiset([x * other._den for x in self._nums]
-                           + [x * self._den for x in other._nums], self._den * other._den)
+        n, m = self.factors._den, other.factors._den
+        return ExpMultiset([x * m for x in self._nums] + [x * n for x in other._nums], n * m)
 
     def scaled(self, k: Scalar) -> "ExpMultiset":
         k = _exact(k)
-        return ExpMultiset([x * k.numerator for x in self._nums], self._den * k.denominator)
+        return ExpMultiset([x * k.numerator for x in self._nums],
+                           self.factors._den * k.denominator)
 
     def pushforward(self, e: int) -> "ExpMultiset":
-        """Classes x with e*x congruent to one of ours: r/N -> (r + a*N)/(N*e)."""
-        if e < 1:
-            raise ValueError("pushforward order must be a positive integer")
-        n = self._den
-        return ExpMultiset([r + a * n for r in self._key for a in range(e)], n * e)
+        """Classes x with e*x congruent to one of ours, by ``power_pushforward``."""
+        fl = power_pushforward(self.factors, e)
+        return ExpMultiset(_enumerated(fl), fl._den)
 
     def remove_class(self, x: Scalar) -> "ExpMultiset":
         """Drop one member of the class of x (the largest representative);
         ValueError if the class is absent."""
         target = canonical_rep(x)
-        n = math.lcm(self._den, target.denominator)
+        n = math.lcm(self.factors._den, target.denominator)
         out = self._without(n, {target.numerator * (n // target.denominator): 1})
         if len(out) == len(self):
             raise ValueError(f"class {target} does not occur")
@@ -164,8 +156,8 @@ def cancel(alpha: ExpMultiset | Iterable[Scalar],
     """
     a = alpha if isinstance(alpha, ExpMultiset) else ExpMultiset(alpha)
     b = beta if isinstance(beta, ExpMultiset) else ExpMultiset(beta)
-    n = math.lcm(a._den, b._den)
-    shared = Counter(a._over(n)) & Counter(b._over(n))
+    n, ca, cb = _common(a.factors, b.factors)
+    shared = {r: min(m, cb[r]) for r, m in ca.items() if r in cb}
     return a._without(n, shared), b._without(n, shared)
 
 
@@ -219,8 +211,8 @@ def hyp_operator(h: HypModule) -> WeylOp:
 
 def is_irreducible(h: HypModule) -> bool:
     """No alpha - beta difference is an integer; type (0, 0) is irreducible."""
-    n = math.lcm(h.alpha._den, h.beta._den)
-    return set(h.alpha._over(n)).isdisjoint(h.beta._over(n))
+    _, ca, cb = _common(h.alpha.factors, h.beta.factors)
+    return ca.keys().isdisjoint(cb)
 
 
 def exponents(h: HypModule, place: str) -> ExpMultiset:
@@ -233,8 +225,8 @@ def exponents(h: HypModule, place: str) -> ExpMultiset:
         raise ValueError(f"unknown place {place!r}")
     if not is_irreducible(h):
         raise ValueError("exponents are defined for irreducible data only")
-    source = h.alpha if place == "zero" else h.beta
-    return ExpMultiset(source._key, source._den)
+    source = (h.alpha if place == "zero" else h.beta).factors
+    return ExpMultiset(_enumerated(source), source._den)
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +237,42 @@ class FactorList:
     """Multiset of Kummer composition factors K_a, counted.
 
     The classes are held as residues 1..N over one minimal denominator N
-    with their counts, the way ``ExpMultiset`` holds its classes: residue r
-    stands for the class r/N in (0, 1], and residue N for the structure
-    sheaf O.  ``classes`` reads them as a fresh ``Counter`` of canonical
-    ``Fraction``s.  Multiplicities are counted, never enumerated.  The
-    argument is an iterable of classes or a mapping class -> integer
-    multiplicity >= 0; classes are identified modulo Z.
+    with their counts: residue r stands for the class r/N in (0, 1], and
+    residue N for the structure sheaf O; ``ExpMultiset.factors`` is one.
+    ``classes`` reads them as a fresh ``Counter`` of canonical ``Fraction``s.
+    Multiplicities are counted, never enumerated.  The argument is an
+    iterable of classes or a mapping class -> integer multiplicity >= 0;
+    classes are identified modulo Z.
     """
 
     __slots__ = ("_den", "_counts")
 
-    def __init__(self, classes: Iterable[Scalar] | Mapping[Scalar, int] = ()):
+    def __new__(cls, classes: Iterable[Scalar] | Mapping[Scalar, int] = ()):
         _refuse_float(classes)  # a string is not the list of its digits
         classes = Counter(classes)
         nums, den = _clear_denominators(list(classes))
         counts: dict[int, int] = {}
-        for x, mult in zip(nums, map(_multiplicity, classes.values())):
-            if mult:
+        for x, m in zip(nums, map(operator.index, classes.values())):
+            if m < 0:
+                raise ValueError("multiplicities of composition factors must be >= 0")
+            if m:
                 r = x % den or den
-                counts[r] = counts.get(r, 0) + mult
-        self._den, self._counts = _lowest_terms(den, counts)
+                counts[r] = counts.get(r, 0) + m
+        return cls._residues(den, counts)
 
     @classmethod
     def _residues(cls, den: int, counts: dict[int, int]) -> "FactorList":
-        """The classes r/den (r in 1..den, den for O) counted by counts[r] > 0."""
-        out = cls.__new__(cls)
-        out._den, out._counts = _lowest_terms(den, counts)
+        """Residues 1..den counted by counts[r] > 0, divided by their gcd with den."""
+        g = math.gcd(den, *counts)
+        if g > 1:
+            den, counts = den // g, {r // g: m for r, m in counts.items()}
+        return cls._minimal(den, counts)
+
+    @classmethod
+    def _minimal(cls, den: int, counts: dict[int, int]) -> "FactorList":
+        """The residues r in 1..den counted by counts[r] > 0, den minimal."""
+        out = object.__new__(cls)
+        out._den, out._counts = den, counts
         return out
 
     @property
@@ -280,12 +282,11 @@ class FactorList:
         return Counter({Fraction(r, n): m for r, m in self._counts.items()})
 
     def __add__(self, other: "FactorList") -> "FactorList":
-        n = math.lcm(self._den, other._den)
-        counts = {r * (n // self._den): m for r, m in self._counts.items()}
-        s = n // other._den
-        for r, m in other._counts.items():
-            counts[r * s] = counts.get(r * s, 0) + m
-        return FactorList._residues(n, counts)
+        # over the lcm of two minimal denominators the union stays minimal
+        n, counts, more = _common(self, other)
+        for r, m in more.items():
+            counts[r] = counts.get(r, 0) + m
+        return FactorList._minimal(n, counts)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FactorList):
@@ -312,20 +313,17 @@ class FactorList:
         return f"FactorList({self})"
 
 
-def _multiplicity(m: object) -> int:
-    """A multiplicity as an int >= 0; a float or Fraction raises TypeError."""
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError("multiplicities of composition factors must be >= 0")
-    return m
+def _common(a: FactorList, b: FactorList) -> tuple[int, dict[int, int], dict[int, int]]:
+    """The lcm n of the two denominators, and both lists as residue -> count over n."""
+    n = math.lcm(a._den, b._den)
+    return (n, {r * (n // a._den): m for r, m in a._counts.items()},
+            {r * (n // b._den): m for r, m in b._counts.items()})
 
 
-def _lowest_terms(den: int, counts: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """Residues over den divided by g = gcd(den, residues), so den is minimal."""
-    g = math.gcd(den, *counts)
-    if g == 1:
-        return den, counts
-    return den // g, {r // g: m for r, m in counts.items()}
+def _enumerated(fl: FactorList) -> list[int]:
+    """The residues of fl in ascending order, each repeated by its count."""
+    counts = fl._counts
+    return [r for r in sorted(counts) for _ in range(counts[r])]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +370,14 @@ def power_pushforward(fl: FactorList, e: int) -> FactorList:
     """
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
-    n = fl._den
-    return FactorList._residues(n * e, {r + a * n: m for r, m in fl._counts.items()
-                                        for a in range(e)})
+    n, counts = fl._den, fl._counts
+    if not counts:
+        return fl  # the empty list stays over 1
+    # a g dividing N*e and every r + a*N divides N and every r, so it is 1
+    return FactorList._minimal(n * e, {r + a * n: m for r, m in counts.items()
+                                       for a in range(e)})
+
+
+def _kummer_sum(e: int, mult: int) -> FactorList:
+    """K(a/e), a = 1..e, each mult >= 0 times: the direct image of O^mult."""
+    return power_pushforward(FactorList._minimal(1, {1: mult} if mult else {}), e)

@@ -38,6 +38,23 @@ def test_milnor_rejects_common_factor():
         milnor_fiber_dims((2, 2, 4))
 
 
+@pytest.mark.parametrize("w,message", [
+    ((1, 1), "ambient dimension at least 2"),
+    ((5,), "ambient dimension at least 2"),
+    ((0, 1, 1), "weights must be positive"),
+    ((1, -1, 2), "weights must be positive"),
+])
+def test_milnor_refuses_short_or_nonpositive_weights(w, message):
+    with pytest.raises(ValueError, match=message):
+        milnor_fiber_dims(w)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_torus_slice_refuses_n_below_2(n):
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        torus_slice_dims(n)
+
+
 def test_tn_examples():
     assert torus_slice_dims(2) == {-1: 1, 0: 1}
     assert torus_slice_dims(3) == {-2: 1, -1: 3, 0: 2}

@@ -355,6 +355,28 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["weyl", "parse", "--op=--"], "ParseError"),
+    (["report", "--weights=--"], "ValueError"),
+    (["syzygy", "--weights=--", "--bound", "3"], "ValueError"),
+])
+def test_a_dash_dash_value_is_a_domain_error(capsys, argv, error):
+    # argparse before Python 3.12 hands --opt=-- over as [] (the '--' is
+    # stripped); report and syzygy used to fail on it with exit 3
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
+def test_check_needs_weights_or_sweep(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: check needs --weights or --sweep")
+
+
 @pytest.mark.parametrize("sweep", ["a,b", "3", "1,2,3", "0,4", "2,0"])
 def test_bad_sweep_is_usage_error(sweep):
     with pytest.raises(SystemExit) as exc:

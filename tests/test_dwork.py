@@ -230,6 +230,15 @@ def test_ft_pair_worked_identity():
     assert weyl.fourier(pair.p, "inverse") == pair.q * pair.sign
 
 
+@pytest.mark.parametrize("w", [(1, 1), (1, 3)])  # d even: the sign is -1
+@pytest.mark.parametrize("sign", [-2, 0, 2])
+def test_ft_identity_refuses_a_sign_other_than_one_or_minus_one(w, sign):
+    # any sign but 1 used to mean "negate", so -2 passed wherever -1 did
+    pair = ft_pair(w)
+    assert ft_identity_holds(pair)
+    assert not ft_identity_holds(dataclasses.replace(pair, sign=sign))
+
+
 @pytest.mark.parametrize("w", [(1, 2), (1, 1)])
 def test_ft_identity_reads_the_sign_without_a_product(w, monkeypatch):
     pair = ft_pair(w)

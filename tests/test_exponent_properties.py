@@ -4,9 +4,12 @@
 representative as a ``Fraction`` and compare canonical (0, 1] classes; they
 are the implementation the residues-over-N representation replaced.  Every
 public operation of ``ExpMultiset`` must agree with them on multisets of
-mixed denominators, negative and integer representatives included.
+mixed denominators, negative and integer representatives included, and its
+class view ``factors`` must agree with ``RefFactorList`` from
+``test_factor_list_properties``.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -15,8 +18,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dworkgm.hypergeom import (ExpMultiset, cancel, exponents, is_irreducible,
-                               make_hyp)
+from dworkgm.hypergeom import (ExpMultiset, FactorList, cancel, exponents,
+                               is_irreducible, make_hyp, power_pushforward)
+from test_factor_list_properties import RefFactorList, ref_power_pushforward
 
 _ONE = Fraction(1)
 
@@ -218,3 +222,49 @@ def test_equality_and_hash_across_construction_paths(xs, e):
         direct = ExpMultiset(expected.reps)
         assert got == direct and hash(got) == hash(direct)
         assert got == ExpMultiset(expected.canonical())
+
+
+# -- the class view: ``ExpMultiset.factors`` is a ``FactorList`` -----------------
+
+def assert_minimal(fl, n):
+    """fl counts residues 1..n over the least denominator n."""
+    assert fl._den == n
+    assert all(1 <= r <= n and m > 0 for r, m in fl._counts.items())
+    assert math.gcd(n, *fl._counts) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reps, st.integers(1, 5), scalar, reps)
+def test_class_view_matches_the_references(xs, e, k, ys):
+    new, ref = ExpMultiset(xs), RefExpMultiset(xs)
+    # over the least denominator, however the multiset was reached
+    for ms in (new, new.scaled(k), new + ExpMultiset(ys), ExpMultiset(xs, 6)):
+        assert_minimal(ms.factors, ms.numerators[1])
+    assert new.factors == FactorList(new.classes()) == FactorList(ref.classes())
+    assert new.factors.classes == RefFactorList(ref.classes()).classes
+    assert str(new.factors) == str(RefFactorList(ref.classes()))
+    pushed = new.pushforward(e)
+    assert pushed.factors == power_pushforward(new.factors, e)
+    assert_minimal(pushed.factors, pushed.numerators[1])
+    assert pushed.factors.classes == ref_power_pushforward(
+        RefFactorList(ref.classes()), e).classes
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(related_pairs())
+def test_hash_agrees_with_equality(pair):
+    xs, ys = pair
+    a, b = ExpMultiset(xs), ExpMultiset(ys)
+    assert (a == b) == (a.factors == b.factors) == (RefExpMultiset(xs) == RefExpMultiset(ys))
+    if a == b:
+        assert hash(a) == hash(b) and hash(a.factors) == hash(b.factors)
+    again = ExpMultiset(list(reversed(xs)))
+    assert again == a and hash(again) == hash(a)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 7])
+def test_pushforward_of_the_empty_list_stays_over_one(e):
+    assert ExpMultiset().factors._den == 1 and ExpMultiset([], 6).factors._den == 1
+    assert power_pushforward(FactorList(), e)._den == 1
+    assert ExpMultiset().pushforward(e).numerators == ((), 1)
+    assert power_pushforward(FactorList({Fraction(1, 3): 0}), e) == FactorList()

@@ -18,8 +18,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dworkgm.dwork import _kummer_sum, structure_multiplicities
-from dworkgm.hypergeom import FactorList, power_pushforward
+from dworkgm.dwork import structure_multiplicities
+from dworkgm.hypergeom import FactorList, _kummer_sum, power_pushforward
 
 _ONE = Fraction(1)
 

@@ -3,11 +3,16 @@
 ``ref_value`` is the ``Fraction`` Horner loop that ``IndicialPolynomial``
 evaluated with before it ran in integers; ``RefParser`` is the parser before
 it built normal-form terms directly, with every sum and product an operation
-on ``WeylOp`` and every power but one of the bare ``t`` raised with ``**``.  The current forms must
-give equal values, of type ``Fraction``, and equal operators, or the same
-``ParseError`` at the same position.
+on ``WeylOp`` and every power but one of the bare ``t`` raised with ``**``;
+``ref_tokenize`` is the tokenizer written as one regular-expression scan,
+independent of the character loop of ``_tokenize``, and ``RefParser`` reads
+its tokens.  The current forms must give equal values, of type
+``Fraction``, equal operators and equal tokens, or the same ``ParseError``
+at the same position.
 """
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +22,21 @@ from hypothesis import given, settings, strategies as st
 
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
                           _tokenize, euler_op, parse_op)
+
+
+# \d is a decimal digit as str.isdecimal has it, and whitespace (\s, as
+# str.isspace) matches no group, so the scan skips it
+REF_TOKEN = re.compile(r"(?P<num>\d+)|(?P<sym>[tdD])|(?P<op>[-+*^()/])|(?P<bad>\S)")
+
+
+def ref_tokenize(text):
+    tokens = []
+    for m in REF_TOKEN.finditer(text):
+        kind, value, i = m.lastgroup, m[0], m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", i)
+        tokens.append((value if kind == "op" else kind, value, i))
+    return tokens
 
 
 def ref_value(ind, x):
@@ -33,7 +53,7 @@ class RefParser:
     grammar, errors and error positions are the ones ``parse_op`` keeps."""
 
     def __init__(self, text):
-        self.text, self.tokens, self.pos, self.depth = text, _tokenize(text), 0, 0
+        self.text, self.tokens, self.pos, self.depth = text, ref_tokenize(text), 0, 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -298,3 +318,45 @@ TOKENS = ["t", "d", "D", "0", "1", "2", "3", "5000", "7/2", "4/0",
 @given(st.lists(st.sampled_from(TOKENS), max_size=14).map(" ".join))
 def test_parser_matches_the_reference_on_token_strings(text):
     assert outcome(parse_op, text) == outcome(ref_parse, text), text
+
+
+# -- tokenizer against the regular-expression scan --------------------------------
+
+# The grammar's alphabet, other ASCII, whitespace beyond ASCII (no-break,
+# em and ideographic spaces, the line and paragraph separators, the
+# information separators U+001C..U+001F) and decimal digits of other
+# scripts (Arabic-Indic, Devanagari, fullwidth, mathematical bold), which
+# int() reads; superscript two and the circled one are digits but not
+# decimal, so neither forms a number.
+ALPHABET = list("tdDx0123456789+-*^()/.e, \t\n\r\x0b\x0c") + [
+    "\u00a0", "\u2003", "\u3000", "\u2028", "\u2029", "\x1c", "\x1f", "\x85",
+    "\u0663", "\u0967", "\uff11", "\U0001d7d9", "\u00b2", "\u2460", "\u00e9"]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(st.sampled_from(ALPHABET), max_size=20), st.text(max_size=20)))
+def test_tokenizer_matches_the_regular_expression_scan(text):
+    assert outcome(_tokenize, text) == outcome(ref_tokenize, text), text
+
+
+@pytest.mark.parametrize("text,tokens", [
+    ("\u0663\u0664*t", [("num", "\u0663\u0664", 0), ("*", "*", 2), ("sym", "t", 3)]),
+    ("\u3000d\u00a0^ 12", [("sym", "d", 1), ("^", "^", 3), ("num", "12", 5)]),
+])
+def test_tokenizer_reads_unicode_digits_and_whitespace(text, tokens):
+    assert _tokenize(text) == ref_tokenize(text) == tokens
+
+
+@pytest.mark.parametrize("text,position", [("t + x", 4), ("2\u00b2", 1), ("d\u2460", 1)])
+def test_tokenizer_refuses_other_characters_at_their_position(text, position):
+    with pytest.raises(ParseError) as err:
+        _tokenize(text)
+    assert err.value.position == position
+    assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_digit_and_whitespace_classes_match_str_on_every_code_point():
+    # the reference scan's \d and \s stand for str.isdecimal and str.isspace
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", text) == [c for c in text if c.isdecimal()]
+    assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
