@@ -33,16 +33,24 @@ vectors in one fused pass.
 
 ``generation_oracle`` checks generation degree by degree up to a bound by
 exact linear algebra: the dimension of the space of homogeneous syzygies
-(kernel of the evaluation map on coefficient vectors) must equal the
-dimension of the span of the generators under polynomial multiplication.
-Its sparse rows {column: int} are yielded one at a time, in order of
-leading (smallest) column, which is read off each piece's smallest keys
-before any row is built: ascending for the evaluation matrix, descending for
-the span matrix, the faster order of each.  They are eliminated mod a large
-prime first, each pivot kept with the inverse of its leading entry instead
-of being divided through; since the generator span is contained in the
-syzygy space over Q, matching modular bounds certify the rational equality
-exactly, and any mismatch falls back to the same elimination over Q.
+(kernel of the evaluation map M on coefficient vectors) must equal the
+dimension of the span of the generators under polynomial multiplication
+(the row space of the span matrix G).  The sparse rows {column: int} are
+yielded one at a time, in order of leading (smallest) column, which is read
+off each piece's smallest keys before any row is built: descending for G,
+ascending for M, the faster order of each.  Both are eliminated mod a large
+prime, each pivot kept with the inverse of its leading entry instead of
+being divided through, and each entry reduced mod p only when it is read.
+G goes first.  A row of M belongs to one domain column (slot i, monomial s),
+and the rows at the pivot leads of G are never built: each pivot of G is a
+syzygy mod p supported at and after its lead, so the row of M at a lead is
+a combination of the rows at later columns, and by induction from the last
+column down, of the rows kept; rank_p(M) is unchanged.  The squeeze
+dom - rank_p(M) >= dim ker_Q >= dim span_Q >= rank_p(G) stays exact: the
+span is contained in the kernel over Q, and no set of rows of M has a rank
+mod p above rank_Q(M), whatever the leads, so matching bounds certify the
+rational equality.  Any mismatch falls back to the same elimination over Q
+on the full matrices.
 
 ``MultiPoly`` keys each monomial x_1^{e_1} ... x_n^{e_n} by one int that
 packs n + 1 fields of 16 bits, most significant first:
@@ -60,7 +68,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 
 from .weyl import Scalar, _exact, _refuse_float, format_terms
 
@@ -508,21 +516,28 @@ def _monomial_keys(nvars: int, degree: int) -> list[int]:
 
 
 def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
-              p: int = 1_000_003) -> int:
-    """Rank mod p of the sparse rows {column: int}; reads the iterable once.
+              p: int = 1_000_003) -> KeysView[int]:
+    """The leading columns of the pivots of the sparse rows {column: int}
+    mod p, as a view of as many columns as their rank; reads the iterable
+    once, and leaves the row dicts as they are.
 
-    Each row is reduced by the pivot rows so far, keyed by leading column.
-    A pivot is stored as (inverse of its leading entry, rest of the row), so
-    no pivot row is divided through: a reduction multiplies the row's
-    leading entry by that inverse once to get its factor.  The rank does not
-    depend on the order of the rows; columns are < ncols.
+    Each row is copied and reduced by the pivot rows so far, keyed by leading
+    column.  An entry is reduced mod p only when it is read: as a lead, where
+    one that is 0 mod p is dropped and the next one read, or in a pivot
+    update.  A pivot is stored as (inverse of its leading entry, rest of the
+    row), so no pivot row is divided through: a reduction multiplies the
+    row's leading entry by that inverse once to get its factor.  Every column
+    of a pivot's rest is after its lead.  The rank does not depend on the
+    order of the rows; columns are < ncols.
     """
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for row in rows:
-        r = {c: x % p for c, x in row.items() if x % p}
+        r = dict(row)
         while r:
             lead = min(r)
-            a = r.pop(lead)
+            a = r.pop(lead) % p
+            if not a:
+                continue
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = (pow(a, -1, p), r)
@@ -537,11 +552,12 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
                     r.pop(c, None)
         if len(pivots) == ncols:
             break
-    return len(pivots)
+    return pivots.keys()
 
 
 def _rank_exact(rows: Iterable[dict[int, int]], ncols: int) -> int:
-    """Rank over Q of ``_rank_mod``'s rows, by its elimination over Fraction."""
+    """Rank over Q of ``_rank_mod``'s rows, by its elimination over Fraction;
+    the rank itself, not the leads."""
     pivots: dict[int, tuple[Fraction, dict[int, Fraction]]] = {}
     for row in rows:
         r = {c: Fraction(x) for c, x in row.items() if x}
@@ -634,7 +650,8 @@ def syzygy_dimension_table(w, degree_bound: int,
     # m - degree, each part placed by its own column map; lows pairs each
     # nonzero part with its smallest key, whose column plus the shift is the
     # part's leading column.  The evaluation map (a_0..a_n) -> a_0 f +
-    # sum a_i f'_i has the one-part pieces f, f'_i.
+    # sum a_i f'_i has the one-part pieces f, f'_i, and its row x^s*g_i is the
+    # one of domain column (slot i, monomial s).
     def piece(degree: int, polys) -> tuple:
         parts = [_int_terms(q) for q in polys]
         return degree, parts, [(i, min(q._c)) for i, q in enumerate(polys) if q._c]
@@ -645,13 +662,14 @@ def syzygy_dimension_table(w, degree_bound: int,
     # the shift degrees m - degree of the pieces, for d - 1 <= m <= bound
     keys = {k: _monomial_keys(n, k) for k in range(degree_bound - d + 2)}
 
-    def rows(m: int, pieces, columns, descending: bool) -> Iterator[dict[int, int]]:
-        """The rows of degree m, yielded one at a time in order of leading
-        column; each lead is read off the lows, so no row is built to sort."""
+    def rows(pieces, shifts, columns, descending: bool) -> Iterator[dict[int, int]]:
+        """The rows of each piece times the keys shifts[index], yielded one at
+        a time in order of leading column; each lead is read off the lows, so
+        no row is built to sort."""
         order = sorted(
             ((min(columns[i][low + shift] for i, low in lows), index, shift)
-             for index, (degree, _, lows) in enumerate(pieces)
-             for shift in keys.get(m - degree, ())),
+             for index, (_, _, lows) in enumerate(pieces)
+             for shift in shifts[index]),
             reverse=descending)
         for _, index, shift in order:
             yield {cols[k + shift]: v
@@ -660,25 +678,31 @@ def syzygy_dimension_table(w, degree_bound: int,
     results = [DegreeDims(m, 0, 0) for m in range(d - 1)]
     for m in range(d - 1, degree_bound + 1):
         target = {key: col for col, key in enumerate(_monomial_keys(n, m))}
+        slot_bases = [keys.get(m - deg, ()) for deg in slot_degrees]
         slot_columns = []
         dom_dim = 0
-        for deg in slot_degrees:
-            slot_basis = keys.get(m - deg, ())
+        for slot_basis in slot_bases:
             slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
             dom_dim += len(slot_basis)
-        # the evaluation rows go in ascending, the span rows in descending
-        # order of lead, the faster order of each as measured
-        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target], False),
-                                      len(target))
-        span_mod = _rank_mod(rows(m, span_pieces, slot_columns, True), dom_dim)
+        span_shifts = [keys.get(m - degree, ()) for degree, _, _ in span_pieces]
+        # the span rows go in descending, the evaluation rows in ascending
+        # order of lead, the faster order of each as measured; the
+        # evaluation rows at span leads are combinations of the rows kept
+        # (see the module docstring), so they are never built
+        leads = _rank_mod(rows(span_pieces, span_shifts, slot_columns, True), dom_dim)
+        kept = [[key for key, col in cols.items() if col not in leads]
+                for cols in slot_columns]
+        syz_mod = dom_dim - len(_rank_mod(rows(eval_pieces, kept, [target], False),
+                                          len(target)))
+        span_mod = len(leads)
         if syz_mod == span_mod:
             # span <= kernel over Q, and the mod-p bounds squeeze both:
-            # dom - rank_p(M) >= kernel_Q >= span_Q >= rank_p(G)
+            # dom - rank_p(kept rows of M) >= kernel_Q >= span_Q >= rank_p(G)
             results.append(DegreeDims(m, syz_mod, span_mod))
         else:
-            syz = dom_dim - _rank_exact(rows(m, eval_pieces, [target], False),
+            syz = dom_dim - _rank_exact(rows(eval_pieces, slot_bases, [target], False),
                                         len(target))
-            span = _rank_exact(rows(m, span_pieces, slot_columns, True), dom_dim)
+            span = _rank_exact(rows(span_pieces, span_shifts, slot_columns, True), dom_dim)
             results.append(DegreeDims(m, syz, span))
     return results
 

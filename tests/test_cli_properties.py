@@ -2,7 +2,8 @@
 
 Every input gets an exit code of 0, 1 or 2.  On exit 1 stderr holds exactly
 one JSON error object; for ``weyl parse`` it is a ``ParseError``, for
-``syzygy`` a ``ValueError``.
+``syzygy``, ``report`` and ``check`` a ``ValueError``, and for ``hyp`` a
+``ValueError`` or a ``ZeroDivisionError``.
 """
 
 import contextlib
@@ -103,3 +104,74 @@ def test_syzygy_exit_codes(weights, bound, as_json):
     elif code == 1:
         assert out == ""
         assert error_object(err)["type"] == "ValueError"
+
+
+def assert_exit(code, out, err, error_types):
+    """Exit 0 prints and is silent on stderr; exit 1 prints nothing and
+    writes exactly one error object of one of error_types."""
+    assert code in (0, 1, 2), (code, err)
+    if code == 0:
+        assert out and err == ""
+    elif code == 1:
+        assert out == ""
+        assert error_object(err)["type"] in error_types, err
+
+
+# weight strings over digits, commas, signs and spaces: at most 4 entries,
+# each a plain value of at most 6, or an optional run of signs and spaces,
+# then perhaps a value of at most 6 with perhaps a leading zero, then perhaps
+# a space; "--" and the empty string besides
+weight_entries = st.one_of(
+    st.integers(1, 6).map(str),
+    st.builds("".join, st.tuples(
+        st.text("+- ", max_size=2),
+        st.one_of(st.just(""), st.builds(str.__add__, st.sampled_from(["", "0"]),
+                                         st.integers(0, 6).map(str))),
+        st.sampled_from(["", " "]))))
+signed_weight_texts = st.one_of(
+    st.lists(weight_entries, max_size=4).map(",".join),
+    st.sampled_from(["--", ""]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(signed_weight_texts, st.booleans())
+def test_report_exit_codes(weights, as_json):
+    # a report whose checks fail exits 1 without an error object, which
+    # assert_exit refuses: every valid tuple must pass them all
+    code, out, err = run(["report", f"--weights={weights}"] + ["--json"] * as_json)
+    assert_exit(code, out, err, {"ValueError"})
+    if code == 0 and as_json:
+        assert all(json.loads(out)["checks"].values())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(signed_weight_texts, st.booleans())
+def test_check_exit_codes(weights, as_json):
+    code, out, err = run(["check", f"--weights={weights}"] + ["--json"] * as_json)
+    assert_exit(code, out, err, {"ValueError"})
+    if code == 2:
+        # the one usage error left: no weights at all (argparse before
+        # Python 3.12 reads --weights=-- as no value)
+        assert weights in ("", "--") and out == ""
+    if code == 0 and as_json:
+        assert json.loads(out)["passed"] is True
+
+
+# fraction texts: free text over the characters Fraction reads (no "e", so
+# no exponent can ask for a huge power of ten), and words that mostly parse
+FRACTION_WORDS = ["0", "1", "-1", "2", "1/2", "-1/3", "2/3", "1/0", "0/5",
+                  "3/7", "1.5", " 1/4 ", "+5/6", "", " ", "1//2", "x"]
+fraction_texts = st.one_of(st.text("0123456789/-+. ", max_size=8),
+                           st.sampled_from(FRACTION_WORDS))
+fraction_lists = st.one_of(
+    st.lists(st.sampled_from(FRACTION_WORDS), max_size=4).map(",".join),
+    st.lists(fraction_texts, max_size=3).map(",".join))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["exponents", "operator", "irreducible"]), fraction_texts,
+       fraction_lists, fraction_lists, st.booleans(), st.booleans())
+def test_hyp_exit_codes(action, gamma, alpha, beta, reduce, as_json):
+    argv = ["hyp", action, f"--gamma={gamma}", f"--alpha={alpha}", f"--beta={beta}"]
+    code, out, err = run(argv + ["--reduce"] * reduce + ["--json"] * as_json)
+    assert_exit(code, out, err, {"ValueError", "ZeroDivisionError"})

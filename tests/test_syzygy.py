@@ -486,8 +486,8 @@ def _ref_dimension_table(w, bound):
             slot_basis = keys.get(m - deg, ())
             slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
             dom_dim += len(slot_basis)
-        syz_mod = dom_dim - _rank_mod(rows(m, eval_pieces, [target]), len(target))
-        span_mod = _rank_mod(rows(m, span_pieces, slot_columns), dom_dim)
+        syz_mod = dom_dim - len(_rank_mod(rows(m, eval_pieces, [target]), len(target)))
+        span_mod = len(_rank_mod(rows(m, span_pieces, slot_columns), dom_dim))
         if syz_mod == span_mod:
             results.append(DegreeDims(m, syz_mod, span_mod))
         else:
@@ -527,13 +527,13 @@ def test_modular_and_exact_ranks_agree():
     rng = random.Random(99)
     for _ in range(30):
         rows = _sparse([[rng.randint(-30, 30) for _ in range(7)] for _ in range(5)])
-        assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
+        assert len(_rank_mod(rows, 7)) == _rank_exact(rows, 7)
     # entries beyond 64 bits, as in the syzygy rows of (70, 1, 1)
     big = math.comb(70, 35)
     for _ in range(30):
         rows = _sparse([[rng.choice((0, 1, -big, big, big * big + 1, -(2**63) - 1))
                          for _ in range(7)] for _ in range(5)])
-        assert _rank_mod(rows, 7) == _rank_exact(rows, 7)
+        assert len(_rank_mod(rows, 7)) == _rank_exact(rows, 7)
 
 
 def test_ranks_of_seeded_rank_deficient_rows():
@@ -563,7 +563,7 @@ def test_ranks_of_seeded_rank_deficient_rows():
             rows.append(combo)
         rows = [{c: x for c, x in row.items() if x} for row in rows]
         rng.shuffle(rows)
-        assert _rank_mod(iter(rows), ncols) == r
+        assert len(_rank_mod(iter(rows), ncols)) == r
         assert _rank_exact(iter(rows), ncols) == r
 
 
@@ -596,7 +596,7 @@ def test_ranks_do_not_depend_on_the_row_order():
         for _ in range(3):
             orders.append(rng.sample(rows, len(rows)))
         for order in orders:
-            assert _rank_mod(order, ncols) == r
+            assert len(_rank_mod(order, ncols)) == r
             assert _rank_exact(iter(order), ncols) == r
 
 
@@ -619,10 +619,132 @@ def test_exact_rank_fallback_gives_the_same_table(monkeypatch):
         exact_calls.append(ncols)
         return rank_exact(rows, ncols)
 
-    monkeypatch.setattr(syzygy, "_rank_mod", lambda rows, ncols: 0)
+    monkeypatch.setattr(syzygy, "_rank_mod", lambda rows, ncols: ())
     monkeypatch.setattr(syzygy, "_rank_exact", counting_rank_exact)
     assert syzygy_dimension_table((2, 1, 1), 7) == expected
     assert exact_calls
+
+
+class _EveryColumnALead(list):
+    """The true leads, so its length is still rank_p of the span matrix, but
+    every column tests as one of them."""
+
+    def __contains__(self, column):
+        return True
+
+
+def test_wrong_span_leads_fall_back_to_exact_elimination(monkeypatch):
+    # wrong leads leave out evaluation rows that no span pivot proves
+    # dependent: the kept rows lose rank, the kernel bound rises above the
+    # span bound in every degree from d - 1, and exact elimination over the
+    # full matrices decides
+    rank_mod, rank_exact = syzygy._rank_mod, syzygy._rank_exact
+    mod_calls, exact_calls = [], []
+
+    def wrong_leads_on_span(rows, ncols):
+        # in each degree the span matrix is eliminated first
+        mod_calls.append(ncols)
+        leads = rank_mod(rows, ncols)
+        return _EveryColumnALead(leads) if len(mod_calls) % 2 else leads
+
+    def counting_rank_exact(rows, ncols):
+        exact_calls.append(ncols)
+        return rank_exact(rows, ncols)
+
+    cases = [((2, 1, 1), 8), ((1, 2, 3), 10), ((70, 1, 1), 73)]
+    expected = {case: _ref_dimension_table(*case) for case in cases}
+    monkeypatch.setattr(syzygy, "_rank_mod", wrong_leads_on_span)
+    monkeypatch.setattr(syzygy, "_rank_exact", counting_rank_exact)
+    for (w, bound), table in expected.items():
+        mod_calls.clear()
+        exact_calls.clear()
+        assert syzygy_dimension_table(w, bound) == table
+        assert len(exact_calls) == 2 * (bound - sum(w) + 2)
+
+
+def _full_eval_rank_mod(w, m):
+    """rank_p of every evaluation row x^s*g_i of degree m."""
+    from dworkgm.syzygy import _monomial_keys, _rank_mod
+    d, n = sum(w), len(w) - 1
+    target = {key: col for col, key in enumerate(_monomial_keys(n, m))}
+    rows = [{target[k + s]: v for k, v in g._c.items()}
+            for g, deg in zip(jacobian_generators(w), [d] + [d - 1] * n)
+            for s in _monomial_keys(n, m - deg)]
+    return len(_rank_mod(rows, len(target)))
+
+
+def test_kept_evaluation_rows_keep_the_modular_rank(monkeypatch):
+    # the oracle tuples of the syzygy benchmark workload, in every degree
+    # that is eliminated: the evaluation rows at span leads are left out,
+    # and the rest have the rank of all of them, so no bound moves
+    cases = [(w, sum(w) + 4) for w in _all_tuples(3, 3)]
+    cases += [(w, sum(w) + 2)
+              for w in ((40, 1, 1, 1), (6, 5, 4, 3, 2), (60, 2, 1, 1), (70, 1, 1))]
+    assert len(cases) == 121
+    expected = {(w, bound): [_full_eval_rank_mod(w, m)
+                             for m in range(sum(w) - 1, bound + 1)]
+                for w, bound in cases}
+    rank_mod = syzygy._rank_mod
+    ranks = []
+
+    def recording_rank_mod(rows, ncols):
+        leads = rank_mod(rows, ncols)
+        ranks.append(len(leads))
+        return leads
+
+    def no_rank_exact(rows, ncols):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(syzygy, "_rank_mod", recording_rank_mod)
+    monkeypatch.setattr(syzygy, "_rank_exact", no_rank_exact)
+    for (w, bound), eval_ranks in expected.items():
+        ranks.clear()
+        assert generation_oracle(w, bound)
+        # span first, then the kept evaluation rows, in each degree
+        assert ranks[1::2] == eval_ranks
+
+
+def test_entries_are_reduced_mod_p_on_read():
+    # r rows in echelon form whose key entry is a unit mod p, with nonzero
+    # multiples of p before it (so some leads are 0 mod p) and entries
+    # beyond 64 bits after it, then integer combinations of them: the rank
+    # is r over Q and mod p, read in any order, with the entries reduced up
+    # front or not, and the rows passed in are left as they were
+    from dworkgm.syzygy import _rank_exact, _rank_mod
+    p = 1_000_003
+    multiples = (p, -p, 3 * p, 2**70 * p)
+    units = (2, -3, 5, math.comb(70, 35), 2**64 + 13, -(2**63) - 1)
+    assert all(x % p for x in units)
+    rng = random.Random(27)
+    zero_leads = 0
+    for _ in range(60):
+        ncols = rng.randint(3, 10)
+        r = rng.randint(1, ncols - 1)
+        basis = []
+        for key in sorted(rng.sample(range(ncols), r)):
+            row = {c: rng.choice(multiples) for c in range(key) if rng.random() < 0.4}
+            row[key] = rng.choice(units)
+            row.update((c, rng.choice((rng.randint(-9, 9), *units, *multiples)))
+                       for c in range(key + 1, ncols) if rng.random() < 0.5)
+            basis.append({c: x for c, x in row.items() if x})
+        rows = list(basis)
+        for _ in range(rng.randint(1, 6)):
+            combo = {}
+            for row in rng.sample(basis, rng.randint(1, r)):
+                a = rng.choice((1, -2, 3, p, 2**64 + 1))
+                for c, x in row.items():
+                    combo[c] = combo.get(c, 0) + a * x
+            rows.append({c: x for c, x in combo.items() if x})
+        rows = [row for row in rows if row]
+        zero_leads += sum(row[min(row)] % p == 0 for row in rows)
+        snapshot = [dict(row) for row in rows]
+        reduced = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+        assert len(_rank_mod(reduced, ncols)) == r
+        for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+            assert len(_rank_mod(iter(order), ncols)) == r
+            assert _rank_exact(iter(order), ncols) == r
+        assert rows == snapshot
+    assert zero_leads
 
 
 def test_syzygy_runs_without_numpy():
