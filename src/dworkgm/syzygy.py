@@ -37,7 +37,7 @@ exact linear algebra: the dimension of the space of homogeneous syzygies
 dimension of the span of the generators under polynomial multiplication
 (the row space of the span matrix G).  The sparse rows {column: int} are
 yielded one at a time, in order of leading (smallest) column, which is read
-off each piece's smallest keys before any row is built: descending for G,
+off each piece's smallest column before any row is built: descending for G,
 ascending for M, the faster order of each.  Both are eliminated mod a large
 prime, each pivot kept with the inverse of its leading entry instead of
 being divided through, and each entry reduced mod p only when it is read.
@@ -52,23 +52,39 @@ mod p above rank_Q(M), whatever the leads, so matching bounds certify the
 rational equality.  Any mismatch falls back to the same elimination over Q
 on the full matrices.
 
+The columns are monomial codes, not keys.  Within one degree a monomial is
+fixed by e_1, ..., e_{n-1}; its code reads them as digits in base B = bound
++ 1, e_1 most significant.  No exponent of a monomial of degree <= bound
+reaches B, so no digit of a sum carries: the code of a product is the sum
+of the codes, and the codes of one degree sort like its keys.  Each
+generator and vector term is encoded once per table, and a row x^s*g is
+then g's codes plus the code of s, with no lookup.  A column of M is the
+code of a monomial of degree m; a domain column is i*B^(n-1) + code(s), so
+slot i keeps its own range, in slot-major order.  The rows of M come in
+ascending order of raw lead, and a row's lead only rises under reduction,
+so no row reads a pivot whose lead is below the current raw lead: the
+elimination of M drops the rest of each such pivot as it passes, keeping
+its lead counted.  Each reduction is the one it would be with every pivot
+kept, so the rank is exact.
+
 ``MultiPoly`` keys each monomial x_1^{e_1} ... x_n^{e_n} by one int that
 packs n + 1 fields of 16 bits, most significant first:
 [e_1 + ... + e_n | e_1 | ... | e_n].  A product of monomials is the sum of
-their keys, integer order is grlex order, and the dimension table builds its
-matrix rows by adding a shift key.  The top bit of each field stays clear,
-so the sum of two in-range keys never carries from one field into the next:
-every monomial degree must stay below ``DEGREE_LIMIT`` = 2^15, and the
-constructor and products raise ValueError beyond it.
+their keys, and integer order is grlex order.  The top bit of each field
+stays clear, so the sum of two in-range keys never carries from one field
+into the next: every monomial degree must stay below ``DEGREE_LIMIT`` =
+2^15, and the constructor and products raise ValueError beyond it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, KeysView, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, Sequence
 
 from .weyl import Scalar, _exact, _refuse_float, format_terms
 
@@ -418,9 +434,11 @@ def _raise_on_identity(failing: list[int], n: int) -> None:
 
 
 def _syzygy_checks(weights: tuple[int, ...]
-                   ) -> tuple[list[SyzygyVector], list[list[dict]]]:
-    """The syzygy generators, and the n identity checks x_j*sigma*f'_j -
-    l_j*f as term maps aligned with (f, f'_1, ..., f'_n).
+                   ) -> tuple[list[list[dict]], list[list[dict]]]:
+    """The syzygy generators and the n identity checks x_j*sigma*f'_j -
+    l_j*f, each a list of term maps aligned with (f, f'_1, ..., f'_n): the
+    Euler vector first, then the Koszul vectors of the pairs i < j in
+    ``combinations`` order.
 
     Since f is not zero, identity j holds exactly when the quotient
     x_j*sigma*f'_j / f is l_j.  The pair i < j has slots x_i*l_j and
@@ -428,11 +446,6 @@ def _syzygy_checks(weights: tuple[int, ...]
     """
     n = len(weights) - 1
     units = [_unit(i, n) for i in range(n)]
-    euler = SyzygyVector(
-        components=(MultiPoly.constant(n, -sum(weights)),
-                    *(_make(n, {u: 1}) for u in units)),
-        kind="euler",
-    )
     ls = [l_poly(weights, j + 1)._c for j in range(n)]
     identities = []
     for j in range(n):
@@ -440,13 +453,13 @@ def _syzygy_checks(weights: tuple[int, ...]
         check[0] = {k: -v for k, v in ls[j].items()}
         check[j + 1] = {units[j] + u: 1 for u in units}
         identities.append(check)
-    vectors = [euler]
+    # the key of the constant monomial is 0
+    vectors = [[{0: -sum(weights)}] + [{u: 1} for u in units]]
     for i, j in combinations(range(n), 2):
-        components = [MultiPoly.zero(n)] * (n + 1)
-        components[i + 1] = _make(n, {k + units[i]: v for k, v in ls[j].items()})
-        components[j + 1] = _make(n, {k + units[j]: -v for k, v in ls[i].items()})
-        vectors.append(SyzygyVector(components=tuple(components),
-                                    kind=f"koszul({i + 1},{j + 1})"))
+        components: list[dict] = [{}] * (n + 1)
+        components[i + 1] = {k + units[i]: v for k, v in ls[j].items()}
+        components[j + 1] = {k + units[j]: -v for k, v in ls[i].items()}
+        vectors.append(components)
     return vectors, identities
 
 
@@ -462,21 +475,22 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
     gens = _gens if _gens is not None else jacobian_generators(weights)
     vectors, identities = _syzygy_checks(weights)
     _raise_on_identity(_failing_checks(identities, [g._c for g in gens], n), n)
-    return vectors
+    kinds = ["euler"] + [f"koszul({i + 1},{j + 1})"
+                         for i, j in combinations(range(n), 2)]
+    return [SyzygyVector(components=tuple(_make(n, c) for c in v), kind=kind)
+            for v, kind in zip(vectors, kinds)]
 
 
-def _syzygy_parts(w) -> tuple[list[MultiPoly], list[SyzygyVector], bool]:
-    """The Jacobian generators, the syzygy generators, and whether every
-    vector dots to zero: the identities and the dots in one fused packed
-    pass, a failing identity raising InvariantError as in
-    ``syzygy_generators``."""
+def _syzygy_parts(w) -> tuple[list[MultiPoly], list[list[dict]], bool]:
+    """The Jacobian generators, the syzygy generators as term maps (as
+    ``_syzygy_checks`` builds them), and whether every vector dots to zero:
+    the identities and the dots in one fused packed pass, a failing identity
+    raising InvariantError as in ``syzygy_generators``."""
     weights = _weights(w)
     n = len(weights) - 1
     gens = jacobian_generators(weights)
     vectors, identities = _syzygy_checks(weights)
-    failing = _failing_checks(
-        identities + [[c._c for c in v.components] for v in vectors],
-        [g._c for g in gens], n)
+    failing = _failing_checks(identities + vectors, [g._c for g in gens], n)
     _raise_on_identity(failing, n)
     return gens, vectors, not failing
 
@@ -502,21 +516,39 @@ def verify_syzygies(w, _parts=None) -> bool:
 # ---------------------------------------------------------------------------
 
 def _monomial_keys(nvars: int, degree: int) -> list[int]:
-    """Packed keys of the monomials of one degree, in increasing order."""
+    """Packed keys of the monomials of one degree, in increasing order.
+
+    One flat pass per field, as in ``family_poly``: each level extends every
+    key prefix by the exponents 0..left of the next variable, in increasing
+    order, and the last variable takes what is left.
+    """
     if degree < 0:
         return []
+    level = [(degree, degree)]  # (key prefix, exponent left)
+    for _ in range(nvars - 1):
+        level = [((prefix << _BITS) | e, left - e)
+                 for prefix, left in level for e in range(left + 1)]
+    return [(prefix << _BITS) | left for prefix, left in level]
 
-    def extend(prefix: int, left: int, fields: int) -> list[int]:
-        if fields == 1:
-            return [(prefix << _BITS) | left]
-        return [key for e in range(left + 1)
-                for key in extend((prefix << _BITS) | e, left - e, fields - 1)]
 
-    return extend(degree, degree, nvars)
+def _coder(nvars: int, base: int) -> Callable[[int], int]:
+    """The code of a packed key within its degree: the exponents e_1..e_{n-1}
+    as digits in ``base``, most significant first, e_n left out.  For keys of
+    degree below ``base`` the codes of one degree sort like the keys, and the
+    code of a sum of keys is the sum of their codes."""
+    fields = range(_BITS * (nvars - 1), 0, -_BITS)
+
+    def code(key: int) -> int:
+        c = 0
+        for shift in fields:
+            c = c * base + ((key >> shift) & _MASK)
+        return c
+
+    return code
 
 
 def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
-              p: int = 1_000_003) -> KeysView[int]:
+              p: int = 1_000_003, *, _ascending: bool = False) -> KeysView[int]:
     """The leading columns of the pivots of the sparse rows {column: int}
     mod p, as a view of as many columns as their rank; reads the iterable
     once, and leaves the row dicts as they are.
@@ -528,28 +560,52 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
     row), so no pivot row is divided through: a reduction multiplies the
     row's leading entry by that inverse once to get its factor.  Every column
     of a pivot's rest is after its lead.  The rank does not depend on the
-    order of the rows; columns are < ncols.
+    order of the rows.  The columns are nonnegative ints, any number of them
+    apart; ncols is how many there are, and the elimination stops at that
+    rank.
+
+    With ``_ascending`` the caller promises rows in ascending order of raw
+    lead (smallest column, whatever its entry), and a row whose raw lead is
+    below the one before raises InvariantError.  A row's lead only rises
+    under reduction, so no later row reads a pivot whose lead is below the
+    current raw lead: the rest of each such pivot is dropped, and its lead
+    stays counted.
     """
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]] | None] = {}
+    live: list[int] = []  # a heap of the leads whose rest is kept, if ascending
+    floor = 0
     for row in rows:
+        if not row:
+            continue
         r = dict(row)
-        while r:
-            lead = min(r)
+        lead = min(r)
+        if _ascending:
+            if lead < floor:
+                raise InvariantError(
+                    f"row lead {lead} is below the lead {floor} before it")
+            floor = lead
+            while live and live[0] < lead:
+                pivots[heappop(live)] = None
+        while True:
             a = r.pop(lead) % p
-            if not a:
-                continue
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = (pow(a, -1, p), r)
+            if a:
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = (pow(a, -1, p), r)
+                    if _ascending:
+                        heappush(live, lead)
+                    break
+                inv, rest = pivot
+                factor = a * inv % p
+                for c, y in rest.items():
+                    x = (r.get(c, 0) - factor * y) % p
+                    if x:
+                        r[c] = x
+                    else:
+                        r.pop(c, None)
+            if not r:
                 break
-            inv, rest = pivot
-            factor = a * inv % p
-            for c, y in rest.items():
-                x = (r.get(c, 0) - factor * y) % p
-                if x:
-                    r[c] = x
-                else:
-                    r.pop(c, None)
+            lead = min(r)
         if len(pivots) == ncols:
             break
     return pivots.keys()
@@ -642,67 +698,70 @@ def syzygy_dimension_table(w, degree_bound: int,
     else:
         gens, vectors = _parts
         verified = verify_syzygies(weights, _parts=_parts)
+        vectors = [[c._c for c in v.components] for v in vectors]
     if not verified:
         raise InvariantError("generators are not syzygies")
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
+    # the Euler vector first, then the Koszul vectors one degree up
+    span_degrees = [d] + [d + 1] * (len(vectors) - 1)
 
-    # a row is a piece (degree, parts, lows) times a monomial x^s of degree
-    # m - degree, each part placed by its own column map; lows pairs each
-    # nonzero part with its smallest key, whose column plus the shift is the
-    # part's leading column.  The evaluation map (a_0..a_n) -> a_0 f +
-    # sum a_i f'_i has the one-part pieces f, f'_i, and its row x^s*g_i is the
-    # one of domain column (slot i, monomial s).
-    def piece(degree: int, polys) -> tuple:
-        parts = [_int_terms(q) for q in polys]
-        return degree, parts, [(i, min(q._c)) for i, q in enumerate(polys) if q._c]
+    # codes (see the module docstring) in base bound + 1; slot i of the
+    # domain takes the columns i * top + code
+    base = degree_bound + 1
+    top = base ** (n - 1)
+    code = _coder(n, base)
 
-    eval_pieces = [piece(deg, [g]) for g, deg in zip(gens, slot_degrees)]
-    span_pieces = [piece(d if v.kind == "euler" else d + 1, v.components)
-                   for v in vectors]
-    # the shift degrees m - degree of the pieces, for d - 1 <= m <= bound
-    keys = {k: _monomial_keys(n, k) for k in range(degree_bound - d + 2)}
+    def piece(parts) -> tuple[int, list[tuple[int, int]]]:
+        """The smallest column and the terms (column, int) of the parts, the
+        terms of part i at i * top + code."""
+        terms = [(i * top + code(k), v)
+                 for i, part in enumerate(parts) for k, v in part]
+        return min(c for c, _ in terms), terms
 
-    def rows(pieces, shifts, columns, descending: bool) -> Iterator[dict[int, int]]:
-        """The rows of each piece times the keys shifts[index], yielded one at
-        a time in order of leading column; each lead is read off the lows, so
-        no row is built to sort."""
-        order = sorted(
-            ((min(columns[i][low + shift] for i, low in lows), index, shift)
-             for index, (_, _, lows) in enumerate(pieces)
-             for shift in shifts[index]),
-            reverse=descending)
-        for _, index, shift in order:
-            yield {cols[k + shift]: v
-                   for cols, terms in zip(columns, pieces[index][1]) for k, v in terms}
+    # a row is a piece times a monomial x^s: each column plus the code of s.
+    # The evaluation map (a_0..a_n) -> a_0 f + sum a_i f'_i has the one-part
+    # pieces f, f'_i, and its row x^s*g_i is the one of domain column
+    # (slot i, monomial s)
+    eval_pieces = [piece([_int_terms(g)]) for g in gens]
+    span_pieces = [piece([_int_map(c).items() for c in v]) for v in vectors]
+    # the codes of the shift monomials, of degrees m - degree for m <= bound
+    codes = {t: [code(k) for k in _monomial_keys(n, t)]
+             for t in range(degree_bound - d + 2)}
+
+    def rows(pieces, shifts, descending: bool) -> Iterator[dict[int, int]]:
+        """The rows of each piece times the codes shifts[index], yielded one
+        at a time in order of leading column, read off the smallest columns,
+        so no row is built to sort."""
+        order = sorted(((low + s, index, s)
+                        for index, (low, _) in enumerate(pieces)
+                        for s in shifts[index]),
+                       reverse=descending)
+        for _, index, s in order:
+            yield {c + s: v for c, v in pieces[index][1]}
 
     results = [DegreeDims(m, 0, 0) for m in range(d - 1)]
     for m in range(d - 1, degree_bound + 1):
-        target = {key: col for col, key in enumerate(_monomial_keys(n, m))}
-        slot_bases = [keys.get(m - deg, ()) for deg in slot_degrees]
-        slot_columns = []
-        dom_dim = 0
-        for slot_basis in slot_bases:
-            slot_columns.append({key: dom_dim + i for i, key in enumerate(slot_basis)})
-            dom_dim += len(slot_basis)
-        span_shifts = [keys.get(m - degree, ()) for degree, _, _ in span_pieces]
+        slot_shifts = [codes.get(m - deg, ()) for deg in slot_degrees]
+        dom_dim = sum(map(len, slot_shifts))
+        span_shifts = [codes.get(m - deg, ()) for deg in span_degrees]
+        ncols = math.comb(m + n - 1, n - 1)  # the monomials of degree m
         # the span rows go in descending, the evaluation rows in ascending
         # order of lead, the faster order of each as measured; the
         # evaluation rows at span leads are combinations of the rows kept
         # (see the module docstring), so they are never built
-        leads = _rank_mod(rows(span_pieces, span_shifts, slot_columns, True), dom_dim)
-        kept = [[key for key, col in cols.items() if col not in leads]
-                for cols in slot_columns]
-        syz_mod = dom_dim - len(_rank_mod(rows(eval_pieces, kept, [target], False),
-                                          len(target)))
+        leads = _rank_mod(rows(span_pieces, span_shifts, True), dom_dim)
+        kept = [[s for s in shifts if i * top + s not in leads]
+                for i, shifts in enumerate(slot_shifts)]
+        syz_mod = dom_dim - len(_rank_mod(rows(eval_pieces, kept, False), ncols,
+                                          _ascending=True))
         span_mod = len(leads)
         if syz_mod == span_mod:
             # span <= kernel over Q, and the mod-p bounds squeeze both:
             # dom - rank_p(kept rows of M) >= kernel_Q >= span_Q >= rank_p(G)
             results.append(DegreeDims(m, syz_mod, span_mod))
         else:
-            syz = dom_dim - _rank_exact(rows(eval_pieces, slot_bases, [target], False),
-                                        len(target))
-            span = _rank_exact(rows(span_pieces, span_shifts, slot_columns, True), dom_dim)
+            syz = dom_dim - _rank_exact(rows(eval_pieces, slot_shifts, False), ncols)
+            span = _rank_exact(rows(span_pieces, span_shifts, True), dom_dim)
             results.append(DegreeDims(m, syz, span))
     return results
 

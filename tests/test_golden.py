@@ -41,6 +41,8 @@ PINNED = [
     # the widest fields of the packed syzygy checks: binomials of 70
     ["syzygy", "--weights", "70,1,1", "--bound", "74", "--json"],
     ["syzygy", "--weights", "40,1,1,1", "--bound", "45", "--json"],
+    # the first n = 5 tuple: monomial codes of four digits
+    ["syzygy", "--weights", "2,1,1,1,1,1", "--bound", "9", "--json"],
 ]
 
 

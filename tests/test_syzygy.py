@@ -4,7 +4,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -34,6 +34,34 @@ def test_partial_index_out_of_range():
     for i in (-1, 2):
         with pytest.raises(IndexError):
             p.partial(i)
+
+
+def test_variable_index_out_of_range():
+    for i in (-1, 2):
+        with pytest.raises(IndexError, match="variable index out of range"):
+            MultiPoly.variable(i, 2)
+
+
+def test_degree_of_the_zero_polynomial_is_refused():
+    with pytest.raises(ValueError, match="degree of the zero polynomial"):
+        MultiPoly.zero(2).degree()
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative power of a polynomial"):
+        x1 ** -1
+
+
+def test_l_poly_index_out_of_range():
+    for i in (0, 3):
+        with pytest.raises(IndexError, match="variable index out of range"):
+            l_poly((1, 2, 3), i)
+
+
+def test_weights_need_two_positive_entries():
+    for w in ((), (3,), (1, 0), (2, -1, 1)):
+        with pytest.raises(ValueError, match="need at least two positive weights"):
+            family_poly(w)
 
 
 def test_product_of_conjugates():
@@ -457,6 +485,35 @@ def test_dimension_tables_pinned():
             assert (row.syzygy_dim, row.generated_dim) == (expected, expected)
 
 
+def test_codes_add_and_sort_like_keys():
+    # n = 1..5 and every monomial of degree <= 8, in base 9: the code of a
+    # sum of keys is the sum of their codes, the codes of one degree sort
+    # like its keys, and every code is below 9^(n-1), so the slot ranges
+    # i*9^(n-1) + code of one degree never overlap
+    from dworkgm.syzygy import _coder, _monomial_keys, _pack
+    bound = 8
+    base = bound + 1
+    for n in range(1, 6):
+        code, top = _coder(n, base), base ** (n - 1)
+        keys = {t: _monomial_keys(n, t) for t in range(bound + 1)}
+        for t, ks in keys.items():
+            monomials = [[0] * n for _ in range(math.comb(t + n - 1, n - 1))]
+            for e, picks in zip(monomials, combinations_with_replacement(range(n), t)):
+                for i in picks:
+                    e[i] += 1
+            assert ks == sorted(map(_pack, monomials))
+            codes = [code(k) for k in ks]
+            assert codes == sorted(set(codes))
+            assert all(0 <= c < top for c in codes)
+            columns = {i * top + c for i in range(n + 1) for c in codes}
+            assert len(columns) == (n + 1) * len(ks)
+        for t1 in range(bound + 1):
+            for t2 in range(bound + 1 - t1):
+                for k1 in keys[t1]:
+                    for k2 in keys[t2]:
+                        assert code(k1 + k2) == code(k1) + code(k2)
+
+
 def _ref_dimension_table(w, bound):
     """The table with both eliminations run in every degree 0..bound and the
     monomial keys of every degree built up front."""
@@ -501,13 +558,14 @@ def test_dimension_table_matches_the_all_degrees_reference(monkeypatch):
     cases = [(w, sum(w) + 4) for w in _all_tuples(3, 3)]
     cases += [(w, sum(w) + extra) for w in ((2, 3), (5, 1), (70, 1, 1))
               for extra in (0, 1)]
+    cases += [(w, sum(w) + 2) for w in ((2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1))]
     expected = {case: _ref_dimension_table(*case) for case in cases}
     rank_mod = syzygy._rank_mod
     calls = []
 
-    def counting_rank_mod(rows, ncols):
+    def counting_rank_mod(rows, ncols, **flags):
         calls.append(ncols)
-        return rank_mod(rows, ncols)
+        return rank_mod(rows, ncols, **flags)
 
     monkeypatch.setattr(syzygy, "_rank_mod", counting_rank_mod)
     for (w, bound), table in expected.items():
@@ -619,7 +677,7 @@ def test_exact_rank_fallback_gives_the_same_table(monkeypatch):
         exact_calls.append(ncols)
         return rank_exact(rows, ncols)
 
-    monkeypatch.setattr(syzygy, "_rank_mod", lambda rows, ncols: ())
+    monkeypatch.setattr(syzygy, "_rank_mod", lambda rows, ncols, **flags: ())
     monkeypatch.setattr(syzygy, "_rank_exact", counting_rank_exact)
     assert syzygy_dimension_table((2, 1, 1), 7) == expected
     assert exact_calls
@@ -641,10 +699,10 @@ def test_wrong_span_leads_fall_back_to_exact_elimination(monkeypatch):
     rank_mod, rank_exact = syzygy._rank_mod, syzygy._rank_exact
     mod_calls, exact_calls = [], []
 
-    def wrong_leads_on_span(rows, ncols):
+    def wrong_leads_on_span(rows, ncols, **flags):
         # in each degree the span matrix is eliminated first
         mod_calls.append(ncols)
-        leads = rank_mod(rows, ncols)
+        leads = rank_mod(rows, ncols, **flags)
         return _EveryColumnALead(leads) if len(mod_calls) % 2 else leads
 
     def counting_rank_exact(rows, ncols):
@@ -687,8 +745,8 @@ def test_kept_evaluation_rows_keep_the_modular_rank(monkeypatch):
     rank_mod = syzygy._rank_mod
     ranks = []
 
-    def recording_rank_mod(rows, ncols):
-        leads = rank_mod(rows, ncols)
+    def recording_rank_mod(rows, ncols, **flags):
+        leads = rank_mod(rows, ncols, **flags)
         ranks.append(len(leads))
         return leads
 
@@ -745,6 +803,81 @@ def test_entries_are_reduced_mod_p_on_read():
             assert _rank_exact(iter(order), ncols) == r
         assert rows == snapshot
     assert zero_leads
+
+
+def _rank_mod_row_sets(test, monkeypatch):
+    """The (rows, ncols) pairs that ``test`` passes to ``_rank_mod``."""
+    rank_mod = syzygy._rank_mod
+    seen = []
+
+    def recording_rank_mod(rows, ncols, **flags):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return rank_mod(rows, ncols, **flags)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(syzygy, "_rank_mod", recording_rank_mod)
+        test()
+    return seen
+
+
+def test_ascending_rows_keep_every_lead(monkeypatch):
+    # the row sets of two seeded tests, with multiples of p and entries
+    # beyond 64 bits, sorted by raw lead: dropping the pivots below each raw
+    # lead keeps the rank and the leads, and the rows passed in are left as
+    # they were
+    from dworkgm.syzygy import _rank_mod
+    row_sets = _rank_mod_row_sets(test_ranks_of_seeded_rank_deficient_rows,
+                                  monkeypatch)
+    row_sets += _rank_mod_row_sets(test_entries_are_reduced_mod_p_on_read,
+                                   monkeypatch)
+    assert len(row_sets) == 60 + 4 * 60
+    for rows, ncols in row_sets:
+        rows = sorted(rows, key=lambda row: min(row, default=0))
+        snapshot = [dict(row) for row in rows]
+        leads = set(_rank_mod(rows, ncols))
+        assert set(_rank_mod(iter(rows), ncols, _ascending=True)) == leads
+        assert rows == snapshot
+
+
+def test_ascending_rows_read_the_pivot_at_their_own_lead():
+    # rows that share a raw lead: each is reduced by the pivot at that lead,
+    # which must still be there; combinations of echelon rows, without the
+    # rows themselves, sorted by raw lead
+    from dworkgm.syzygy import _rank_exact, _rank_mod
+    assert len(_rank_mod([{0: 1, 1: 1}, {0: 1, 1: 2}], 2, _ascending=True)) == 2
+    rng = random.Random(28)
+    for _ in range(60):
+        ncols = rng.randint(3, 9)
+        r = rng.randint(1, ncols - 1)
+        basis = [{lead: rng.choice((2, -3, 2**64 + 13)),
+                  **{c: rng.randint(-9, 9) for c in range(lead + 1, ncols)}}
+                 for lead in sorted(rng.sample(range(ncols), r))]
+        rows = []
+        for _ in range(r + rng.randint(0, 3)):
+            combo = {}
+            for row in rng.sample(basis, rng.randint(1, r)):
+                a = rng.choice((1, -2, 3, 2**64 + 1))
+                for c, x in row.items():
+                    combo[c] = combo.get(c, 0) + a * x
+            rows.append({c: x for c, x in combo.items() if x})
+        rows.sort(key=lambda row: min(row, default=0))
+        rank = _rank_exact(rows, ncols)
+        assert len(_rank_mod(rows, ncols, _ascending=True)) == rank
+        assert set(_rank_mod(rows, ncols, _ascending=True)) == set(_rank_mod(rows, ncols))
+
+
+def test_ascending_rows_whose_lead_goes_down_raise():
+    from dworkgm.syzygy import _rank_mod
+    p = 1_000_003
+    rows = [{0: 1, 1: 1}, {2: 1}, {1: 3}]
+    with pytest.raises(InvariantError, match="row lead 1 is below the lead 2"):
+        _rank_mod(rows, 3, _ascending=True)
+    assert len(_rank_mod(rows, 3)) == 3
+    # the raw lead counts, even when its entry is 0 mod p
+    assert len(_rank_mod([{1: p, 3: 1}, {2: 1}], 4, _ascending=True)) == 2
+    with pytest.raises(InvariantError, match="row lead 1 is below the lead 2"):
+        _rank_mod([{2: 1}, {1: p, 3: 1}], 4, _ascending=True)
 
 
 def test_syzygy_runs_without_numpy():

@@ -187,12 +187,14 @@ def test_a_perturbed_l_fails_its_identity_and_its_koszul_vectors(data):
         with mock.patch.object(syzygy, "l_poly", perturbed):
             gens = jacobian_generators(w)
             vectors, identities = syzygy._syzygy_checks(w)
-            checks = _identities(w) + vectors
+            checks = _identities(w) + [
+                SyzygyVector(tuple(syzygy._make(n, c) for c in v), "vector")
+                for v in vectors]
             expected = _ref_failing(checks, gens)
             assert expected[0] == bad_j - 1
             assert [s for s in expected if s < n] == [bad_j - 1]
             assert len(expected) == 1 + (n - 1)  # the pairs (i, bad_j)
-            assert _failing_checks(identities + _maps(vectors),
+            assert _failing_checks(identities + vectors,
                                    [g._c for g in gens], n) == expected
             with pytest.raises(InvariantError,
                                match=rf"Koszul quotient x_{bad_j}\*sigma\*f'_{bad_j} "):
