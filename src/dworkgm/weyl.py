@@ -31,20 +31,24 @@ stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
 float raises ``TypeError`` (0.1 is not 1/10).  Private helpers hold the
 algebra the callers share: ``_leibniz`` moves d^a past t^b, for
-``WeylOp.__mul__`` and ``fourier``; ``_times_euler`` multiplies by a*D + b on
-the right, for ``mobius_infinity`` and ``_euler_rows``, the one Euler-product
-recurrence, which ``euler_product`` and the builder ``_euler_difference``
-read.  The builder makes c*prod(D - a_i) - t^m * prod(D - b_j) * d^k in one
-integer pass with one normalisation, for its three callers:
-``hypergeom.hyp_operator`` and the operators P and Q of ``dwork.ft_pair``.
+``WeylOp.__mul__``; ``_times_euler`` multiplies by a*D + b on the right, for
+``_euler_rows``, the one Euler-product recurrence, which ``euler_product``
+and the builder ``_euler_difference`` read; ``_rising_sum`` sums one
+t-weight class of rising products (D+c)(D+c+1)...(D+c+i-1), for
+``fourier`` and ``mobius_infinity``.  The builder makes
+c*prod(D - a_i) - t^m * prod(D - b_j) * d^k in one integer pass with one
+normalisation, for its three callers: ``hypergeom.hyp_operator`` and the
+operators P and Q of ``dwork.ft_pair``.  The Fourier check of that pair
+therefore shares no kernel with the builder of P and Q.
 
 These kernels cost one pass per coefficient.  ``_leibniz`` steps the target
 row and exponent down together and looks each row up once;
 ``_times_euler`` carries the previous entry and the running multiplier
-a*j + b.  The Horner steps of ``_weight_part`` and the product of
-``IndicialPolynomial.has_roots_exactly`` have the same shape, each in its
-own loop: the root check is an oracle and shares no code with the operators
-it checks.
+a*j + b; ``_rising_sum`` is a Horner sum whose steps carry the previous
+entry, one small-by-big product per entry.  The Horner steps of
+``_weight_part`` and the product of ``IndicialPolynomial.has_roots_exactly``
+have the same shape, each in its own loop: the root check is an oracle and
+shares no code with the operators it checks.
 
 All values are immutable and all operations are pure functions, so anything
 here can be shared freely between threads.
@@ -368,7 +372,8 @@ def _leibniz(acc: dict[int, dict[int, int]], n: int, a: int, b: int,
              t_shift: int, d_shift: int) -> None:
     """Add n * t^t_shift * (d^a t^b) * d^d_shift to acc[k][m], the integer
     coefficient of t^m d^k, by the Leibniz rule
-    d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j).
+    d^a t^b = sum_j C(a,j) * b(b-1)...(b-j+1) * t^(b-j) d^(a-j);
+    the kernel of ``WeylOp.__mul__``.
 
     One pass over j, with k = a - j + d_shift and m = b - j + t_shift
     stepping down together: each target row is looked up once, and a row
@@ -394,7 +399,9 @@ def _times_euler(r: list[int], a: int, b: int) -> list[int]:
     r'_j = a * r_(j-1) + (a*j + b) * r_j, with r_(-1) = r_(len r) = 0.
 
     One pass over r that carries the previous entry and the running
-    multiplier c = a*j + b, which grows by a at each step."""
+    multiplier c = a*j + b, which grows by a at each step.  The kernel of
+    ``_euler_rows`` alone: the transforms that check its products run
+    ``_rising_sum``."""
     out = []
     prev, c = 0, b
     for x in r:
@@ -403,6 +410,31 @@ def _times_euler(r: list[int], a: int, b: int) -> list[int]:
         c += a
     out.append(a * prev)
     return out
+
+
+def _rising_sum(part: Mapping[int, int], c: int) -> list[int]:
+    """sum_i part[i] * (D+c)(D+c+1)...(D+c+i-1) as its integer entries r_j
+    in the basis t^j d^j, for a nonempty part.
+
+    Horner from the top i down, r <- r*(D + c + i) + part[i], where one
+    step t^j d^j * (D + b) = t^(j+1) d^(j+1) + (j + b) * t^j d^j reads
+    r'_j = r_(j-1) + (b + j) * r_j: one pass over r that carries the
+    previous entry, with one small-by-big product per entry.  Its own loop,
+    not ``_times_euler``: the transforms that call it check the operators
+    that ``_times_euler`` builds."""
+    top = max(part)
+    r = [part[top]]
+    for i in range(top - 1, -1, -1):
+        nxt = []
+        prev, b = 0, c + i
+        for x in r:
+            nxt.append(prev + b * x)
+            prev = x
+            b += 1
+        nxt.append(prev)
+        nxt[0] += part.get(i, 0)
+        r = nxt
+    return r
 
 
 def euler_op() -> WeylOp:
@@ -758,8 +790,19 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
     This is a ring automorphism of the unlocalized Weyl algebra; the inverse
     direction is the inverse map t -> -d, d -> t.  Operators containing t^-1
     are rejected, since the substitution is only defined on polynomial
-    coefficients.  Each monomial maps to a multiple of d^m t^k, which
-    ``_leibniz`` brings to normal form.
+    coefficients.
+
+    Each monomial t^m d^k maps to a multiple of d^m t^k, whose normal form
+    is, with c = k - m and i = min(m, k),
+
+        t^c * (D+c+1)(D+c+2)...(D+c+i)      for c >= 0,
+        (D-c+1)(D-c+2)...(D-c+i) * d^-c     for c < 0.
+
+    The monomials of one t-weight share c, so their images are summed by
+    ``_rising_sum`` from D + |c| + 1 and shifted once.  Neither ``_leibniz``
+    nor ``_times_euler`` runs here: ``dwork.ft_pair`` builds P and Q with
+    the latter, and the Fourier check of the pair must not share a kernel
+    with the operators it checks.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -768,14 +811,21 @@ def fourier(op: WeylOp, direction: str = "forward") -> WeylOp:
         raise ValueError("operator contains t^-1; the Fourier substitution "
                          "is defined only for polynomial coefficients")
     forward = direction == "forward"
-    acc: dict[int, dict[int, int]] = {}
+    parts: dict[int, dict[int, int]] = {}  # c = k-m -> {min(m, k): +-n}
     for k, row in enumerate(rows):
         for m, n in row.items():
             # n*t^m*d^k  ->  n * d^m * (-t)^k      (forward)
             #            ->  n * (-d)^m * t^k      (inverse)
             if (k if forward else m) % 2:
                 n = -n
-            _leibniz(acc, n, m, k, 0, 0)
+            parts.setdefault(k - m, {})[min(m, k)] = n
+    # classes of distinct c land on distinct monomials t^(j+c) d^j
+    acc: dict[int, dict[int, int]] = {}
+    for c, part in parts.items():
+        r = _rising_sum(part, abs(c) + 1)
+        t_shift, d_shift = (c, 0) if c >= 0 else (0, -c)
+        for j, x in enumerate(r):
+            acc.setdefault(j + d_shift, {})[j + t_shift] = x
     return _from_numerators(acc, op._den)
 
 
@@ -792,9 +842,8 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
 
     Monomial rule: t^m d^k maps to (-1)^k u^(k-m) * (D)(D+1)...(D+k-1).
     The monomials of one t-weight m-k share the factor u^(k-m) on the left,
-    so their images are summed by Horner's rule in the normal form
-    sum_i r_i u^i d^i, where right multiplication by D + k is the integer
-    recurrence of ``_times_euler``.
+    so their images are summed by ``_rising_sum`` from D, the kernel of
+    ``fourier``, in the normal form sum_i r_i u^i d^i.
     """
     parts: dict[int, dict[int, int]] = {}  # t-weight m-k -> {k: +-n}
     for k, row in enumerate(op._rows):
@@ -802,13 +851,7 @@ def mobius_infinity(op: WeylOp) -> WeylOp:
             parts.setdefault(m - k, {})[k] = -n if k % 2 else n
     acc: dict[int, dict[int, int]] = {}
     for w, part in parts.items():
-        # Horner: r <- r*(D + k) + part[k], from the top k down to 0
-        top = max(part)
-        r = [part[top]]
-        for k in range(top - 1, -1, -1):
-            r = _times_euler(r, 1, k)
-            r[0] += part.get(k, 0)
-        for i, c in enumerate(r):
+        for i, c in enumerate(_rising_sum(part, 0)):
             acc.setdefault(i, {})[i - w] = c
     return _from_numerators(acc, op._den)
 

@@ -96,6 +96,11 @@ def test_nbc_trivial_cases():
     assert nbc_oracle(1, 4) == {0: 1, 1: 1}      # complement of one hyperplane
 
 
+def test_nbc_needs_a_hyperplane():
+    with pytest.raises(ValueError, match="at least one hyperplane"):
+        nbc_oracle(0, 1)
+
+
 def test_nbc_three_lines_in_plane():
     # Moebius recursion on the generic intersection poset, not asserted a
     # priori: frozen after running the recursion by hand on U_{2,3}

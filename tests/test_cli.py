@@ -311,6 +311,22 @@ def euler_step_with_a_stale_carry(r, a, b):
             + [a * r[-1]])
 
 
+def rising_sum_with_a_stale_carry(part, c):
+    """weyl._rising_sum whose carried entry stays r_0."""
+    top = max(part)
+    r = [part[top]]
+    for i in range(top - 1, -1, -1):
+        r = ([(c + i) * r[0] + part.get(i, 0)]
+             + [r[0] + (c + i + j) * r[j] for j in range(1, len(r))] + [r[-1]])
+    return r
+
+
+def rising_sum_off_by_one(part, c, rising_sum=weyl._rising_sum):
+    """weyl._rising_sum whose multiplier for r_j is c + i + j + 1: the
+    rising products start one factor late."""
+    return rising_sum(part, c + 1)
+
+
 def fourier_without_its_inverse(op, direction="forward", forward=weyl.fourier):
     """weyl.fourier that runs the forward map in either direction: still a
     ring map, but no longer inverted by "inverse"."""
@@ -318,7 +334,7 @@ def fourier_without_its_inverse(op, direction="forward", forward=weyl.fourier):
 
 
 def test_report_prints_its_failed_checks(capsys, monkeypatch):
-    monkeypatch.setattr(weyl, "_leibniz", leibniz_without_its_last_term)
+    monkeypatch.setattr(weyl, "_rising_sum", rising_sum_with_a_stale_carry)
     code, out, err = run_cli(capsys, "report", "--weights", "1,2,3")
     assert code == 1 and err == ""
     golden = (GOLDEN / "report_weights_1_2_3.txt").read_text().splitlines()
@@ -326,16 +342,22 @@ def test_report_prints_its_failed_checks(capsys, monkeypatch):
     assert out.splitlines() == golden[:-1] + ["checks       : FAILED ['fourier_pair']"]
 
 
+# P and Q are built by _times_euler and checked by fourier, which runs
+# _rising_sum; products run _leibniz, which the Fourier ring map sets
+# against _rising_sum.  So each broken kernel fails at least one check.
 @pytest.mark.parametrize("kernel, broken, failed", [
     ("_leibniz", leibniz_without_its_last_term,
-     ["fourier_pair", "weyl_ring_laws", "weyl_fourier_ring_map"]),
-    ("_times_euler", euler_step_with_a_stale_carry,
-     ["fourier_pair", "weyl_mobius_involution"]),
+     ["weyl_ring_laws", "weyl_fourier_ring_map"]),
+    ("_times_euler", euler_step_with_a_stale_carry, ["fourier_pair"]),
     ("_times_euler", euler_step_off_by_one,
-     ["indicial_zero", "indicial_infinity", "fourier_pair",
-      "weyl_mobius_involution"]),
+     ["indicial_zero", "indicial_infinity", "fourier_pair"]),
+    ("_rising_sum", rising_sum_with_a_stale_carry,
+     ["fourier_pair", "weyl_fourier_ring_map", "weyl_mobius_involution"]),
+    ("_rising_sum", rising_sum_off_by_one,
+     ["fourier_pair", "weyl_fourier_ring_map", "weyl_mobius_involution"]),
     ("fourier", fourier_without_its_inverse, ["weyl_fourier_ring_map"]),
-], ids=["leibniz", "times_euler", "times_euler_off_by_one", "fourier_inverse"])
+], ids=["leibniz", "times_euler", "times_euler_off_by_one", "rising_sum",
+        "rising_sum_off_by_one", "fourier_inverse"])
 def test_check_prints_its_failed_checks(capsys, monkeypatch, kernel, broken, failed):
     monkeypatch.setattr(weyl, kernel, broken)
     code, out, err = run_cli(capsys, "check", "--weights", "1,2,3")

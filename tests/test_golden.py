@@ -11,9 +11,18 @@ in ``golden/check_sweep_4_5.sha256``, which CI checks; re-record it with
 
     PYTHONPATH=src python -m dworkgm check --sweep 4,5 > check_sweep_4_5.txt
     sha256sum check_sweep_4_5.txt > tests/golden/check_sweep_4_5.sha256
+
+The two largest benchmark ladder reports, ``report --weights 97,53,1 --json``
+and ``report --weights 200,1 --json`` (up to half a megabyte), are pinned the
+same way, listed in ``SHA256_PINNED`` and checked here in-process and by CI;
+re-record one with
+
+    PYTHONPATH=src python -m dworkgm report --weights 200,1 --json > report_weights_200_1_json.txt
+    sha256sum report_weights_200_1_json.txt > tests/golden/report_weights_200_1_json.sha256
 """
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import re
@@ -43,6 +52,13 @@ PINNED = [
     ["syzygy", "--weights", "40,1,1,1", "--bound", "45", "--json"],
     # the first n = 5 tuple: monomial codes of four digits
     ["syzygy", "--weights", "2,1,1,1,1,1", "--bound", "9", "--json"],
+]
+
+# the ladder rungs of bench/workloads.py that have no digest in
+# bench/ladder_digests.json
+SHA256_PINNED = [
+    ["report", "--weights", "97,53,1", "--json"],
+    ["report", "--weights", "200,1", "--json"],
 ]
 
 
@@ -88,6 +104,14 @@ def test_golden_output(argv):
     assert out.encode() == expected
     codes = {**recorded_exit_codes(), **recorded_exit_codes(PINNED_EXIT_CODES)}
     assert code == codes[slug(argv)]
+
+
+@pytest.mark.parametrize("argv", SHA256_PINNED, ids=slug)
+def test_sha256_pinned_output(argv):
+    code, out = run(argv)
+    digest, name = (GOLDEN / f"{slug(argv)}.sha256").read_text().split()
+    assert name == f"{slug(argv)}.txt"
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def write_goldens() -> None:

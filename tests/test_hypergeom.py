@@ -122,6 +122,11 @@ def test_exponents_worked_example():
     assert exponents(h, "infinity") == ExpMultiset([F(1, 3), F(2, 3)])
 
 
+def test_exponents_reject_an_unknown_place():
+    with pytest.raises(ValueError, match="unknown place 'middle'"):
+        exponents(make_hyp(F(1, 27), [0, 0], [F(1, 3), F(2, 3)]), "middle")
+
+
 def test_exponents_reject_reducible():
     with pytest.raises(ValueError, match="irreducible"):
         exponents(make_hyp(1, [F(1, 2)], [F(3, 2)]), "zero")

@@ -11,7 +11,7 @@ from dworkgm.hypergeom import ExpMultiset, hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
                           euler_factorization, euler_op, euler_product, fourier,
                           fuchs_regular, indicial_polynomial, mobius_infinity,
-                          parse_op, singular_support)
+                          parse_op, singular_support, _rational_root_split)
 
 
 def rand_op(rng, localized=False, terms=4):
@@ -566,3 +566,17 @@ def test_a_scale_below_one_is_refused():
                   lambda: ExpMultiset([1], -2)):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WeylOp.d(-1), "d admits no negative powers"),
+    (lambda: WeylOp.zero().order(), "order of the zero operator"),
+    (lambda: parse_op("d + t") ** -1, "operators admit no negative powers"),
+    (lambda: euler_factorization(0), "d must be a positive integer"),
+    (lambda: fourier(parse_op("d"), "sideways"), "unknown direction 'sideways'"),
+    (lambda: _rational_root_split([0, 0]), "zero polynomial has no root data"),
+], ids=["d_power", "zero_order", "power", "euler_factorization", "fourier",
+        "root_split"])
+def test_out_of_domain_arguments_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

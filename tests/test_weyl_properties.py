@@ -8,8 +8,10 @@ Every public operation of ``WeylOp`` must agree with them on localized
 operators whose coefficients have unrelated denominators, and every result
 must be in canonical form.  The readings at infinity, taken from the rows,
 must agree with the readings at zero after ``mobius_infinity``.  The
-integer kernels ``_leibniz``, ``_times_euler`` and ``_clear_denominators``
-are also checked directly, on inputs that operators never feed them.
+integer kernels ``_leibniz``, ``_times_euler``, ``_rising_sum`` and
+``_clear_denominators`` are also checked directly, on inputs that operators
+never feed them, and the transforms on dense weight classes with big
+coefficients, with the kernels they must not share patched to raise.
 """
 
 import functools
@@ -138,6 +140,15 @@ def ref_times_euler(r, a, b):
     return ([b * r[0]]
             + [a * r[j - 1] + (a * j + b) * r[j] for j in range(1, len(r))]
             + [a * r[-1]])
+
+
+def ref_rising_sum(part, c):
+    top = max(part)
+    r = [part[top]]
+    for i in range(top - 1, -1, -1):
+        r = ref_times_euler(r, 1, c + i)
+        r[0] += part.get(i, 0)
+    return r
 
 
 def ref_euler_product(constants):
@@ -383,3 +394,94 @@ def test_clear_denominators_matches_reference(values, den):
     nums, scale = weyl._clear_denominators(values, den)
     assert (nums, scale) == ref_clear_denominators(values, den)
     assert all(type(n) is int for n in nums)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 40), kernel_ints, min_size=1, max_size=41),
+       st.integers(-8, 48))
+@example({0: 5}, 0)
+@example({40: 2 ** 70}, 1)
+@example({3: 1, 0: -2 ** 65}, -3)
+def test_rising_sum_matches_reference(part, c):
+    kept = dict(part)
+    assert weyl._rising_sum(part, c) == ref_rising_sum(kept, c)
+    assert part == kept
+
+
+# -- the transforms on dense weight classes ----------------------------------------
+
+# One t-weight class t^(j+c) d^j, filled for j <= 40 from the least j with
+# polynomial coefficients: the shape of P and Q, whose classes are dense.
+dense_classes = st.tuples(st.integers(-6, 6),
+                          st.lists(kernel_ints, min_size=1, max_size=35),
+                          st.sampled_from(DENOMINATORS))
+
+
+def build_class(c, nums, den):
+    """sum n/den * t^(j+c) d^j over j from max(0, -c) on, one n per j, next
+    to its reference."""
+    terms = list(enumerate(nums, max(0, -c)))
+    coeffs = [LaurentPoly() for _ in range(terms[0][0])]
+    refs = [RefLaurentPoly() for _ in range(terms[0][0])]
+    for j, n in terms:
+        coeffs.append(LaurentPoly.term(Fraction(n, den), j + c))
+        refs.append(RefLaurentPoly({j + c: Fraction(n, den)}))
+    return WeylOp(coeffs), RefWeylOp(refs)
+
+
+def as_ref(op):
+    return RefWeylOp([RefLaurentPoly(dict(p.items())) for p in op.coeffs()])
+
+
+def transforms(op):
+    return [fourier(op, "forward"), fourier(op, "inverse"), mobius_infinity(op)]
+
+
+def ref_transforms(ref):
+    return [ref_fourier(ref, "forward"), ref_fourier(ref, "inverse"),
+            ref_mobius_infinity(ref)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dense_classes)
+@example((0, [2 ** 64 + 1] * 35, 1))
+@example((-6, [-2 ** 80, 3, 0, 2 ** 65], 49))
+@example((6, [7] * 35, 64))
+def test_transforms_match_reference_on_dense_classes(cls):
+    op, ref = build_class(*cls)
+    for out, expected in zip(transforms(op), ref_transforms(ref)):
+        assert_same(out, expected)
+
+
+@pytest.mark.parametrize("w", LARGE_WEIGHTS, ids=["96,23", "140,3", "7..29", "1^60"])
+def test_transforms_match_reference_on_large_pairs(w):
+    pair = ft_pair(w)
+    for op in (pair.p, pair.q):
+        for out, expected in zip(transforms(op), ref_transforms(as_ref(op))):
+            assert_same(out, expected)
+
+
+def refuse(*args):
+    raise AssertionError("a kernel that this path must not share")
+
+
+def test_transforms_share_no_kernel_with_products(monkeypatch):
+    ops = [op for w in LARGE_WEIGHTS for op in (ft_pair(w).p, ft_pair(w).q)]
+    ops += [build_class(c, [2 ** 65 + j for j in range(30)], 9)[0] for c in range(-6, 7)]
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_times_euler", refuse)
+        m.setattr(weyl, "_leibniz", refuse)
+        outs = [transforms(op) for op in ops]
+    for op, out in zip(ops, outs):
+        assert [as_ref(x) for x in out] == ref_transforms(as_ref(op))
+
+
+def test_products_share_no_kernel_with_transforms(monkeypatch):
+    a, ra = build([(3, 2, Fraction(2 ** 65, 7)), (1, -3, Fraction(-5, 9)),
+                   (4, 4, Fraction(1, 2)), (0, 1, 3)])
+    constants = [Fraction(1, 3), -2, Fraction(5, 7), 2 ** 65]
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_rising_sum", refuse)
+        product, square = euler_product(constants), a * a
+    assert_same(product, ref_euler_product(constants))
+    assert_same(square, ra * ra)
