@@ -27,9 +27,26 @@ centred residue modulo 2^W, and removing it leaves the rest divisible by
 2^W, so no field carries into or cancels another.  Every packed value is
 zero exactly when every check vanishes, and the failing checks are read off
 the fields only when one is not.  ``syzygy_generators`` checks its n
-identities in one pass; ``verify_syzygies`` without prebuilt parts, and the
-dimension table that builds its own, check the identities and the 1 + C(n,2)
-vectors in one fused pass.
+identities in one pass, and the dimension table that builds its own parts
+checks the identities and the 1 + C(n,2) vectors it eliminates in one fused
+pass, each check packed from its term maps (``_pack_checks``).
+
+``verify_syzygies(w)`` from the weights alone checks the same identities
+and vectors, but the Euler check folded by sigma:
+sigma*(-d*f + x_1*f'_1 + ... + x_n*f'_n) = 0.  Q[x] is a domain and sigma
+is not zero, so this holds exactly when the Euler check does, the argument
+the identities already rest on.  Folded, slot 0 of every check is linear and
+slot i is x_i times a linear form, so the packed components are written
+straight from one table of the coefficients l_jk of l_1..l_n at x_1..x_n,
+read once from ``l_poly``, with no term map built (``_pack_weight_checks``):
+at x_k slot 0 is -sum_j l_jk*2^(jW) - d*2^(nW), and at x_i*x_k slot i is
+2^((i-1)W) + 2^(nW) plus +-l_bk*2^(sW) for each Koszul pair s of i and b.
+Every slot has n keys, the keys the identities use.  The norms come from
+the same table; the folded Euler check has norm n*d + n^2 (n*d from
+-d*sigma, n from each x_i*sigma), the largest of the checks, so
+W = bit_length(M*(n*d + n^2)) + 2.  Every check reaches degree d + 1, so a
+weight sum with d + 1 not below ``DEGREE_LIMIT`` is refused before any is
+built.
 
 ``generation_oracle`` checks generation degree by degree up to a bound by
 exact linear algebra: the dimension of the space of homogeneous syzygies
@@ -373,25 +390,28 @@ def jacobian_generators(w) -> list[MultiPoly]:
     return [f] + [f.partial(i) for i in range(n)]
 
 
-def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
-                    nvars: int) -> list[int]:
-    """The indices, ascending, of the checks whose sum c_0*g_0 + ... +
-    c_n*g_n is not zero; each check is a list of term maps c_0..c_n aligned
-    with the generator term maps gens.
+def _top(gens: Sequence[dict]) -> int:
+    """M, the largest |coefficient| of the generator term maps."""
+    return max(map(abs, _values(gens)), default=0)
 
-    One packed pass (see the module docstring): check s is shifted into
-    field s of one int per monomial key, and each generator meets the packed
-    components at its index in one ``_add_product``.  The fields are decoded
-    only when some accumulated value is not zero.  A coefficient that is not
-    an integer raises ValueError before any product, and a check whose
-    component count differs from the generators' raises ValueError.
-    """
-    gens = [_int_map(g) for g in gens]
-    top = max(map(abs, _values(gens)), default=0)
-    norm = max([sum(map(abs, _values(check))) for check in checks], default=0)
+
+def _width(top: int, norm) -> int:
+    """The field width bit_length(M*N) + 2 (see the module docstring)."""
     # norm is a Fraction when a component has one; a non-integral one is
     # refused while packing, an integral one is exact under int()
-    width = int(top * norm).bit_length() + 2
+    return int(top * norm).bit_length() + 2
+
+
+def _pack_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict]
+                 ) -> tuple[list[dict], int]:
+    """The packed components of the checks, one map per generator, and
+    their field width: check s is shifted into field s of one int per
+    monomial key.  Each check is a list of term maps c_0..c_n aligned with
+    the int generator term maps gens.  A coefficient that is not an integer
+    raises ValueError, and so does a check whose component count differs
+    from the generators'."""
+    norm = max([sum(map(abs, _values(check))) for check in checks], default=0)
+    width = _width(_top(gens), norm)
     packed: list[dict] = [{} for _ in gens]
     for s, check in enumerate(checks):
         shift = s * width
@@ -401,6 +421,15 @@ def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
                 if type(v) is not int:
                     v = _int_coeff(v)
                 p[k] = get(k, 0) + (v << shift)
+    return packed, width
+
+
+def _failing_fields(packed: Sequence[dict], width: int, gens: Sequence[dict],
+                    nvars: int) -> list[int]:
+    """The indices, ascending, of the fields of the packed checks whose sum
+    c_0*g_0 + ... + c_n*g_n is not zero: each generator meets the packed
+    components at its index in one ``_add_product``, and the fields are
+    decoded only when some accumulated value is not zero."""
     acc: dict = {}
     for p, g in zip(packed, gens):
         _add_product(acc, p, g, nvars)
@@ -421,6 +450,33 @@ def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
             value = (value - field) >> width
             s += 1
     return sorted(failing)
+
+
+def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
+                    nvars: int) -> list[int]:
+    """The indices, ascending, of the checks whose sum c_0*g_0 + ... +
+    c_n*g_n is not zero; each check is a list of term maps c_0..c_n aligned
+    with the generator term maps gens.
+
+    One packed pass (see the module docstring): ``_pack_checks``, then
+    ``_failing_fields``.  A coefficient that is not an integer raises
+    ValueError before any product, and a check whose component count
+    differs from the generators' raises ValueError.
+    """
+    gens = [_int_map(g) for g in gens]
+    packed, width = _pack_checks(checks, gens)
+    return _failing_fields(packed, width, gens, nvars)
+
+
+def _syzygy_weights(w) -> tuple[int, ...]:
+    """The weights, refused with ValueError when d + 1 is not below
+    DEGREE_LIMIT: every check of a syzygy reaches degree d + 1."""
+    weights = _weights(w)
+    d = sum(weights)
+    if d + 1 >= DEGREE_LIMIT:
+        raise ValueError(f"weight sum d = {d}: the syzygy checks reach degree "
+                         f"d + 1, which must be below {DEGREE_LIMIT}")
+    return weights
 
 
 def _raise_on_identity(failing: list[int], n: int) -> None:
@@ -469,8 +525,10 @@ def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVec
     The n identities x_j*sigma*f'_j - l_j*f = 0 behind the Koszul slots are
     checked in one packed pass; a failing one would indicate an
     implementation bug and raises InvariantError naming the first failing j.
+    A weight sum d with d + 1 not below DEGREE_LIMIT raises ValueError
+    before any work.
     """
-    weights = _weights(w)
+    weights = _syzygy_weights(w)
     n = len(weights) - 1
     gens = _gens if _gens is not None else jacobian_generators(weights)
     vectors, identities = _syzygy_checks(weights)
@@ -486,7 +544,7 @@ def _syzygy_parts(w) -> tuple[list[MultiPoly], list[list[dict]], bool]:
     ``_syzygy_checks`` builds them), and whether every vector dots to zero:
     the identities and the dots in one fused packed pass, a failing identity
     raising InvariantError as in ``syzygy_generators``."""
-    weights = _weights(w)
+    weights = _syzygy_weights(w)
     n = len(weights) - 1
     gens = jacobian_generators(weights)
     vectors, identities = _syzygy_checks(weights)
@@ -495,17 +553,82 @@ def _syzygy_parts(w) -> tuple[list[MultiPoly], list[list[dict]], bool]:
     return gens, vectors, not failing
 
 
+def _weight_table(weights: tuple[int, ...]) -> list[list[int]]:
+    """The coefficients of the weight-only checks at x_1..x_n: row j < n
+    holds those of l_{j+1}, read once from ``l_poly``, and row n holds d at
+    each, those of d*sigma in the folded Euler check."""
+    n = len(weights) - 1
+    units = [_unit(k, n) for k in range(n)]
+    table = []
+    for j in range(1, n + 1):
+        get = l_poly(weights, j)._c.get
+        table.append([get(u, 0) for u in units])
+    table.append([sum(weights)] * n)
+    return table
+
+
+def _weight_norms(table: list[list[int]]) -> list[int]:
+    """The norm of each weight-only check, in field order, from the table:
+    identity j has -l_j and the n ones of x_j*sigma, the folded Euler check
+    -d*sigma and n slots x_i*sigma (n*d + n^2), and the pair i < j the
+    slots x_i*l_j and -x_j*l_i."""
+    n = len(table) - 1
+    sums = [sum(map(abs, row)) for row in table]
+    return ([sums[j] + n for j in range(n)] + [sums[n] + n * n]
+            + [sums[i] + sums[j] for i, j in combinations(range(n), 2)])
+
+
+def _pack_weight_checks(weights: tuple[int, ...], gens: Sequence[dict]
+                        ) -> tuple[list[dict], int]:
+    """The packed components and field width of the weight-only checks,
+    the n identities, the folded Euler check and the Koszul vectors in
+    ``_syzygy_checks`` order, written straight from ``_weight_table``: the
+    same ints ``_pack_checks`` makes of those checks built as term maps.
+
+    Slot 0 holds -l_j in field j and -d*sigma in field n, so at x_k it is
+    -sum_j table[j][k] * 2^(jW).  Slot i holds x_i*sigma in fields i - 1 and
+    n, and the Koszul slot of each pair s containing i, so at x_i*x_k it is
+    2^((i-1)W) + 2^(nW) plus +-table[b][k] * 2^(sW) for the other index b.
+    """
+    table = _weight_table(weights)
+    n = len(weights) - 1
+    width = _width(_top(gens), max(_weight_norms(table)))
+    units = [_unit(k, n) for k in range(n)]
+    shifted = [[c << (j * width) for c in row] for j, row in enumerate(table)]
+    packed = [{u: -sum(column) for u, column in zip(units, zip(*shifted))}]
+    koszul = [[0] * n for _ in range(n)]
+    for s, (i, j) in enumerate(combinations(range(n), 2), n + 1):
+        shift = s * width
+        ki, kj, li, lj = koszul[i], koszul[j], table[i], table[j]
+        for k in range(n):
+            ki[k] += lj[k] << shift
+            kj[k] -= li[k] << shift
+    euler = 1 << (n * width)
+    for i, u in enumerate(units):
+        ones = (1 << (i * width)) + euler
+        packed.append({u + v: ones + c for v, c in zip(units, koszul[i])})
+    return packed, width
+
+
 def verify_syzygies(w, _parts=None) -> bool:
     """True iff every generator dots to zero against (f, f'_1, ..., f'_n).
 
-    Without ``_parts`` the generators are built and checked, with the n
-    Koszul-quotient identities, in one fused packed pass.  ``_parts`` is the
-    pair (jacobian_generators(w), syzygy_generators(w)), for callers that
-    have built it already; its vectors are checked in one packed pass, and a
-    coefficient that is not an integer raises ValueError before any product.
+    Without ``_parts`` the n Koszul-quotient identities, the Euler vector
+    folded by sigma and the Koszul vectors are checked in one packed pass,
+    whose components are written from the weights (``_pack_weight_checks``).
+    ``_parts`` is the pair (jacobian_generators(w), syzygy_generators(w)),
+    for callers that have built it already; its vectors are checked as given
+    in one packed pass, and a coefficient that is not an integer raises
+    ValueError before any product.  A weight sum d with d + 1 not below
+    DEGREE_LIMIT raises ValueError before any work.
     """
+    weights = _syzygy_weights(w)
     if _parts is None:
-        return _syzygy_parts(w)[2]
+        n = len(weights) - 1
+        gens = [g._c for g in jacobian_generators(weights)]
+        failing = _failing_fields(*_pack_weight_checks(weights, gens), gens, n)
+        _raise_on_identity(failing, n)
+        return not failing
     gens, vectors = _parts
     return not _failing_checks([[c._c for c in v.components] for v in vectors],
                                [g._c for g in gens], gens[0].nvars)

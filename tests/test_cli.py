@@ -197,6 +197,20 @@ def test_syzygy_refuses_an_over_limit_family_before_expanding_it(capsys):
     assert "32768" in error["message"]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_syzygy_refuses_checks_past_the_key_limit(capsys, json_flag):
+    # d = 2^15 - 1 builds f, but the checks reach degree d + 1 = 2^15
+    code, out, err = run_cli(capsys, "syzygy", "--weights", "32766,1",
+                             "--bound", "32767", *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": {
+        "type": "ValueError",
+        "message": "weight sum d = 32767: the syzygy checks reach degree "
+                   "d + 1, which must be below 32768"}}
+
+
 def test_weyl_parse_refuses_deep_nesting(capsys):
     code, out, err = run_cli(capsys, "weyl", "parse", "--op",
                              "(" * 101 + "t" + ")" * 101)

@@ -225,6 +225,28 @@ def test_family_poly_refuses_a_degree_at_the_limit():
     assert f.degree() == DEGREE_LIMIT - 1
 
 
+def test_checks_past_the_key_limit_are_refused_up_front(monkeypatch):
+    # f builds at d = 2^15 - 1, but every check reaches degree d + 1 = 2^15:
+    # refused by name before the generators are built
+    def no_work(weights):
+        raise AssertionError("the generators were built")
+
+    message = (rf"weight sum d = {DEGREE_LIMIT - 1}: the syzygy checks reach "
+               rf"degree d \+ 1, which must be below {DEGREE_LIMIT}")
+    with monkeypatch.context() as patched:
+        patched.setattr(syzygy, "jacobian_generators", no_work)
+        for w in ((DEGREE_LIMIT - 2, 1), (20000, 12767), (16383, 16383, 1)):
+            for call in (verify_syzygies, syzygy_generators,
+                         lambda w: syzygy_dimension_table(w, DEGREE_LIMIT - 1)):
+                with pytest.raises(ValueError, match=message):
+                    call(w)
+    # one below: the checks reach degree 2^15 - 1 and verify
+    w = (DEGREE_LIMIT - 3, 1)
+    assert verify_syzygies(w)
+    assert [v.kind for v in syzygy_generators(w)] == ["euler"]
+    assert generation_oracle(w, DEGREE_LIMIT - 1)
+
+
 def test_dimension_table_refuses_a_bound_at_the_limit(monkeypatch):
     # a bound of 2^15 or more would build shift keys past the 16-bit fields;
     # it is refused before the generators are built
@@ -436,6 +458,81 @@ def test_euler_identity_sampled_sweep():
         gens = jacobian_generators(w)
         euler = syzygy_generators(w, _gens=gens)[0]
         assert euler.dot(gens).is_zero
+
+
+def _ref_weight_checks(w):
+    """The checks of ``verify_syzygies(w)`` as term maps built by MultiPoly
+    arithmetic: x_j*sigma against -l_j for each j, sigma times the Euler
+    vector, and x_i*l_j against -x_j*l_i for each pair i < j."""
+    n = len(w) - 1
+    sigma, zero = MultiPoly.sigma(n), MultiPoly.zero(n)
+    xs = [MultiPoly.variable(i, n) for i in range(n)]
+    ls = [l_poly(w, j + 1) for j in range(n)]
+    checks = []
+    for j in range(n):
+        check = [zero] * (n + 1)
+        check[0], check[j + 1] = -ls[j], xs[j] * sigma
+        checks.append(check)
+    checks.append([sigma * -sum(w)] + [x * sigma for x in xs])
+    for i, j in combinations(range(n), 2):
+        check = [zero] * (n + 1)
+        check[i + 1], check[j + 1] = xs[i] * ls[j], -(xs[j] * ls[i])
+        checks.append(check)
+    return [[c._c for c in check] for check in checks]
+
+
+def test_weight_packing_matches_the_generic_packing():
+    # the components written from the table of l coefficients are the ints
+    # the generic packer makes of the checks built by MultiPoly arithmetic,
+    # at the same width, and the norms are the ones summed from the term maps
+    from dworkgm.syzygy import (_pack_checks, _pack_weight_checks,
+                                _weight_norms, _weight_table)
+    for w in _all_tuples(4, 4) + list(product(range(1, 4), repeat=6)):
+        n, d = len(w) - 1, sum(w)
+        gens = [g._c for g in jacobian_generators(w)]
+        checks = _ref_weight_checks(w)
+        packed, width = _pack_weight_checks(w, gens)
+        assert (packed, width) == _pack_checks(checks, gens)
+        assert all(len(p) == n for p in packed)
+        norms = _weight_norms(_weight_table(w))
+        assert norms == [sum(abs(v) for c in check for v in c.values())
+                         for check in checks]
+        # the folded Euler check has the largest norm, n*d + n^2
+        assert max(norms) == norms[n] == n * d + n * n
+
+
+@pytest.mark.parametrize("w", [(3, 1), (2, 3, 1, 2), (1, 2, 1, 3, 1),
+                               (2, 1, 1, 1, 1, 1)])
+def test_a_moved_generator_coefficient_never_verifies(monkeypatch, w):
+    # one coefficient of f or of one f'_i, present or not, moved by +-1:
+    # the weight-only pass returns False or raises InvariantError
+    from dworkgm.syzygy import _monomial_keys
+    rng = random.Random(30)
+    n, d = len(w) - 1, sum(w)
+    real = jacobian_generators(w)
+    for slot, g in enumerate(real):
+        keys = _monomial_keys(n, d if slot == 0 else d - 1)
+        for key in rng.sample(keys, min(len(keys), 12)) + [max(g._c)]:
+            for delta in (1, -1):
+                c = dict(g._c)
+                c[key] = c.get(key, 0) + delta
+                moved = list(real)
+                moved[slot] = syzygy._make(n, {k: v for k, v in c.items() if v})
+                monkeypatch.setattr(syzygy, "jacobian_generators",
+                                    lambda weights, moved=moved: list(moved))
+                try:
+                    assert verify_syzygies(w) is False
+                except InvariantError:
+                    pass
+    monkeypatch.undo()
+    assert verify_syzygies(w) is True
+
+
+def test_verify_every_tuple_with_five_variables_and_weights_up_to_3():
+    # the first grid with ten Koszul fields
+    tuples = list(product(range(1, 4), repeat=6))
+    assert len(tuples) == 729
+    assert all(verify_syzygies(w) for w in tuples)
 
 
 # -- generation oracle --------------------------------------------------------------
