@@ -103,10 +103,8 @@ def _cmd_hyp(args) -> int:
     else:
         doc = {
             "hyp": h.display(),
-            "exponents_zero": [str(c) for c in
-                               hypergeom.exponents(h, "zero").canonical()],
-            "exponents_infinity": [str(c) for c in
-                                   hypergeom.exponents(h, "infinity").canonical()],
+            "exponents_zero": hypergeom.exponents(h, "zero").canonical_texts(),
+            "exponents_infinity": hypergeom.exponents(h, "infinity").canonical_texts(),
         }
         _emit(doc, args.json, [
             f"at zero    : {doc['exponents_zero']}",
@@ -340,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact numbers print in full, whatever their size (Python 3.10.7+
-    # refuses to convert an int of more than 4300 digits to text by default)
+    # the library prints numbers of any size itself; the limit is lifted
+    # for parsing, since Python 3.10.7+ refuses to convert text of more
+    # than 4300 digits to an int by default (--gamma, --alpha, --op, ...)
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()

@@ -40,7 +40,7 @@ from . import arrangement, weyl
 from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
                         _kummer_sum, hyp_operator, is_irreducible, make_hyp,
                         power_pullback, power_pushforward)
-from .weyl import WeylOp, _integer_nthroot, format_poly
+from .weyl import WeylOp, _integer_nthroot, _ratio, format_poly
 
 WeightsLike = Union["Weights", Sequence[int]]
 
@@ -119,8 +119,9 @@ class SingularFibers:
 
     @property
     def poly_str(self) -> str:
-        coeffs = [Fraction(-1)] + [Fraction(0)] * (self.degree - 1) + [self.gamma]
-        return format_poly(coeffs, "t")
+        # gamma * t^d - 1 over the denominator of gamma
+        num, den = self.gamma.numerator, self.gamma.denominator
+        return format_poly([-den] + [0] * (self.degree - 1) + [num], "t", den)
 
 
 def singular_fibers(w: WeightsLike) -> SingularFibers:
@@ -172,10 +173,6 @@ def invariant_hyp(w: WeightsLike) -> HypModule:
     return make_hyp(gamma_n(w), _weight_exponents(w), beta, reduce=True)
 
 
-def _exps_json(ms: ExpMultiset) -> list[str]:
-    return [str(c) for c in ms.canonical()]
-
-
 @dataclass(frozen=True)
 class GBlock:
     """Structured description of the rank d - e block G, the degree-zero
@@ -199,18 +196,6 @@ class GBlock:
     quotient: FactorList
     base: "GBlock | None" = None
 
-    @property
-    def sequences(self) -> list[dict[str, str]]:
-        """G in H^0(K) with its quotient, and the hypergeometric module in G
-        with the Kummer block, neither known to split; printed when read,
-        since only reports do."""
-        return [
-            {"left": "G", "middle": "H^0(K)", "right": str(self.quotient),
-             "split": "unknown"},
-            {"left": self.hyp.display(), "middle": "G",
-             "right": str(self.kummer_block), "split": "unknown"},
-        ]
-
     def total_rank(self) -> int:
         """Rank of H^0(K): the rank of G plus that of its constant quotient."""
         return self.rank + self.quotient.rank()
@@ -219,21 +204,31 @@ class GBlock:
     def base_hyp(self) -> HypModule:
         return self.hyp if self.base is None else self.base.hyp
 
-    def hyp_display(self) -> object:
-        if isinstance(self.hyp, PushforwardHyp):
-            return {"e": self.hyp.e, "base": self.hyp.base.display()}
-        return self.hyp.display()
-
     def as_json(self) -> dict:
+        """The block as a JSON-ready mapping, printed when asked for, since
+        only reports do; the datum is printed once.  Its "sequences" are G
+        in H^0(K) with its quotient, and the hypergeometric module in G with
+        the Kummer block, neither known to split."""
+        text = self.base_hyp.display()
+        hyp: object = text
+        if self.base is not None:
+            hyp = {"e": self.hyp.e, "base": text}
+            text = f"[{self.hyp.e}]_+ {text}"  # PushforwardHyp.display
+        gamma = self.finite_singularity
         return {
             "rank": self.rank,
-            "c_set": _exps_json(self.c_set),
-            "hyp": self.hyp_display(),
-            "exps_zero": _exps_json(self.exps_zero),
-            "exps_infinity": _exps_json(self.exps_infinity),
+            "c_set": self.c_set.canonical_texts(),
+            "hyp": hyp,
+            "exps_zero": self.exps_zero.canonical_texts(),
+            "exps_infinity": self.exps_infinity.canonical_texts(),
             "chi": self.chi,
-            "finite_singularity": str(self.finite_singularity),
-            "sequences": self.sequences,
+            "finite_singularity": _ratio(gamma.numerator, gamma.denominator),
+            "sequences": [
+                {"left": "G", "middle": "H^0(K)", "right": str(self.quotient),
+                 "split": "unknown"},
+                {"left": text, "middle": "G",
+                 "right": str(self.kummer_block), "split": "unknown"},
+            ],
         }
 
 
@@ -413,9 +408,9 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
         checks["alpha_count"] = len(h.alpha) == d - 1 - len(cs)
         checks["irreducible"] = is_irreducible(h)
         checks["chi_block"] = chi_block
-        # pulled back along z -> z^-d, every class of C becomes O
-        checks["cn_sent_to_structure"] = all(
-            c == 1 for c in cs.scaled(-d).canonical())
+        # pulled back along z -> z^-d, every class of C becomes O: the
+        # minimal denominator of the classes is 1
+        checks["cn_sent_to_structure"] = cs.scaled(-d).factors._den == 1
         checks.update(_indicial_checks(h, gamma_n(w)))
     else:
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
@@ -447,8 +442,11 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
 # Full report
 # ---------------------------------------------------------------------------
 
-def _invariant_statement(w: Weights, gb: GBlock) -> dict:
-    integral = all(c == 1 for c in gb.exps_zero.canonical())
+def _invariant_statement(w: Weights, gb: GBlock, gjson: dict) -> dict:
+    """The invariant statement, quoting the datum that ``gjson``, the
+    block's ``as_json()``, printed."""
+    # every class is 1 exactly when their minimal denominator is
+    integral = gb.exps_zero.factors._den == 1
     if not w.primitive:
         return {
             "reduction": (f"gcd {w.e} > 1: wrapped as the pushforward pair "
@@ -462,11 +460,11 @@ def _invariant_statement(w: Weights, gb: GBlock) -> dict:
         "pullback_power": -d,
         "nonconstant_part": (
             f"middle extension at 0 of the pullback along z -> z^{-d} "
-            f"of {gb.hyp.display()}"
+            f"of {gjson['hyp']}"
         ),
-        "pullback_alpha": _exps_json(pull_alpha),
-        "pullback_beta": _exps_json(pull_beta),
-        "cn_sent_to_structure": _exps_json(gb.c_set),
+        "pullback_alpha": pull_alpha.canonical_texts(),
+        "pullback_beta": pull_beta.canonical_texts(),
+        "cn_sent_to_structure": gb.c_set.canonical_texts(),
         "integral_exponents_at_zero": integral,
         "constant_part": "constant summands present but not computed",
     }
@@ -482,7 +480,6 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
     """
     w = validate_weights(w)
     n, d, e = w.n, w.d, w.e
-    gamma = gamma_n(w)
     fibers = singular_fibers(w)
     kt = k_table(w, _block)
     gb = kt[0]
@@ -503,14 +500,15 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
         "n": n,
         "d": d,
         "e": e,
-        "gamma": str(gamma),
+        "gamma": gjson["finite_singularity"],  # gamma_n(w), printed once
         "singular_fibers": {
             "poly": fibers.poly_str,
-            "rational_roots": [str(r) for r in fibers.rational_roots],
+            "rational_roots": [_ratio(r.numerator, r.denominator)
+                               for r in fibers.rational_roots],
         },
         "cohomology": cohomology,
         "g_block": gjson,
-        "invariant_statement": _invariant_statement(w, gb),
+        "invariant_statement": _invariant_statement(w, gb, gjson),
         "ft": {"P": str(ft.p), "Q": str(ft.q), "sign": ft.sign},
     }
     if not w.primitive:

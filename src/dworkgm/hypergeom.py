@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from . import weyl
-from .weyl import Scalar, WeylOp, _clear_denominators, _exact, _refuse_float
+from .weyl import Scalar, WeylOp, _clear_denominators, _exact, _ratio, _refuse_float
 
 _ONE = Fraction(1)
 
@@ -54,7 +54,9 @@ class ExpMultiset:
     Equal class multisets have equal factor lists, which ``==``, ``hash``,
     ``classes()``, ``canonical()``, ``cancel``, ``is_irreducible`` and
     ``exponents`` read.  ``numerators`` is (numerators, N) for the operator
-    code; only ``reps``, ``classes()`` and ``canonical()`` build Fractions.
+    code; only ``reps``, ``classes()`` and ``canonical()`` build Fractions,
+    for the caller: ``canonical_texts()``, ``str`` and ``repr`` print the
+    residues r/N and the numerators over N as they are.
     """
 
     __slots__ = ("_nums", "factors")
@@ -99,6 +101,11 @@ class ExpMultiset:
         n = self.factors._den
         return tuple([Fraction(r, n) for r in _enumerated(self.factors)])
 
+    def canonical_texts(self) -> list[str]:
+        """The classes of ``canonical()`` as text, printed from r/N."""
+        n = self.factors._den
+        return [_ratio(r, n) for r in _enumerated(self.factors)]
+
     def __len__(self) -> int:
         return len(self._nums)
 
@@ -139,10 +146,11 @@ class ExpMultiset:
         return out
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.canonical()) + "]"
+        return "[" + ", ".join(self.canonical_texts()) + "]"
 
     def __repr__(self) -> str:
-        return f"ExpMultiset({[str(r) for r in self.reps]})"
+        n = self.factors._den
+        return f"ExpMultiset({[_ratio(x, n) for x in self._nums]})"
 
 
 def cancel(alpha: ExpMultiset | Iterable[Scalar],
@@ -182,7 +190,9 @@ class HypModule:
         return len(self.alpha), len(self.beta)
 
     def display(self) -> str:
-        return f"Hyp(gamma={self.gamma}; alpha={self.alpha}; beta={self.beta})"
+        g = self.gamma
+        return (f"Hyp(gamma={_ratio(g.numerator, g.denominator)}; "
+                f"alpha={self.alpha}; beta={self.beta})")
 
     __str__ = display
 
@@ -303,7 +313,7 @@ class FactorList:
     def __str__(self) -> str:
         """K(a) by ascending a, then O, with ^mult."""
         n = self._den
-        parts = [("O" if r == n else f"K({Fraction(r, n)})", self._counts[r])
+        parts = [("O" if r == n else f"K({_ratio(r, n)})", self._counts[r])
                  for r in sorted(self._counts)]
         if not parts:
             return "0"

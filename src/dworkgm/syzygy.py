@@ -103,7 +103,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, KeysView, Sequence
 
-from .weyl import Scalar, _exact, _refuse_float, format_terms
+from .weyl import Scalar, _clear_denominators, _exact, _refuse_float, format_terms
 
 
 class InvariantError(RuntimeError):
@@ -306,9 +306,11 @@ class MultiPoly:
 
     def __str__(self) -> str:
         n, c = self.nvars, self._c
+        keys = sorted(c, reverse=True)
+        nums, den = _clear_denominators([c[k] for k in keys])
         return format_terms(
-            (c[k], [(f"x{i + 1}", e) for i, e in enumerate(_unpack(k, n))])
-            for k in sorted(c, reverse=True))
+            ((a, [(f"x{i + 1}", e) for i, e in enumerate(_unpack(k, n))])
+             for a, k in zip(nums, keys)), den)
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"

@@ -27,7 +27,11 @@ Products and transforms walk the stored rows, run on integers and end in
 the one normaliser ``_from_numerators``; rationals become integers over one
 denominator in one place, ``_clear_denominators``, and the indicial layer
 (``IndicialPolynomial``, its evaluation and root check, the root oracle)
-stays in integers.  ``LaurentPoly`` is the public Fraction form, the input of
+stays in integers.  Printing starts from integers too: ``format_terms`` and
+``format_poly`` take numerators over one denominator, and every exact
+rational becomes text in one place, ``_ratio``, which also writes numbers
+past Python's limit on int-to-text conversion.  ``LaurentPoly`` is the
+public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
 float raises ``TypeError`` (0.1 is not 1/10).  Private helpers hold the
 algebra the callers share: ``_leibniz`` moves d^a past t^b, for
@@ -175,7 +179,9 @@ class LaurentPoly:
         return hash(frozenset(self._c.items()))
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._c.items()))!r})"
+        exps = sorted(self._c, reverse=True)
+        nums, den = _clear_denominators([self._c[e] for e in exps])
+        return f"<LaurentPoly {format_terms(zip(nums, [[('t', e)] for e in exps]), den)}>"
 
 
 _LP_ZERO = LaurentPoly()
@@ -192,7 +198,8 @@ class WeylOp:
     ``_rows[k]`` maps m to n, so that p_k = sum n/L * t^m.  No n is zero,
     gcd(L, every n) is 1 and the last row is not empty (zero is L = 1, no
     rows), so ``==`` and ``hash`` compare (L, rows).  Fractions are built
-    only for the caller, by ``coeff``, ``coeffs``, ``monomials`` and printing.
+    only for the caller, by ``coeff``, ``coeffs`` and ``monomials``; printing
+    reads the rows and L.
     """
 
     __slots__ = ("_den", "_rows")
@@ -327,10 +334,11 @@ class WeylOp:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
+        rows = self._rows
         return format_terms(
-            (Fraction(self._rows[k][m], self._den), [("t", m), ("d", k)])
-            for k in range(len(self._rows) - 1, -1, -1)
-            for m in sorted(self._rows[k], reverse=True))
+            ((rows[k][m], [("t", m), ("d", k)])
+             for k in range(len(rows) - 1, -1, -1)
+             for m in sorted(rows[k], reverse=True)), self._den)
 
     def __repr__(self) -> str:
         return f"<WeylOp {self}>"
@@ -947,7 +955,7 @@ class IndicialPolynomial:
     def roots(self) -> tuple[tuple[tuple[Fraction, int], ...], tuple[str, ...]]:
         """(rational roots with multiplicity, leftover irreducible factors)."""
         rational, leftovers = _rational_root_split(list(self.nums))
-        return rational, tuple([format_poly(f, "s") for f in leftovers])
+        return rational, _format_factors(leftovers, "s")
 
     def has_roots_exactly(self, values: Iterable[Scalar], den: int = 1) -> bool:
         """True iff the polynomial equals prod (s - v/den) over the multiset.
@@ -973,15 +981,48 @@ class IndicialPolynomial:
         return all(p * lead == top * c for p, c in zip(prod, self.nums))
 
     def __str__(self) -> str:
-        return format_poly(self.coeffs, "s")
+        return format_poly(self.nums, "s", self.nums[-1])
 
 
-def format_terms(terms: Iterable[tuple[Scalar, list[tuple[str, int]]]]) -> str:
-    """Print a sum of terms c * x^e * y^f * ... in the grammar.
+def _digits(n: int) -> str:
+    """The decimal digits of the int n.  Past the interpreter's limit on
+    int-to-text conversion (``sys.get_int_max_str_digits()``, Python
+    3.10.7+), n is split at a power of ten near half its digits, and each
+    half is written the same way, the low half padded with zeros; a Python
+    without the limit never gets past ``str``.  The setting is only read
+    through that refusal, never changed."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than the limit allows
+        pass
+    if n < 0:
+        return "-" + _digits(-n)
+    k = n.bit_length() * 3 // 20  # log10(2) > 0.3, so 10^k < n
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
 
-    Each term is a coefficient and its monomial as (variable, exponent)
-    factors, given in print order.  Zero coefficients and zero exponents are
-    skipped, and a unit coefficient is shown only on a constant term.
+
+def _ratio(num: int, den: int) -> str:
+    """The rational num/den (den > 0) in lowest terms as text, "n" or
+    "n/m": one gcd, then digits.  Every exact rational is printed here."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past the limit on int-to-text conversion
+        return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
+def format_terms(terms: Iterable[tuple[int, list[tuple[str, int]]]], den: int) -> str:
+    """Print a sum of terms n/den * x^e * y^f * ... in the grammar.
+
+    Each term is an integer numerator n over the common positive
+    denominator den and its monomial as (variable, exponent) factors, given
+    in print order.  Zero numerators and zero exponents are skipped, a unit
+    coefficient (n = +-den) is shown only on a constant term, and every
+    coefficient is printed in lowest terms by ``_ratio``.
     """
     parts: list[str] = []
     for c, factors in terms:
@@ -989,8 +1030,8 @@ def format_terms(terms: Iterable[tuple[Scalar, list[tuple[str, int]]]]) -> str:
             continue
         mono = [v if e == 1 else f"{v}^{e}" for v, e in factors if e]
         a = abs(c)
-        if a != 1 or not mono:
-            mono.insert(0, str(a))
+        if a != den or not mono:
+            mono.insert(0, _ratio(a, den))
         if parts:
             parts.append(" + " if c > 0 else " - ")
         elif c < 0:
@@ -999,10 +1040,21 @@ def format_terms(terms: Iterable[tuple[Scalar, list[tuple[str, int]]]]) -> str:
     return "".join(parts) or "0"
 
 
-def format_poly(coeffs: Iterable[Fraction], var: str) -> str:
-    """Print a univariate polynomial (ascending coefficients) in the grammar."""
-    cs = list(coeffs)
-    return format_terms((cs[e], [(var, e)]) for e in range(len(cs) - 1, -1, -1))
+def format_poly(nums: Iterable[int], var: str, den: int) -> str:
+    """Print the univariate polynomial sum nums[e]/den * var^e (ascending
+    integer numerators over one positive denominator) in the grammar."""
+    ns = list(nums)
+    return format_terms(((ns[e], [(var, e)]) for e in range(len(ns) - 1, -1, -1)), den)
+
+
+def _format_factors(factors: Iterable[tuple[Fraction, ...]], var: str) -> tuple[str, ...]:
+    """Polynomials given by ascending Fraction coefficients, as grammar
+    strings, each over the lcm of its denominators."""
+    out = []
+    for f in factors:
+        nums, den = _clear_denominators(f)
+        out.append(format_poly(nums, var, den))
+    return tuple(out)
 
 
 def _low_degree_roots(f: list[int]) -> list[Fraction]:
@@ -1139,7 +1191,7 @@ def finite_singular_points(op: WeylOp) -> tuple[tuple[Fraction, ...], tuple[str,
     coeffs = [lead.get(e, 0) for e in range(min(lead), max(lead) + 1)]
     rational, leftovers = _rational_root_split(coeffs)
     finite = tuple([r for r, _ in rational if r])  # in increasing order
-    return finite, tuple([format_poly(f, "t") for f in leftovers])
+    return finite, _format_factors(leftovers, "t")
 
 
 def singular_support(op: WeylOp) -> SingularSupport:

@@ -62,3 +62,31 @@ def sympy_root_split(coeffs):
         else:
             leftovers.extend([tuple(c / fc[-1] for c in fc)] * mult)
     return tuple(sorted(roots.items())), leftovers
+
+
+# Reference printers for ``weyl.format_terms`` and ``weyl.format_poly``:
+# every coefficient a reduced Fraction, printed by ``str``.  The reference
+# objects of the tests print with them.
+
+def ref_format_terms(terms):
+    """A sum of terms c * x^e * ... with Fraction (or int) coefficients."""
+    parts = []
+    for c, factors in terms:
+        if not c:
+            continue
+        mono = [v if e == 1 else f"{v}^{e}" for v, e in factors if e]
+        a = abs(c)
+        if a != 1 or not mono:
+            mono.insert(0, str(a))
+        if parts:
+            parts.append(" + " if c > 0 else " - ")
+        elif c < 0:
+            parts.append("-")
+        parts.append("*".join(mono))
+    return "".join(parts) or "0"
+
+
+def ref_format_poly(coeffs, var):
+    """A univariate polynomial, ascending Fraction coefficients."""
+    cs = list(coeffs)
+    return ref_format_terms((cs[e], [(var, e)]) for e in range(len(cs) - 1, -1, -1))

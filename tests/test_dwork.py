@@ -131,9 +131,11 @@ def test_g_block_repeated_class():
 
 def test_g_block_sequences_leave_splitness_open():
     gb = g_block((1, 2, 3))
-    assert [list(s) for s in gb.sequences] == [["left", "middle", "right", "split"]] * 2
-    assert [s["split"] for s in gb.sequences] == ["unknown", "unknown"]
-    assert gb.sequences[1]["right"] == "K(1/3) + K(1/2) + K(2/3)"
+    sequences = gb.as_json()["sequences"]
+    assert [list(s) for s in sequences] == [["left", "middle", "right", "split"]] * 2
+    assert [s["split"] for s in sequences] == ["unknown", "unknown"]
+    assert sequences[1]["right"] == "K(1/3) + K(1/2) + K(2/3)"
+    assert sequences[1]["left"] == gb.hyp.display()
 
 
 def test_g_block_pushforward_pair():

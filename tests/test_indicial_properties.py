@@ -19,8 +19,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import ref_format_poly
 from dworkgm._factor import factor_over_q
-from dworkgm.weyl import IndicialPolynomial, format_poly
+from dworkgm.weyl import IndicialPolynomial
 
 
 class RefIndicial:
@@ -32,11 +33,11 @@ class RefIndicial:
         return (self.coeffs, self.place) == (other.coeffs, other.place)
 
     def __str__(self):
-        return format_poly(self.coeffs, "s")
+        return ref_format_poly(self.coeffs, "s")
 
     def roots(self):
         rational, leftovers = ref_rational_root_split(list(self.coeffs))
-        return rational, tuple(format_poly(f, "s") for f in leftovers)
+        return rational, tuple(ref_format_poly(f, "s") for f in leftovers)
 
 
 def ref_has_roots_exactly(coeffs, values):

@@ -23,11 +23,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import ref_format_terms
 from dworkgm import weyl
 from dworkgm.dwork import ft_pair, invariant_hyp
 from dworkgm.hypergeom import hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, WeylOp,
-                          euler_product, format_terms, fourier, fuchs_regular,
+                          euler_product, fourier, fuchs_regular,
                           indicial_polynomial, mobius_infinity, parse_op)
 
 
@@ -109,7 +110,7 @@ class RefWeylOp:
         return hash(self._p)
 
     def __str__(self):
-        return format_terms(
+        return ref_format_terms(
             (c, [("t", m), ("d", k)])
             for k in range(len(self._p) - 1, -1, -1)
             for m, c in sorted(self._p[k]._c.items(), reverse=True))
