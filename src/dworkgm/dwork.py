@@ -52,7 +52,10 @@ WeightsLike = Union["Weights", Sequence[int]]
 @dataclass(frozen=True)
 class Weights:
     """Tuple of n+1 positive weights with their sum d and gcd e; a weight
-    that is not an integer (``operator.index``) raises TypeError."""
+    that is not an integer (``operator.index``) raises TypeError.
+
+    ``n``, ``d``, ``e`` and ``primitive`` are computed on first read and
+    kept; equality, hash and repr read ``w`` alone."""
 
     w: tuple[int, ...]
 
@@ -63,19 +66,19 @@ class Weights:
         if any(x < 1 for x in self.w):
             raise ValueError("weights must be positive integers")
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return len(self.w) - 1
 
-    @property
+    @functools.cached_property
     def d(self) -> int:
         return sum(self.w)
 
-    @property
+    @functools.cached_property
     def e(self) -> int:
         return math.gcd(*self.w)
 
-    @property
+    @functools.cached_property
     def primitive(self) -> bool:
         return self.e == 1
 
@@ -86,9 +89,6 @@ class Weights:
 
     def __iter__(self):
         return iter(self.w)
-
-    def __len__(self) -> int:
-        return len(self.w)
 
 
 def validate_weights(raw: WeightsLike) -> Weights:
@@ -142,17 +142,26 @@ def singular_fibers(w: WeightsLike) -> SingularFibers:
 def c_set(w: WeightsLike) -> ExpMultiset:
     """Classes k/d (0 < k < d) equal to some j/w_i with 0 < j < w_i, each once.
 
+    k/d is such a class exactly when d divides k*w_i, that is when k is a
+    multiple of d/gcd(d, w_i); the classes are read off those multiples.
     Empty exactly when d is prime to every w_i.
     """
     w = validate_weights(w)
     d = w.d
-    return ExpMultiset([k for k in range(1, d) if any(k * wi % d == 0 for wi in w)], d)
+    steps = {d // math.gcd(d, wi) for wi in w.w}
+    return ExpMultiset(sorted({k for m in steps for k in range(m, d, m)}), d)
+
+
+def _weight_numerators(w: Weights, k: int = 1) -> tuple[list[int], int]:
+    """The list (k*j/w_i : i = 0..n, j = 1..w_i) as plain integer numerators
+    over the lcm of the weights."""
+    n = functools.reduce(math.lcm, w.w)
+    return [k * j * (n // wi) for wi in w.w for j in range(1, wi + 1)], n
 
 
 def _weight_exponents(w: Weights, k: int = 1) -> ExpMultiset:
-    """The list (k*j/w_i : i = 0..n, j = 1..w_i) over the lcm of the weights."""
-    n = functools.reduce(math.lcm, w.w)
-    return ExpMultiset([k * j * (n // wi) for wi in w for j in range(1, wi + 1)], n)
+    """The list (k*j/w_i : i = 0..n, j = 1..w_i) as a multiset."""
+    return ExpMultiset(*_weight_numerators(w, k))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +249,13 @@ def g_block(w: WeightsLike) -> GBlock:
     base = None
     if w.primitive:
         h: HypModule | PushforwardHyp = invariant_hyp(w)
+        gamma = h.gamma  # gamma_n(w), as the datum was just built with it
         kblock = cs.factors  # each class of C once
         exps_zero = _weight_exponents(w).remove_class(1)
         exps_inf = ExpMultiset(range(1, d), d)
     else:
         base = g_block(w.reduced())
+        gamma = gamma_n(w)
         h = PushforwardHyp(e=e, base=base.hyp)
         kblock = power_pushforward(base.kummer_block, e)
         exps_zero = base.exps_zero.pushforward(e)
@@ -257,7 +268,7 @@ def g_block(w: WeightsLike) -> GBlock:
         exps_zero=exps_zero,
         exps_infinity=exps_inf,
         chi=-1,
-        finite_singularity=gamma_n(w),
+        finite_singularity=gamma,
         quotient=_kummer_sum(e, w.n),
         base=base,
     )
@@ -335,16 +346,16 @@ def ft_pair(w: WeightsLike) -> FTPair:
     P = gamma * prod_{i,j} (D - d*j/w_i) - t^d and
     Q = d^d - gamma * prod_{i,j} (d*t + d*j/w_i), with d*t the composite
     operator D + 1.  Each is built in one integer pass by
-    ``weyl._euler_difference`` with an empty second product: P at
-    (m, k) = (d, 0), Q as the negation of gamma * prod(d*t + ...) - d^d at
-    (m, k) = (0, d).
+    ``weyl._euler_difference`` with an empty second product, from the plain
+    numerators d*j/w_i over the lcm of the weights: P at (m, k) = (d, 0),
+    Q at (m, k) = (0, d) with sign -1.
     """
     w = validate_weights(w)
     g, d = gamma_n(w), w.d
-    nums, n = _weight_exponents(w, d).numerators
+    nums, n = _weight_numerators(w, d)
     # the composite d*t is D + 1, so prod(d*t + c) = prod(D - (-1 - c))
     p = weyl._euler_difference(g, (nums, n), ((), 1), d, 0)
-    q = -weyl._euler_difference(g, ([-n - x for x in nums], n), ((), 1), 0, d)
+    q = weyl._euler_difference(g, ([-n - x for x in nums], n), ((), 1), 0, d, sign=-1)
     return FTPair(p=p, q=q, sign=ft_sign(d))
 
 
@@ -399,14 +410,14 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     # chi of G by its composition factors: each Kummer factor contributes 0
     # and the one irreducible hypergeometric factor -1
-    irreducible = is_irreducible(gb.base_hyp)
+    irreducible = is_irreducible(gb.base_hyp)  # the datum h itself when primitive
     chi_block = irreducible and gb.chi == -1
     if w.primitive:
         h = gb.hyp
         checks["exps_zero_identity"] = gb.exps_zero.factors == h.alpha.factors + cs.factors
         checks["exps_infinity_identity"] = gb.exps_infinity.factors == h.beta.factors + cs.factors
         checks["alpha_count"] = len(h.alpha) == d - 1 - len(cs)
-        checks["irreducible"] = is_irreducible(h)
+        checks["irreducible"] = irreducible
         checks["chi_block"] = chi_block
         # pulled back along z -> z^-d, every class of C becomes O: the
         # minimal denominator of the classes is 1

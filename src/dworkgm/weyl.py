@@ -40,9 +40,10 @@ algebra the callers share: ``_leibniz`` moves d^a past t^b, for
 and the builder ``_euler_difference`` read; ``_rising_sum`` sums one
 t-weight class of rising products (D+c)(D+c+1)...(D+c+i-1), for
 ``fourier`` and ``mobius_infinity``.  The builder makes
-c*prod(D - a_i) - t^m * prod(D - b_j) * d^k in one integer pass with one
-normalisation, for its three callers: ``hypergeom.hyp_operator`` and the
-operators P and Q of ``dwork.ft_pair``.  The Fourier check of that pair
+sign * (c*prod(D - a_i) - t^m * prod(D - b_j) * d^k), the sign 1 or -1, in
+one integer pass with one normalisation, for its three callers:
+``hypergeom.hyp_operator`` and the operators P and Q of ``dwork.ft_pair``,
+Q with the sign -1.  The Fourier check of that pair
 therefore shares no kernel with the builder of P and Q.
 
 These kernels cost one pass per coefficient.  ``_leibniz`` steps the target
@@ -477,11 +478,13 @@ def euler_product(constants: Iterable[Scalar], den: int = 1) -> WeylOp:
 
 
 def _euler_difference(c: Fraction, a: tuple[Iterable[int], int],
-                      b: tuple[Iterable[int], int], m: int, k: int) -> WeylOp:
-    """c*prod(D - a_i) - t^m * prod(D - b_j) * d^k, each product given as
-    (integer numerators, denominator), in one pass: the rows of both come
-    from ``_euler_rows``, the second shifted by (m, k), over one common
-    scale, and are normalised once."""
+                      b: tuple[Iterable[int], int], m: int, k: int,
+                      sign: int = 1) -> WeylOp:
+    """sign * (c*prod(D - a_i) - t^m * prod(D - b_j) * d^k), each product
+    given as (integer numerators, denominator), in one pass: the rows of
+    both come from ``_euler_rows``, the second shifted by (m, k), over one
+    common scale, and are normalised once.  The sign, 1 or -1, enters the
+    two row factors, so a negated operator costs no second pass."""
     ra, sa = _euler_rows(*a)
     rb, sb = _euler_rows(*b)
     # gcd first, as a scalar product does: cancel g = gcd(sa, c's numerator)
@@ -490,7 +493,7 @@ def _euler_difference(c: Fraction, a: tuple[Iterable[int], int],
     g = math.gcd(sa, c.numerator)
     sa = sa // g * c.denominator
     scale = math.lcm(sa, sb)
-    fa, fb = c.numerator // g * (scale // sa), scale // sb
+    fa, fb = sign * (c.numerator // g) * (scale // sa), sign * (scale // sb)
     acc = {j: {j: n * fa} for j, n in enumerate(ra)}
     for j, n in enumerate(rb):
         row = acc.setdefault(j + k, {})
@@ -1047,14 +1050,11 @@ def format_poly(nums: Iterable[int], var: str, den: int) -> str:
     return format_terms(((ns[e], [(var, e)]) for e in range(len(ns) - 1, -1, -1)), den)
 
 
-def _format_factors(factors: Iterable[tuple[Fraction, ...]], var: str) -> tuple[str, ...]:
-    """Polynomials given by ascending Fraction coefficients, as grammar
-    strings, each over the lcm of its denominators."""
-    out = []
-    for f in factors:
-        nums, den = _clear_denominators(f)
-        out.append(format_poly(nums, var, den))
-    return tuple(out)
+def _format_factors(factors: Iterable[tuple[int, ...]], var: str) -> tuple[str, ...]:
+    """Primitive integer polynomials (ascending, positive leading entry) as
+    the grammar strings of their monic forms: each over its own leading
+    entry, which is the lcm of the monic form's denominators."""
+    return tuple([format_poly(f, var, f[-1]) for f in factors])
 
 
 def _low_degree_roots(f: list[int]) -> list[Fraction]:
@@ -1089,11 +1089,12 @@ def _integer_nthroot(x: int, n: int) -> tuple[int, bool]:
 
 def _rational_root_split(
     coeffs: list[Scalar],
-) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[Fraction, ...]]]:
+) -> tuple[tuple[tuple[Fraction, int], ...], list[tuple[int, ...]]]:
     """Split a rational polynomial into rational roots and irreducible factors.
 
     Returns the rational roots with multiplicity, in increasing order, and
-    the monic irreducible factors of degree >= 2, each listed once per
+    the irreducible factors of degree >= 2, each as its primitive integer
+    multiple with positive leading coefficient (ascending), listed once per
     multiplicity.  Zero roots and a rest of degree <= 2 are handled in
     closed form (``_low_degree_roots``), on the integer numerators; a rest
     of degree >= 3 goes to the exact factoriser (``_factor``: rational roots
@@ -1108,7 +1109,7 @@ def _rational_root_split(
     v = next(i for i, c in enumerate(coeffs) if c)  # the zero root's multiplicity
     roots: list[tuple[Fraction, int]] = [(Fraction(0), v)] if v else []
     coeffs = coeffs[v:]
-    leftovers: list[tuple[Fraction, ...]] = []
+    leftovers: list[tuple[int, ...]] = []
     deg = len(coeffs) - 1
     if deg in (1, 2):  # nonzero roots, as in every case below
         found = _low_degree_roots(coeffs)
@@ -1118,8 +1119,7 @@ def _rational_root_split(
             else:
                 roots.append((r, 1))
         if not found:
-            c0, c1, c2 = coeffs
-            leftovers.append((Fraction(c0, c2), Fraction(c1, c2), Fraction(1)))
+            leftovers.append(tuple(_primitive(coeffs)))
     elif deg > 2:
         # Imported on first use: reports and sweeps never get here, and
         # their start-up then pays nothing for the factoriser.
@@ -1128,7 +1128,7 @@ def _rational_root_split(
         found, factors = _factor_integer(coeffs)
         roots += found  # distinct, and no zero root is left among them
         for f, m in factors:
-            leftovers.extend([tuple([Fraction(c, f[-1]) for c in f])] * m)
+            leftovers.extend([tuple(f)] * m)
     # exact integer keys: every rational root a/b of coeffs has b | lead
     lead = abs(coeffs[-1])
     roots.sort(key=lambda rm: rm[0].numerator * (lead // rm[0].denominator))

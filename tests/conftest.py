@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -43,11 +44,27 @@ def random_hyp_data(count, seed, max_type=5, max_den=12):
     return out
 
 
+def monic(f):
+    """The monic Fraction coefficients of the ascending polynomial f."""
+    return tuple(Fraction(c) / f[-1] for c in f)
+
+
+def primitive_integer(f):
+    """The primitive integer multiple, with positive leading coefficient,
+    of the ascending rational polynomial f."""
+    fs = [Fraction(c) for c in f]
+    scale = math.lcm(*(c.denominator for c in fs))
+    nums = [c.numerator * (scale // c.denominator) for c in fs]
+    g = math.gcd(*nums) * (1 if nums[-1] > 0 else -1)
+    return tuple(c // g for c in nums)
+
+
 def sympy_root_split(coeffs):
     """sympy's answer to ``weyl._rational_root_split``: factor the whole
     polynomial over Q, read the linear factors as rational roots with
-    multiplicity and list every other factor, made monic, once per
-    multiplicity in sympy's order.  sympy is a test dependency only."""
+    multiplicity and list every other factor, as its primitive integer
+    multiple with positive leading coefficient, once per multiplicity in
+    sympy's order.  sympy is a test dependency only."""
     import sympy
 
     s = sympy.Symbol("s")
@@ -60,7 +77,7 @@ def sympy_root_split(coeffs):
             r = -fc[0] / fc[1]
             roots[r] = roots.get(r, 0) + mult
         else:
-            leftovers.extend([tuple(c / fc[-1] for c in fc)] * mult)
+            leftovers.extend([primitive_integer(fc)] * mult)
     return tuple(sorted(roots.items())), leftovers
 
 

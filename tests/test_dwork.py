@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import package_env, random_hyp_data
-from dworkgm import dwork, weyl
-from dworkgm.dwork import (GBlock, c_set, consistency_checks,
+from dworkgm import dwork, hypergeom, weyl
+from dworkgm.dwork import (GBlock, Weights, c_set, consistency_checks,
                            ft_identity_holds, ft_pair, ft_sign, full_report,
                            g_block, gamma_n, invariant_hyp, k_table, m_table,
                            primitive_sweep, singular_fibers,
@@ -30,6 +32,22 @@ def test_validate_weights_examples():
     assert validate_weights((2, 2)).e == 2 and validate_weights((2, 2, 1)).e == 1
     w = validate_weights((2, 4, 6))
     assert w.d == 12 and w.e == 2 and not w.primitive
+
+
+def test_cached_weight_fields_equal_sum_and_gcd():
+    rng = random.Random(32)
+    tuples = [tuple(rng.randint(1, 60) * k for _ in range(rng.randint(2, 7)))
+              for k in (1, 2, 3, 6) for _ in range(50)]
+    for t in tuples + [(1, 1), (4, 6), (97, 53, 1), (10 ** 40, 10 ** 30)]:
+        w = Weights(t)
+        for _ in range(2):  # the first read computes, the second is kept
+            assert w.n == len(t) - 1 and w.d == sum(t)
+            assert w.e == math.gcd(*t) and w.primitive == (math.gcd(*t) == 1)
+        assert {"n", "d", "e", "primitive"} <= set(vars(w))
+        # equality, hash and repr read w alone, with or without the cache
+        fresh = Weights(t)
+        assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+        assert repr(w) == f"Weights(w={t!r})"
 
 
 def test_validate_weights_errors():
@@ -432,6 +450,53 @@ def test_ft_pair_matches_the_chain():
         p, q = _chain_ft_pair(w)
         assert ft.p == p and hash(ft.p) == hash(p), w
         assert ft.q == q and hash(ft.q) == hash(q), w
+
+
+def test_ft_pair_builds_no_multiset_and_negates_no_operator(monkeypatch):
+    built = []
+    real_init, real_neg = ExpMultiset.__init__, weyl.WeylOp.__neg__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("ExpMultiset")
+        real_init(self, *args, **kwargs)
+
+    def counted_neg(self):
+        built.append("neg")
+        return real_neg(self)
+
+    monkeypatch.setattr(ExpMultiset, "__init__", counted_init)
+    monkeypatch.setattr(weyl.WeylOp, "__neg__", counted_neg)
+    for w in [(1, 2, 3), (2, 4, 6), (96, 23)]:
+        ft_pair(w)
+    assert built == []
+
+
+def test_consistency_checks_test_irreducibility_once(monkeypatch):
+    calls = []
+    real = hypergeom.is_irreducible
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(dwork, "is_irreducible", counted)
+    checks = consistency_checks((1, 2, 3))
+    assert calls == [invariant_hyp((1, 2, 3))]
+    assert checks["irreducible"] and checks["chi_block"]
+
+
+def _c_set_reference(w):
+    # the definition, an any() per class k/d
+    d = sum(w)
+    return ExpMultiset([k for k in range(1, d) if any(k * wi % d == 0 for wi in w)], d)
+
+
+def test_c_set_reads_the_multiples_of_d_over_gcd():
+    tuples = [t for n in range(1, 5) for t in itertools.product(range(1, 7), repeat=n + 1)]
+    tuples += [(97, 53, 1), (200, 1), (7, 11, 13, 17, 19, 23, 29)]
+    for t in tuples:
+        cs, ref = c_set(t), _c_set_reference(t)
+        assert cs == ref and cs.numerators == ref.numerators, t
 
 
 def test_primitive_sweep_counts():

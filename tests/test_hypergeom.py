@@ -27,6 +27,15 @@ def test_multiset_equality_is_class_wise():
     assert ExpMultiset([F(1, 3)]) != ExpMultiset([F(1, 3), F(1, 3)])
 
 
+@pytest.mark.parametrize("value", [ExpMultiset([F(1, 2)]), FactorList([F(1, 2)])])
+def test_equality_with_another_type_is_left_to_it(value):
+    # __eq__ answers NotImplemented, so Python falls back to identity
+    assert value.__eq__(F(1, 2)) is NotImplemented
+    assert value.__eq__((F(1, 2),)) is NotImplemented
+    assert value != F(1, 2) and value != "[1/2]" and not value == [F(1, 2)]
+    assert ExpMultiset([F(1, 2)]) != FactorList([F(1, 2)])
+
+
 # -- cancel ---------------------------------------------------------------------
 
 def test_cancel_worked_examples():

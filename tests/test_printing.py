@@ -23,7 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from conftest import ref_format_poly, ref_format_terms
+from conftest import monic, ref_format_poly, ref_format_terms
 from dworkgm import dwork, weyl
 from dworkgm.hypergeom import ExpMultiset, FactorList, make_hyp
 from dworkgm.syzygy import MultiPoly
@@ -176,11 +176,11 @@ def test_indicial_polynomial_prints_as_its_reference(coeffs, place):
 def test_leftover_factors_print_as_their_reference(coeffs):
     ind = IndicialPolynomial(tuple(coeffs), "zero")
     _, leftovers = weyl._rational_root_split(list(ind.nums))
-    assert ind.roots()[1] == tuple(ref_format_poly(f, "s") for f in leftovers)
+    assert ind.roots()[1] == tuple(ref_format_poly(monic(f), "s") for f in leftovers)
     op = sum((WeylOp.t(m) * c for m, c in enumerate(coeffs) if c), WeylOp.zero()) * WeylOp.d()
     _, leftovers = weyl._rational_root_split(coeffs)
     assert weyl.finite_singular_points(op)[1] == tuple(
-        ref_format_poly(f, "t") for f in leftovers)
+        ref_format_poly(monic(f), "t") for f in leftovers)
 
 
 @SETTINGS

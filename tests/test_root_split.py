@@ -36,7 +36,7 @@ from itertools import groupby
 
 import pytest
 
-from conftest import package_env, sympy_root_split
+from conftest import monic, package_env, sympy_root_split
 from dworkgm import _factor
 from dworkgm._factor import factor_over_q
 from dworkgm.weyl import _rational_root_split
@@ -46,7 +46,7 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "root_splits.txt"
 
 def format_split(rational, leftovers) -> str:
     roots = " ".join(f"{r}^{m}" for r, m in rational)
-    left = " ; ".join(" ".join(map(str, f)) for f in leftovers)
+    left = " ; ".join(" ".join(map(str, monic(f))) for f in leftovers)
     return f"roots {roots} | leftovers {left}"
 
 

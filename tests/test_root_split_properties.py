@@ -50,7 +50,7 @@ def test_split_rebuilds_the_input_and_matches_sympy(factors):
         for _ in range(m):
             rebuilt = times(rebuilt, [-r, Fraction(1)])
     for f in leftovers:
-        rebuilt = times(rebuilt, list(f))
+        rebuilt = times(rebuilt, [Fraction(c, f[-1]) for c in f])
     assert rebuilt == monic
 
     assert (rational, leftovers) == sympy_root_split(monic)

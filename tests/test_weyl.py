@@ -11,7 +11,8 @@ from dworkgm.hypergeom import ExpMultiset, hyp_operator
 from dworkgm.weyl import (IndicialPolynomial, LaurentPoly, ParseError, WeylOp,
                           euler_factorization, euler_op, euler_product, fourier,
                           fuchs_regular, indicial_polynomial, mobius_infinity,
-                          parse_op, singular_support, _rational_root_split)
+                          parse_op, singular_support, _euler_difference,
+                          _rational_root_split)
 
 
 def rand_op(rng, localized=False, terms=4):
@@ -270,6 +271,24 @@ def test_euler_product_matches_repeated_multiplication():
         for c in constants:
             by_product = by_product * (euler_op() - WeylOp.constant(c))
         assert euler_product(constants) == by_product
+
+
+def test_euler_difference_with_sign_minus_one_is_the_negation():
+    rng = random.Random(32)
+
+    def product():
+        den = rng.randint(1, 12)
+        return [rng.randint(-30, 30) for _ in range(rng.randint(0, 7))], den
+
+    for _ in range(200):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 12)),
+                     rng.randint(1, 10 ** rng.randint(0, 6)))
+        a, b = product(), product()
+        m, k = rng.randint(-4, 8), rng.randint(0, 6)
+        op = _euler_difference(c, a, b, m, k)
+        negated = _euler_difference(c, a, b, m, k, sign=-1)
+        assert negated == -op and hash(negated) == hash(-op) and str(negated) == str(-op)
+        assert _euler_difference(c, a, b, m, k, sign=1) == op
 
 
 # -- Fourier substitution -------------------------------------------------------
