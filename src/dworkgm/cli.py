@@ -152,11 +152,9 @@ def _cmd_weyl(args) -> int:
 def _cmd_syzygy(args) -> int:
     w = _parse_weights(args.weights)
     bound = args.bound if args.bound is not None else w.d + 4
-    gens = syzygy.jacobian_generators(w.w)
-    vectors = syzygy.syzygy_generators(w.w, _gens=gens)
-    # the table verifies the generators first: a non-syzygy raises
-    # InvariantError (exit 3), so every document below reads verified
-    table = syzygy.syzygy_dimension_table(w.w, bound, _parts=(gens, vectors))
+    # the generators are checked before the table is built: a non-syzygy
+    # raises InvariantError (exit 3), so every document below reads verified
+    vectors, table = syzygy._generation_table(w.w, bound)
     doc = {
         "weights": list(w.w),
         "generators": [

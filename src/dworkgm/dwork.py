@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -54,33 +54,25 @@ class Weights:
     """Tuple of n+1 positive weights with their sum d and gcd e; a weight
     that is not an integer (``operator.index``) raises TypeError.
 
-    ``n``, ``d``, ``e`` and ``primitive`` are computed on first read and
-    kept; equality, hash and repr read ``w`` alone."""
+    ``n``, ``d``, ``e`` and ``primitive`` are set once when it is built;
+    equality, hash and repr read ``w`` alone."""
 
     w: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
+    e: int = field(init=False, repr=False, compare=False)
+    primitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(map(operator.index, self.w)))
-        if len(self.w) < 2:
+        w = tuple(map(operator.index, self.w))
+        if len(w) < 2:
             raise ValueError("need at least two weights")
-        if any(x < 1 for x in self.w):
+        if any(x < 1 for x in w):
             raise ValueError("weights must be positive integers")
-
-    @functools.cached_property
-    def n(self) -> int:
-        return len(self.w) - 1
-
-    @functools.cached_property
-    def d(self) -> int:
-        return sum(self.w)
-
-    @functools.cached_property
-    def e(self) -> int:
-        return math.gcd(*self.w)
-
-    @functools.cached_property
-    def primitive(self) -> bool:
-        return self.e == 1
+        e = math.gcd(*w)
+        for name, value in (("w", w), ("n", len(w) - 1), ("d", sum(w)),
+                            ("e", e), ("primitive", e == 1)):
+            object.__setattr__(self, name, value)
 
     def reduced(self) -> "Weights":
         """The primitive tuple w/e."""

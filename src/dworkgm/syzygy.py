@@ -26,10 +26,11 @@ then sum_s v_s * 2^(W*s) with |v_s| < 2^(W-2): its lowest field is the
 centred residue modulo 2^W, and removing it leaves the rest divisible by
 2^W, so no field carries into or cancels another.  Every packed value is
 zero exactly when every check vanishes, and the failing checks are read off
-the fields only when one is not.  ``syzygy_generators`` checks its n
-identities in one pass, and the dimension table that builds its own parts
-checks the identities and the 1 + C(n,2) vectors it eliminates in one fused
-pass, each check packed from its term maps (``_pack_checks``).
+the fields only when one is not.  Every call that hands out vectors
+(``syzygy_generators``, the dimension table and the command line) builds
+them from the int weights and checks the n identities and the 1 + C(n,2)
+vectors in one fused pass, each check packed from its term maps
+(``_pack_checks``), before any vector leaves the module.
 
 ``verify_syzygies(w)`` from the weights alone checks the same identities
 and vectors, but the Euler check folded by sigma:
@@ -100,7 +101,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, KeysView, Sequence
 
 from .weyl import Scalar, _clear_denominators, _exact, _refuse_float, format_terms
@@ -227,9 +228,6 @@ class MultiPoly:
         """(exponent tuple, coefficient) pairs in increasing grlex order."""
         n, c = self.nvars, self._c
         return ((_unpack(k, n), c[k]) for k in sorted(c))
-
-    def __len__(self) -> int:
-        return len(self._c)
 
     def degree(self) -> int:
         if not self._c:
@@ -397,21 +395,18 @@ def _top(gens: Sequence[dict]) -> int:
     return max(map(abs, _values(gens)), default=0)
 
 
-def _width(top: int, norm) -> int:
+def _width(top: int, norm: int) -> int:
     """The field width bit_length(M*N) + 2 (see the module docstring)."""
-    # norm is a Fraction when a component has one; a non-integral one is
-    # refused while packing, an integral one is exact under int()
-    return int(top * norm).bit_length() + 2
+    return (top * norm).bit_length() + 2
 
 
 def _pack_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict]
                  ) -> tuple[list[dict], int]:
     """The packed components of the checks, one map per generator, and
     their field width: check s is shifted into field s of one int per
-    monomial key.  Each check is a list of term maps c_0..c_n aligned with
-    the int generator term maps gens.  A coefficient that is not an integer
-    raises ValueError, and so does a check whose component count differs
-    from the generators'."""
+    monomial key.  Each check is a list of int term maps c_0..c_n aligned
+    with the int generator term maps gens; a check whose component count
+    differs from the generators' raises ValueError."""
     norm = max([sum(map(abs, _values(check))) for check in checks], default=0)
     width = _width(_top(gens), norm)
     packed: list[dict] = [{} for _ in gens]
@@ -420,8 +415,6 @@ def _pack_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict]
         for p, c in zip(packed, check, strict=True):
             get = p.get
             for k, v in c.items():
-                if type(v) is not int:
-                    v = _int_coeff(v)
                 p[k] = get(k, 0) + (v << shift)
     return packed, width
 
@@ -457,15 +450,13 @@ def _failing_fields(packed: Sequence[dict], width: int, gens: Sequence[dict],
 def _failing_checks(checks: Sequence[Sequence[dict]], gens: Sequence[dict],
                     nvars: int) -> list[int]:
     """The indices, ascending, of the checks whose sum c_0*g_0 + ... +
-    c_n*g_n is not zero; each check is a list of term maps c_0..c_n aligned
-    with the generator term maps gens.
+    c_n*g_n is not zero; each check is a list of int term maps c_0..c_n
+    aligned with the int generator term maps gens.
 
     One packed pass (see the module docstring): ``_pack_checks``, then
-    ``_failing_fields``.  A coefficient that is not an integer raises
-    ValueError before any product, and a check whose component count
-    differs from the generators' raises ValueError.
+    ``_failing_fields``.  A check whose component count differs from the
+    generators' raises ValueError.
     """
-    gens = [_int_map(g) for g in gens]
     packed, width = _pack_checks(checks, gens)
     return _failing_fields(packed, width, gens, nvars)
 
@@ -521,38 +512,34 @@ def _syzygy_checks(weights: tuple[int, ...]
     return vectors, identities
 
 
-def syzygy_generators(w, _gens: list[MultiPoly] | None = None) -> list[SyzygyVector]:
-    """The Euler vector and the Koszul-like vectors for all pairs i < j.
-
-    The n identities x_j*sigma*f'_j - l_j*f = 0 behind the Koszul slots are
-    checked in one packed pass; a failing one would indicate an
-    implementation bug and raises InvariantError naming the first failing j.
-    A weight sum d with d + 1 not below DEGREE_LIMIT raises ValueError
-    before any work.
-    """
-    weights = _syzygy_weights(w)
-    n = len(weights) - 1
-    gens = _gens if _gens is not None else jacobian_generators(weights)
-    vectors, identities = _syzygy_checks(weights)
-    _raise_on_identity(_failing_checks(identities, [g._c for g in gens], n), n)
-    kinds = ["euler"] + [f"koszul({i + 1},{j + 1})"
-                         for i, j in combinations(range(n), 2)]
-    return [SyzygyVector(components=tuple(_make(n, c) for c in v), kind=kind)
-            for v, kind in zip(vectors, kinds)]
-
-
-def _syzygy_parts(w) -> tuple[list[MultiPoly], list[list[dict]], bool]:
-    """The Jacobian generators, the syzygy generators as term maps (as
-    ``_syzygy_checks`` builds them), and whether every vector dots to zero:
-    the identities and the dots in one fused packed pass, a failing identity
-    raising InvariantError as in ``syzygy_generators``."""
-    weights = _syzygy_weights(w)
+def _checked_generators(weights: tuple[int, ...]
+                        ) -> tuple[list[MultiPoly], list[SyzygyVector]]:
+    """The Jacobian generators and the syzygy generators of weights that
+    ``_syzygy_weights`` has passed, checked in one fused packed pass: the n
+    identities x_j*sigma*f'_j - l_j*f = 0 behind the Koszul slots and the
+    1 + C(n,2) dots.  A failing check would indicate an implementation bug:
+    a failing identity raises InvariantError naming the first failing j, any
+    other failing check InvariantError("generators are not syzygies")."""
     n = len(weights) - 1
     gens = jacobian_generators(weights)
     vectors, identities = _syzygy_checks(weights)
     failing = _failing_checks(identities + vectors, [g._c for g in gens], n)
     _raise_on_identity(failing, n)
-    return gens, vectors, not failing
+    if failing:
+        raise InvariantError("generators are not syzygies")
+    kinds = ["euler"] + [f"koszul({i + 1},{j + 1})"
+                         for i, j in combinations(range(n), 2)]
+    return gens, [SyzygyVector(components=tuple(_make(n, c) for c in v), kind=kind)
+                  for v, kind in zip(vectors, kinds)]
+
+
+def syzygy_generators(w) -> list[SyzygyVector]:
+    """The Euler vector and the Koszul-like vectors for all pairs i < j,
+    each checked to dot to zero, with the identities behind the Koszul
+    slots, in one packed pass (``_checked_generators``).  A weight sum d
+    with d + 1 not below DEGREE_LIMIT raises ValueError before any work.
+    """
+    return _checked_generators(_syzygy_weights(w))[1]
 
 
 def _weight_table(weights: tuple[int, ...]) -> list[list[int]]:
@@ -612,28 +599,22 @@ def _pack_weight_checks(weights: tuple[int, ...], gens: Sequence[dict]
     return packed, width
 
 
-def verify_syzygies(w, _parts=None) -> bool:
+def verify_syzygies(w) -> bool:
     """True iff every generator dots to zero against (f, f'_1, ..., f'_n).
 
-    Without ``_parts`` the n Koszul-quotient identities, the Euler vector
-    folded by sigma and the Koszul vectors are checked in one packed pass,
-    whose components are written from the weights (``_pack_weight_checks``).
-    ``_parts`` is the pair (jacobian_generators(w), syzygy_generators(w)),
-    for callers that have built it already; its vectors are checked as given
-    in one packed pass, and a coefficient that is not an integer raises
-    ValueError before any product.  A weight sum d with d + 1 not below
-    DEGREE_LIMIT raises ValueError before any work.
+    The n Koszul-quotient identities, the Euler vector folded by sigma and
+    the Koszul vectors are checked in one packed pass, whose components are
+    written from the weights (``_pack_weight_checks``), with no vector
+    built; a failing identity raises InvariantError naming the first failing
+    j.  A weight sum d with d + 1 not below DEGREE_LIMIT raises ValueError
+    before any work.
     """
     weights = _syzygy_weights(w)
-    if _parts is None:
-        n = len(weights) - 1
-        gens = [g._c for g in jacobian_generators(weights)]
-        failing = _failing_fields(*_pack_weight_checks(weights, gens), gens, n)
-        _raise_on_identity(failing, n)
-        return not failing
-    gens, vectors = _parts
-    return not _failing_checks([[c._c for c in v.components] for v in vectors],
-                               [g._c for g in gens], gens[0].nvars)
+    n = len(weights) - 1
+    gens = [g._c for g in jacobian_generators(weights)]
+    failing = _failing_fields(*_pack_weight_checks(weights, gens), gens, n)
+    _raise_on_identity(failing, n)
+    return not failing
 
 
 # ---------------------------------------------------------------------------
@@ -762,29 +743,9 @@ def _rank_exact(rows: Iterable[dict[int, int]], ncols: int) -> int:
     return len(pivots)
 
 
-def _int_coeff(v: Scalar) -> int:
-    if isinstance(v, int):
-        return v
-    if v.denominator != 1:
-        raise ValueError("expected an integer coefficient")
-    return v.numerator
-
-
 def _values(maps: Iterable[dict]) -> Iterator:
     """The coefficients of the term maps, one after another."""
     return chain.from_iterable(map(dict.values, maps))
-
-
-def _int_map(terms: dict) -> dict:
-    """terms itself when every coefficient is an int, else a copy converted
-    by ``_int_coeff``."""
-    if all(map(isinstance, terms.values(), repeat(int))):
-        return terms
-    return {k: _int_coeff(v) for k, v in terms.items()}
-
-
-def _int_terms(poly: MultiPoly) -> list[tuple[int, int]]:
-    return [(k, _int_coeff(v)) for k, v in poly._c.items()]
 
 
 @dataclass
@@ -798,8 +759,7 @@ class DegreeDims:
         return self.syzygy_dim == self.generated_dim
 
 
-def syzygy_dimension_table(w, degree_bound: int,
-                           _parts=None) -> list[DegreeDims]:
+def syzygy_dimension_table(w, degree_bound: int) -> list[DegreeDims]:
     """Per-degree syzygy-space and generator-span dimensions up to the bound.
 
     A degree-m syzygy is a vector (a_0, ..., a_n) with deg a_0 = m - d and
@@ -807,25 +767,26 @@ def syzygy_dimension_table(w, degree_bound: int,
     are exact: modular ranks certify equality when the two one-sided bounds
     meet, otherwise exact rational elimination decides.  Below degree d - 1
     every slot degree is negative, so the domain is empty and both
-    dimensions are zero with no elimination.  A bound below d or not below
-    DEGREE_LIMIT raises ValueError before any work.  ``_parts`` is as in
-    ``verify_syzygies``.
+    dimensions are zero with no elimination.  The generators it eliminates
+    are checked first, as ``syzygy_generators`` checks them.  A weight sum d
+    with d + 1 not below DEGREE_LIMIT, and then a bound below d or not below
+    DEGREE_LIMIT, raise ValueError before any work.
     """
-    weights = _weights(w)
+    return _generation_table(w, degree_bound)[1]
+
+
+def _generation_table(w, degree_bound: int
+                      ) -> tuple[list[SyzygyVector], list[DegreeDims]]:
+    """The checked syzygy generators and ``syzygy_dimension_table``'s rows,
+    built once for callers that print both."""
+    weights = _syzygy_weights(w)
     d = sum(weights)
     if degree_bound < d:
         raise ValueError(f"degree bound must be at least d = {d}")
     if degree_bound >= DEGREE_LIMIT:
         raise ValueError(f"degree bound {degree_bound} is not below {DEGREE_LIMIT}")
     n = len(weights) - 1
-    if _parts is None:
-        gens, vectors, verified = _syzygy_parts(weights)
-    else:
-        gens, vectors = _parts
-        verified = verify_syzygies(weights, _parts=_parts)
-        vectors = [[c._c for c in v.components] for v in vectors]
-    if not verified:
-        raise InvariantError("generators are not syzygies")
+    gens, vectors = _checked_generators(weights)
     slot_degrees = [d] + [d - 1] * n  # degrees of (f, f'_1..f'_n)
     # the Euler vector first, then the Koszul vectors one degree up
     span_degrees = [d] + [d + 1] * (len(vectors) - 1)
@@ -847,8 +808,8 @@ def syzygy_dimension_table(w, degree_bound: int,
     # The evaluation map (a_0..a_n) -> a_0 f + sum a_i f'_i has the one-part
     # pieces f, f'_i, and its row x^s*g_i is the one of domain column
     # (slot i, monomial s)
-    eval_pieces = [piece([_int_terms(g)]) for g in gens]
-    span_pieces = [piece([_int_map(c).items() for c in v]) for v in vectors]
+    eval_pieces = [piece([g._c.items()]) for g in gens]
+    span_pieces = [piece([c._c.items() for c in v.components]) for v in vectors]
     # the codes of the shift monomials, of degrees m - degree for m <= bound
     codes = {t: [code(k) for k in _monomial_keys(n, t)]
              for t in range(degree_bound - d + 2)}
@@ -888,7 +849,7 @@ def syzygy_dimension_table(w, degree_bound: int,
             syz = dom_dim - _rank_exact(rows(eval_pieces, slot_shifts, False), ncols)
             span = _rank_exact(rows(span_pieces, span_shifts, True), dom_dim)
             results.append(DegreeDims(m, syz, span))
-    return results
+    return vectors, results
 
 
 def generation_oracle(w, degree_bound: int) -> bool:

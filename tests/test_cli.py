@@ -61,7 +61,7 @@ def test_syzygy_subcommand(capsys):
 
 def test_syzygy_subcommand_builds_the_generators_once(capsys, monkeypatch):
     from dworkgm import syzygy
-    calls = {"jacobian_generators": 0, "verify_syzygies": 0}
+    calls = {"jacobian_generators": 0, "_failing_fields": 0}
 
     def counting(name):
         real = getattr(syzygy, name)
@@ -75,19 +75,20 @@ def test_syzygy_subcommand_builds_the_generators_once(capsys, monkeypatch):
         monkeypatch.setattr(syzygy, name, counting(name))
     code, _, _ = run_cli(capsys, "syzygy", "--weights", "1,1,1", "--bound", "8")
     assert code == 0
-    assert calls == {"jacobian_generators": 1, "verify_syzygies": 1}
+    # one packed pass checks the identities and every vector it prints
+    assert calls == {"jacobian_generators": 1, "_failing_fields": 1}
 
 
 def test_syzygy_subcommand_rejects_a_non_syzygy(capsys, monkeypatch):
     from dworkgm import syzygy
-    real = syzygy.syzygy_generators
+    real = syzygy._syzygy_checks
 
-    def broken(w, _gens=None):
-        first, *rest = real(w, _gens=_gens)
-        doubled = (first.components[0] + first.components[0],) + first.components[1:]
-        return [syzygy.SyzygyVector(doubled, first.kind)] + rest
+    def broken(weights):
+        (first, *rest), identities = real(weights)
+        doubled = [{k: 2 * v for k, v in first[0].items()}] + first[1:]
+        return [doubled, *rest], identities
 
-    monkeypatch.setattr(syzygy, "syzygy_generators", broken)
+    monkeypatch.setattr(syzygy, "_syzygy_checks", broken)
     code, out, err = run_cli(capsys, "syzygy", "--weights", "1,1,1", "--bound", "8")
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
@@ -199,16 +200,22 @@ def test_syzygy_refuses_an_over_limit_family_before_expanding_it(capsys):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_syzygy_refuses_checks_past_the_key_limit(capsys, json_flag):
-    # d = 2^15 - 1 builds f, but the checks reach degree d + 1 = 2^15
-    code, out, err = run_cli(capsys, "syzygy", "--weights", "32766,1",
-                             "--bound", "32767", *json_flag)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    assert json.loads(err) == {"error": {
-        "type": "ValueError",
-        "message": "weight sum d = 32767: the syzygy checks reach degree "
-                   "d + 1, which must be below 32768"}}
+    # d = 2^15 - 1 builds f, but the checks reach degree d + 1 = 2^15.  The
+    # weight sum is refused before the bound, byte for byte, whether the
+    # bound is the key limit less one, the default d + 4, below d or at the
+    # key limit, and also where d itself is past the limit
+    cases = [("32766,1", ["--bound", "32767"]), ("32766,1", []),
+             ("32766,1", ["--bound", "5"]), ("32766,1", ["--bound", "32768"]),
+             ("40000,1", ["--bound", "5"])]
+    for weights, bound in cases:
+        code, out, err = run_cli(capsys, "syzygy", "--weights", weights,
+                                 *bound, *json_flag)
+        d = sum(map(int, weights.split(",")))
+        assert code == 1
+        assert out == ""
+        assert err == ('{"error": {"type": "ValueError", "message": "weight '
+                       f'sum d = {d}: the syzygy checks reach degree d + 1, '
+                       'which must be below 32768"}}\n')
 
 
 def test_weyl_parse_refuses_deep_nesting(capsys):

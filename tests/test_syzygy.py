@@ -64,6 +64,24 @@ def test_weights_need_two_positive_entries():
             family_poly(w)
 
 
+def test_equal_polynomials_hash_equal():
+    a = (x1 + x2) * (x1 - x2)
+    b = MultiPoly(2, {(2, 0): 1, (0, 2): F(-2, 2)})
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, x1 ** 2, MultiPoly.zero(2)}) == 3
+    # a vector of them is hashable too, equal vectors hashing equal
+    first, again = syzygy_generators((2, 3, 1)), syzygy_generators((2, 3, 1))
+    assert first == again and list(map(hash, first)) == list(map(hash, again))
+    assert len(set(first + again)) == 2
+
+
+def test_equality_with_a_foreign_type_is_not_implemented():
+    assert x1.__eq__(1) is NotImplemented
+    assert x1.__eq__("x1") is NotImplemented
+    assert x1 != 1 and MultiPoly.constant(2, 1) != 1
+    assert MultiPoly.zero(2) != 0
+
+
 def test_product_of_conjugates():
     assert (x1 + x2) * (x1 - x2) == x1 ** 2 - x2 ** 2
 
@@ -253,7 +271,7 @@ def test_dimension_table_refuses_a_bound_at_the_limit(monkeypatch):
     def no_work(weights):
         raise AssertionError("the generators were built")
 
-    monkeypatch.setattr(syzygy, "_syzygy_parts", no_work)
+    monkeypatch.setattr(syzygy, "jacobian_generators", no_work)
     for bound in (DEGREE_LIMIT, DEGREE_LIMIT + 1, 65600):
         with pytest.raises(ValueError, match=f"{bound} is not below {DEGREE_LIMIT}"):
             syzygy_dimension_table((1, 1), bound)
@@ -289,20 +307,23 @@ def test_verify_worked_examples():
 
 def test_dot_needs_one_component_per_generator():
     gens = jacobian_generators((1, 1, 1))
-    euler = syzygy_generators((1, 1, 1), _gens=gens)[0]
+    euler = syzygy_generators((1, 1, 1))[0]
     with pytest.raises(ValueError):
         SyzygyVector(euler.components + (x1,), "euler").dot(gens)
     with pytest.raises(ValueError):
         SyzygyVector(euler.components[:-1], "euler").dot(gens)
 
 
-def test_a_wrong_partial_fails_the_koszul_quotient_check():
+def test_a_wrong_partial_fails_the_koszul_quotient_check(monkeypatch):
     w = (2, 3, 1, 2)
+    real = jacobian_generators(w)
     for j in range(1, 4):
-        gens = jacobian_generators(w)
+        gens = list(real)
         gens[j] = gens[j] * 2
-        with pytest.raises(InvariantError, match="Koszul quotient"):
-            syzygy_generators(w, _gens=gens)
+        monkeypatch.setattr(syzygy, "jacobian_generators",
+                            lambda weights, gens=gens: list(gens))
+        with pytest.raises(InvariantError, match=rf"Koszul quotient x_{j}\*"):
+            syzygy_generators(w)
 
 
 @pytest.mark.parametrize("wrong", [
@@ -357,10 +378,16 @@ def test_generators_match_the_division_built_reference():
 
 def test_koszul_slot_without_sigma_is_not_a_syzygy():
     # x_1*l_2 with the sigma term of l_2 = w_2*sigma + w_0*x_2 dropped
+    from dworkgm.syzygy import _failing_checks
     w = (2, 3, 1, 2)
-    gens = jacobian_generators(w)
-    vectors = syzygy_generators(w, _gens=gens)
-    assert verify_syzygies(w, _parts=(gens, vectors))
+    gens = [g._c for g in jacobian_generators(w)]
+    vectors = syzygy_generators(w)
+
+    def failing(vectors):
+        return _failing_checks([[c._c for c in v.components] for v in vectors],
+                               gens, 3)
+
+    assert failing(vectors) == []
     koszul = vectors[1]
     assert koszul.kind == "koszul(1,2)"
     x = [MultiPoly.variable(i, 3) for i in range(3)]
@@ -368,7 +395,44 @@ def test_koszul_slot_without_sigma_is_not_a_syzygy():
     slots[1] = x[0] * (l_poly(w, 2) - MultiPoly.sigma(3) * w[2])
     assert slots[1] == x[0] * x[1] * w[0]
     bad = SyzygyVector(tuple(slots), koszul.kind)
-    assert not verify_syzygies(w, _parts=(gens, [vectors[0], bad, *vectors[2:]]))
+    assert failing([vectors[0], bad, *vectors[2:]]) == [1]
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_a_broken_vector_is_never_handed_out(capsys, monkeypatch, s):
+    # vector s of (2, 3, 1, 2), the Euler vector or one Koszul vector, with
+    # one slot doubled: the identities hold, the dot does not, and no entry
+    # point hands the vectors out
+    from dworkgm.cli import main
+    real = syzygy._syzygy_checks
+
+    def broken(weights):
+        vectors, identities = real(weights)
+        vector = list(vectors[s])
+        i = next(i for i, slot in enumerate(vector) if slot)
+        vector[i] = {k: 2 * v for k, v in vector[i].items()}
+        return vectors[:s] + [vector] + vectors[s + 1:], identities
+
+    w = (2, 3, 1, 2)
+    monkeypatch.setattr(syzygy, "_syzygy_checks", broken)
+    with pytest.raises(InvariantError, match="^generators are not syzygies$"):
+        syzygy_generators(w)
+    with pytest.raises(InvariantError, match="^generators are not syzygies$"):
+        syzygy_dimension_table(w, sum(w))
+    assert main(["syzygy", "--weights", "2,3,1,2", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert '"message": "generators are not syzygies"' in err
+    # the weight-only pass builds no vector, so it reads the true ones
+    assert verify_syzygies(w)
+
+
+def test_entry_points_take_no_private_argument():
+    import inspect
+    for entry in (verify_syzygies, syzygy_generators, syzygy_dimension_table,
+                  generation_oracle):
+        names = list(inspect.signature(entry).parameters)
+        assert names and not [n for n in names if n.startswith("_")], entry
 
 
 def test_packed_fields_at_the_width_edge():
@@ -393,33 +457,6 @@ def test_packed_fields_at_the_width_edge():
     assert _failing_checks([], gens, 1) == []
 
 
-def test_packed_pass_refuses_a_non_integral_coefficient(monkeypatch):
-    # refused before any product is built, as the oracle's rows are; an
-    # integral Fraction converts, in a vector or in a generator
-    w = (2, 3, 1, 2)
-    gens = jacobian_generators(w)
-    vectors = syzygy_generators(w, _gens=gens)
-    euler = vectors[0]
-    d = sum(w)
-    integral = SyzygyVector((MultiPoly.constant(3, F(-2 * d, 2)),
-                             *euler.components[1:]), "euler")
-    assert type(integral.components[0]._c[0]) is F
-    assert verify_syzygies(w, _parts=(gens, [integral, *vectors[1:]]))
-    assert verify_syzygies(w, _parts=(gens, [integral]))
-    f = MultiPoly(3, {e: F(c) for e, c in gens[0].items()})
-    assert verify_syzygies(w, _parts=([f, *gens[1:]], vectors))
-    products = []
-    monkeypatch.setattr(syzygy, "_add_product",
-                        lambda *args: products.append(args))
-    half = SyzygyVector((MultiPoly.constant(3, F(-2 * d + 1, 2)),
-                         *euler.components[1:]), "euler")
-    for parts in ((gens, [*vectors[1:], half]), (gens, [half]),
-                  ([f * F(1, 2), *gens[1:]], vectors)):
-        with pytest.raises(ValueError, match="expected an integer coefficient"):
-            verify_syzygies(w, _parts=parts)
-    assert products == []
-
-
 def _ref_dot(vector, generators):
     """The dot product as a sum of products, each built on its own."""
     acc = MultiPoly.zero(generators[0].nvars)
@@ -431,7 +468,7 @@ def _ref_dot(vector, generators):
 def test_fused_dot_matches_a_sum_of_products():
     for w in ((2, 3, 1, 2), (3, 3, 3, 3), (60, 2, 1, 1)):
         gens = jacobian_generators(w)
-        for v in syzygy_generators(w, _gens=gens):
+        for v in syzygy_generators(w):
             assert v.dot(gens) == _ref_dot(v, gens) == MultiPoly.zero(3)
             # against the generators reversed the dot is not zero
             flipped = v.dot(gens[::-1])
@@ -456,7 +493,7 @@ def test_euler_identity_sampled_sweep():
         tuples.add(tuple(rng.randint(1, 5) for _ in range(n + 1)))
     for w in sorted(tuples):
         gens = jacobian_generators(w)
-        euler = syzygy_generators(w, _gens=gens)[0]
+        euler = syzygy_generators(w)[0]
         assert euler.dot(gens).is_zero
 
 
@@ -614,15 +651,15 @@ def test_codes_add_and_sort_like_keys():
 def _ref_dimension_table(w, bound):
     """The table with both eliminations run in every degree 0..bound and the
     monomial keys of every degree built up front."""
-    from dworkgm.syzygy import (DegreeDims, _int_terms, _monomial_keys,
-                                _rank_exact, _rank_mod)
+    from dworkgm.syzygy import (DegreeDims, _monomial_keys, _rank_exact,
+                                _rank_mod)
     d, n = sum(w), len(w) - 1
     gens = jacobian_generators(w)
-    vectors = syzygy_generators(w, _gens=gens)
+    vectors = syzygy_generators(w)
     slot_degrees = [d] + [d - 1] * n
-    eval_pieces = [(deg, [_int_terms(g)]) for g, deg in zip(gens, slot_degrees)]
+    eval_pieces = [(deg, [g._c.items()]) for g, deg in zip(gens, slot_degrees)]
     span_pieces = [(d if v.kind == "euler" else d + 1,
-                    [_int_terms(c) for c in v.components]) for v in vectors]
+                    [c._c.items() for c in v.components]) for v in vectors]
     keys = {k: _monomial_keys(n, k) for k in range(bound + 1)}
 
     def rows(m, pieces, columns):
@@ -753,13 +790,6 @@ def test_ranks_do_not_depend_on_the_row_order():
         for order in orders:
             assert len(_rank_mod(order, ncols)) == r
             assert _rank_exact(iter(order), ncols) == r
-
-
-def test_int_coeff():
-    from dworkgm.syzygy import _int_coeff
-    assert _int_coeff(-7) == -7 and type(_int_coeff(F(6, 3))) is int
-    with pytest.raises(ValueError):
-        _int_coeff(F(1, 2))
 
 
 def test_exact_rank_fallback_gives_the_same_table(monkeypatch):
