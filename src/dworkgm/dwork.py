@@ -16,8 +16,9 @@ e = gcd(w_i), the pipeline produces:
   * the per-degree cohomology tables of the two auxiliary complexes;
   * the Fourier operator pair (P, Q) with its calibrated sign.
 
-For non-primitive weights (e > 1) the report wraps the primitive report of
-w/e in a pushforward pair along z -> z^e instead of refusing: gamma scales
+For non-primitive weights (e > 1) the invariant piece is the direct image
+along z -> z^e of the datum of w/e, which the G block holds with e, and the
+report embeds the primitive report of w/e instead of refusing: gamma scales
 as gamma(w) = gamma(w/e)^e, ranks multiply by e and exponent classes are the
 e-fold preimages of the primitive ones.
 
@@ -37,8 +38,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from . import arrangement, weyl
-from .hypergeom import (ExpMultiset, FactorList, HypModule, PushforwardHyp,
-                        _kummer_sum, hyp_operator, is_irreducible, make_hyp,
+from .hypergeom import (ExpMultiset, FactorList, HypModule, _kummer_sum,
+                        exponents, hyp_operator, is_irreducible, make_hyp,
                         power_pullback, power_pushforward)
 from .weyl import WeylOp, _integer_nthroot, _ratio, format_poly
 
@@ -179,16 +180,19 @@ class GBlock:
     """Structured description of the rank d - e block G, the degree-zero
     entry of the K table.
 
+    ``hyp`` is the irreducible datum of the primitive tuple w/e, and G
+    holds its direct image along z -> z^e, the datum itself when e = 1.
     ``kummer_block`` lists the Kummer composition factors of G (the classes
     of the C set in the primitive case, their e-fold preimages otherwise);
     ``c_set`` always records the combinatorial C set of the weights
     themselves.  ``quotient`` is the constant quotient of H^0(K) by G.
-    ``base`` is the block of the primitive tuple w/e when e > 1.
+    ``base`` is the block of w/e when e > 1.
     """
 
     rank: int
     c_set: ExpMultiset
-    hyp: HypModule | PushforwardHyp
+    hyp: HypModule
+    e: int
     kummer_block: FactorList
     exps_zero: ExpMultiset
     exps_infinity: ExpMultiset
@@ -197,24 +201,16 @@ class GBlock:
     quotient: FactorList
     base: "GBlock | None" = None
 
-    def total_rank(self) -> int:
-        """Rank of H^0(K): the rank of G plus that of its constant quotient."""
-        return self.rank + self.quotient.rank()
-
-    @property
-    def base_hyp(self) -> HypModule:
-        return self.hyp if self.base is None else self.base.hyp
-
     def as_json(self) -> dict:
         """The block as a JSON-ready mapping, printed when asked for, since
         only reports do; the datum is printed once.  Its "sequences" are G
         in H^0(K) with its quotient, and the hypergeometric module in G with
         the Kummer block, neither known to split."""
-        text = self.base_hyp.display()
+        text = self.hyp.display()
         hyp: object = text
-        if self.base is not None:
-            hyp = {"e": self.hyp.e, "base": text}
-            text = f"[{self.hyp.e}]_+ {text}"  # PushforwardHyp.display
+        if self.e > 1:
+            hyp = {"e": self.e, "base": text}
+            text = f"[{self.e}]_+ {text}"
         gamma = self.finite_singularity
         return {
             "rank": self.rank,
@@ -240,7 +236,7 @@ def g_block(w: WeightsLike) -> GBlock:
     cs = c_set(w)
     base = None
     if w.primitive:
-        h: HypModule | PushforwardHyp = invariant_hyp(w)
+        h = invariant_hyp(w)
         gamma = h.gamma  # gamma_n(w), as the datum was just built with it
         kblock = cs.factors  # each class of C once
         exps_zero = _weight_exponents(w).remove_class(1)
@@ -248,7 +244,7 @@ def g_block(w: WeightsLike) -> GBlock:
     else:
         base = g_block(w.reduced())
         gamma = gamma_n(w)
-        h = PushforwardHyp(e=e, base=base.hyp)
+        h = base.hyp
         kblock = power_pushforward(base.kummer_block, e)
         exps_zero = base.exps_zero.pushforward(e)
         exps_inf = base.exps_infinity.pushforward(e)
@@ -256,6 +252,7 @@ def g_block(w: WeightsLike) -> GBlock:
         rank=d - e,
         c_set=cs,
         hyp=h,
+        e=e,
         kummer_block=kblock,
         exps_zero=exps_zero,
         exps_infinity=exps_inf,
@@ -276,18 +273,16 @@ def _kummer_rows(n: int, e: int) -> dict[int, FactorList]:
     return {i: _kummer_sum(e, math.comb(n, i + n - 1)) for i in range(-(n - 1), 0)}
 
 
-def k_table(w: WeightsLike, _block: GBlock | None = None
-            ) -> dict[int, FactorList | GBlock]:
+def k_table(w: WeightsLike) -> dict[int, FactorList | GBlock]:
     """Cohomology table of the K complex: Kummer sums in degrees -(n-1)..-1
     and in degree 0 the G block, which is H^0(K) as G under its constant
     quotient; empty elsewhere.
 
     For n = 1 the single degree-zero entry carries the base-case data (total
-    rank d, unique finite singularity at gamma).  ``_block``, when given, is
-    ``g_block(w)`` already assembled.
+    rank d, unique finite singularity at gamma).
     """
     w = validate_weights(w)
-    return {**_kummer_rows(w.n, w.e), 0: g_block(w) if _block is None else _block}
+    return {**_kummer_rows(w.n, w.e), 0: g_block(w)}
 
 
 def m_table(w: WeightsLike) -> dict[int, FactorList]:
@@ -392,17 +387,23 @@ def _arrangement_checks(w: Weights) -> dict[str, bool]:
     return checks
 
 
-def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
+def consistency_checks(w: WeightsLike) -> dict[str, bool]:
     """Run every internal consistency check for one weight tuple."""
     w = validate_weights(w)
-    kt, ft = (k_table(w), ft_pair(w)) if _parts is None else _parts
+    return _checks(w, k_table(w), ft_pair(w))
+
+
+def _checks(w: Weights, kt: dict[int, FactorList | GBlock], ft: FTPair
+            ) -> dict[str, bool]:
+    """The checks of ``consistency_checks`` on the K table and Fourier pair
+    of w, already built."""
     gb = kt[0]
     d, e, n = w.d, w.e, w.n
     cs = gb.c_set
     checks: dict[str, bool] = {}
     # chi of G by its composition factors: each Kummer factor contributes 0
     # and the one irreducible hypergeometric factor -1
-    irreducible = is_irreducible(gb.base_hyp)  # the datum h itself when primitive
+    irreducible = is_irreducible(gb.hyp)
     chi_block = irreducible and gb.chi == -1
     if w.primitive:
         h = gb.hyp
@@ -420,7 +421,8 @@ def consistency_checks(w: WeightsLike, _parts=None) -> dict[str, bool]:
         # the exponents of a pushforward exist for an irreducible base only
         for place, exps in (("zero", gb.exps_zero), ("infinity", gb.exps_infinity)):
             checks[f"exps_{place}_identity"] = irreducible and (
-                exps.factors == gb.hyp.exponents(place).factors + gb.kummer_block)
+                exps.factors == exponents(gb.hyp, place).pushforward(e).factors
+                + gb.kummer_block)
         checks["pushforward_exponents"] = (
             gb.exps_zero == gb.base.exps_zero.pushforward(e)
             and gb.exps_infinity == gb.base.exps_infinity.pushforward(e)
@@ -473,19 +475,22 @@ def _invariant_statement(w: Weights, gb: GBlock, gjson: dict) -> dict:
     }
 
 
-def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
+def full_report(w: WeightsLike) -> dict:
     """Assemble the complete structural report as a JSON-ready mapping.
 
     The report is invariant under permutations of the weights (all formulas
     depend on the multiset only); the weights are echoed in sorted order.
-    ``_block``, when given, is ``g_block(w)`` already assembled: the report
-    of a non-primitive tuple passes its ``GBlock.base`` to the base report.
     """
     w = validate_weights(w)
+    return _report(w, g_block(w))
+
+
+def _report(w: Weights, gb: GBlock) -> dict:
+    """The report of w on its G block ``gb``; the report of a non-primitive
+    tuple embeds the base report built on ``gb.base``."""
     n, d, e = w.n, w.d, w.e
     fibers = singular_fibers(w)
-    kt = k_table(w, _block)
-    gb = kt[0]
+    kt = {**_kummer_rows(n, e), 0: gb}  # k_table(w), on the given block
     ft = ft_pair(w)
     gjson = gb.as_json()
 
@@ -517,9 +522,9 @@ def full_report(w: WeightsLike, _block: GBlock | None = None) -> dict:
     if not w.primitive:
         report["pushforward"] = {
             "e": e,
-            "base_report": full_report(w.reduced(), gb.base),
+            "base_report": _report(w.reduced(), gb.base),
         }
-    report["checks"] = consistency_checks(w, _parts=(kt, ft))
+    report["checks"] = _checks(w, kt, ft)
     return report
 
 

@@ -18,7 +18,9 @@ a class pulls back by ``scaled(e)``.  Floats and strings are refused.
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
 exponents at zero and infinity, and pullback and pushforward along power
-maps of the punctured line.  Everything is pure, and immutable once built.
+maps of the punctured line.  The direct image of an irreducible datum h
+along z -> z^e has exponents ``exponents(h, place).pushforward(e)`` and no
+type of its own.  Everything is pure, and immutable once built.
 """
 
 from __future__ import annotations
@@ -339,28 +341,6 @@ def _enumerated(fl: FactorList) -> list[int]:
 # ---------------------------------------------------------------------------
 # Power maps of the punctured line
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PushforwardHyp:
-    """Pushforward pair (e, base): the direct image of an irreducible
-    hypergeometric datum along z -> z^e.
-
-    It stays irreducible; its exponent classes at either place are exactly
-    the classes x with e*x congruent to a class of the base.  No transformed
-    gamma is asserted; the pair itself is the stored datum.
-    """
-
-    e: int
-    base: HypModule
-
-    def exponents(self, place: str) -> ExpMultiset:
-        return exponents(self.base, place).pushforward(self.e)
-
-    def display(self) -> str:
-        return f"[{self.e}]_+ {self.base.display()}"
-
-    __str__ = display
-
 
 def power_pullback(h: HypModule, d: int) -> tuple[ExpMultiset, ExpMultiset]:
     """Exponents (alpha, beta) of the pullback of a hypergeometric datum

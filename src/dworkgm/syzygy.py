@@ -653,11 +653,15 @@ def _coder(nvars: int, base: int) -> Callable[[int], int]:
     return code
 
 
-def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
-              p: int = 1_000_003, *, _ascending: bool = False) -> KeysView[int]:
+# The prime of the oracle's elimination.
+_PRIME = 1_000_003
+
+
+def _rank_mod(rows: Iterable[dict[int, int]], ncols: int, *,
+              ascending: bool = False) -> KeysView[int]:
     """The leading columns of the pivots of the sparse rows {column: int}
-    mod p, as a view of as many columns as their rank; reads the iterable
-    once, and leaves the row dicts as they are.
+    mod p = ``_PRIME``, as a view of as many columns as their rank; reads the
+    iterable once, and leaves the row dicts as they are.
 
     Each row is copied and reduced by the pivot rows so far, keyed by leading
     column.  An entry is reduced mod p only when it is read: as a lead, where
@@ -670,13 +674,14 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
     apart; ncols is how many there are, and the elimination stops at that
     rank.
 
-    With ``_ascending`` the caller promises rows in ascending order of raw
+    With ``ascending`` the caller promises rows in ascending order of raw
     lead (smallest column, whatever its entry), and a row whose raw lead is
     below the one before raises InvariantError.  A row's lead only rises
     under reduction, so no later row reads a pivot whose lead is below the
     current raw lead: the rest of each such pivot is dropped, and its lead
     stays counted.
     """
+    p = _PRIME
     pivots: dict[int, tuple[int, dict[int, int]] | None] = {}
     live: list[int] = []  # a heap of the leads whose rest is kept, if ascending
     floor = 0
@@ -685,7 +690,7 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
             continue
         r = dict(row)
         lead = min(r)
-        if _ascending:
+        if ascending:
             if lead < floor:
                 raise InvariantError(
                     f"row lead {lead} is below the lead {floor} before it")
@@ -698,7 +703,7 @@ def _rank_mod(rows: Iterable[dict[int, int]], ncols: int,
                 pivot = pivots.get(lead)
                 if pivot is None:
                     pivots[lead] = (pow(a, -1, p), r)
-                    if _ascending:
+                    if ascending:
                         heappush(live, lead)
                     break
                 inv, rest = pivot
@@ -839,7 +844,7 @@ def _generation_table(w, degree_bound: int
         kept = [[s for s in shifts if i * top + s not in leads]
                 for i, shifts in enumerate(slot_shifts)]
         syz_mod = dom_dim - len(_rank_mod(rows(eval_pieces, kept, False), ncols,
-                                          _ascending=True))
+                                          ascending=True))
         span_mod = len(leads)
         if syz_mod == span_mod:
             # span <= kernel over Q, and the mod-p bounds squeeze both:

@@ -150,9 +150,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self._c.items()))
 
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
     @property
     def is_zero(self) -> bool:
         return not self._c
@@ -172,8 +169,6 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.term(other)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -149,7 +149,7 @@ def test_check_sweep_checks_each_tuple_as_it_is_built(capsys, monkeypatch):
         events.append(("built", t))
         return build(t)
 
-    def recorded_checks(w, _parts=None):
+    def recorded_checks(w):
         events.append(("checked", w.w))
         return {"ok": True}
 

@@ -32,7 +32,7 @@ def factor_list_lines() -> str:
                 lines.append(f"{name} K[{i}] {fl} | rank {fl.rank()}")
         ext = kt[0]
         lines.append(f"{name} K[0] quotient {ext.quotient} | rank "
-                     f"{ext.quotient.rank()} | total {ext.total_rank()}")
+                     f"{ext.quotient.rank()} | total {ext.rank + ext.quotient.rank()}")
         lines.append(f"{name} kummer_block {ext.kummer_block}")
         if len(w) >= 3:
             for i, fl in m_table(w).items():

@@ -13,9 +13,10 @@ in ``golden/check_sweep_4_5.sha256``, which CI checks; re-record it with
     sha256sum check_sweep_4_5.txt > tests/golden/check_sweep_4_5.sha256
 
 The two largest benchmark ladder reports, ``report --weights 97,53,1 --json``
-and ``report --weights 200,1 --json`` (up to half a megabyte), are pinned the
-same way, listed in ``SHA256_PINNED`` and checked here in-process and by CI;
-re-record one with
+and ``report --weights 200,1 --json`` (up to half a megabyte), and the ladder's
+non-primitive report ``report --weights 60,40,20 --json`` (e = 20), are pinned
+the same way, listed in ``SHA256_PINNED`` and checked here in-process and by
+CI; re-record one with
 
     PYTHONPATH=src python -m dworkgm report --weights 200,1 --json > report_weights_200_1_json.txt
     sha256sum report_weights_200_1_json.txt > tests/golden/report_weights_200_1_json.sha256
@@ -59,6 +60,7 @@ PINNED = [
 SHA256_PINNED = [
     ["report", "--weights", "97,53,1", "--json"],
     ["report", "--weights", "200,1", "--json"],
+    ["report", "--weights", "60,40,20", "--json"],
 ]
 
 

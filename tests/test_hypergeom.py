@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dworkgm import weyl
-from dworkgm.hypergeom import (ExpMultiset, FactorList, PushforwardHyp, cancel,
-                               canonical_rep, exponents, hyp_operator,
-                               is_irreducible, make_hyp, power_pullback,
-                               power_pushforward)
+from dworkgm.hypergeom import (ExpMultiset, FactorList, cancel, canonical_rep,
+                               exponents, hyp_operator, is_irreducible,
+                               make_hyp, power_pullback, power_pushforward)
 from conftest import random_hyp_data
 
 F = Fraction
@@ -209,9 +208,8 @@ def test_preimage_classes():
 
 def test_pushforward_hyp_pair():
     h = make_hyp(F(1, 432), [0, 0], [F(1, 6), F(5, 6)])
-    pair = PushforwardHyp(2, h)
-    assert pair.exponents("zero") == ExpMultiset([F(1, 2), 1, F(1, 2), 1])
-    assert pair.exponents("infinity") == \
+    assert exponents(h, "zero").pushforward(2) == ExpMultiset([F(1, 2), 1, F(1, 2), 1])
+    assert exponents(h, "infinity").pushforward(2) == \
         ExpMultiset([F(1, 12), F(7, 12), F(5, 12), F(11, 12)])
 
 

@@ -82,6 +82,14 @@ def test_equality_with_a_foreign_type_is_not_implemented():
     assert MultiPoly.zero(2) != 0
 
 
+def test_product_with_a_foreign_type_is_not_implemented():
+    foreign = None
+    assert x1.__mul__(foreign) is NotImplemented
+    for product in (lambda: x1 * foreign, lambda: foreign * x1):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            product()
+
+
 def test_product_of_conjugates():
     assert (x1 + x2) * (x1 - x2) == x1 ** 2 - x2 ** 2
 
@@ -429,8 +437,9 @@ def test_a_broken_vector_is_never_handed_out(capsys, monkeypatch, s):
 
 def test_entry_points_take_no_private_argument():
     import inspect
+    from dworkgm.dwork import consistency_checks, full_report, k_table
     for entry in (verify_syzygies, syzygy_generators, syzygy_dimension_table,
-                  generation_oracle):
+                  generation_oracle, full_report, k_table, consistency_checks):
         names = list(inspect.signature(entry).parameters)
         assert names and not [n for n in names if n.startswith("_")], entry
 
@@ -963,7 +972,7 @@ def test_ascending_rows_keep_every_lead(monkeypatch):
         rows = sorted(rows, key=lambda row: min(row, default=0))
         snapshot = [dict(row) for row in rows]
         leads = set(_rank_mod(rows, ncols))
-        assert set(_rank_mod(iter(rows), ncols, _ascending=True)) == leads
+        assert set(_rank_mod(iter(rows), ncols, ascending=True)) == leads
         assert rows == snapshot
 
 
@@ -972,7 +981,7 @@ def test_ascending_rows_read_the_pivot_at_their_own_lead():
     # which must still be there; combinations of echelon rows, without the
     # rows themselves, sorted by raw lead
     from dworkgm.syzygy import _rank_exact, _rank_mod
-    assert len(_rank_mod([{0: 1, 1: 1}, {0: 1, 1: 2}], 2, _ascending=True)) == 2
+    assert len(_rank_mod([{0: 1, 1: 1}, {0: 1, 1: 2}], 2, ascending=True)) == 2
     rng = random.Random(28)
     for _ in range(60):
         ncols = rng.randint(3, 9)
@@ -990,8 +999,8 @@ def test_ascending_rows_read_the_pivot_at_their_own_lead():
             rows.append({c: x for c, x in combo.items() if x})
         rows.sort(key=lambda row: min(row, default=0))
         rank = _rank_exact(rows, ncols)
-        assert len(_rank_mod(rows, ncols, _ascending=True)) == rank
-        assert set(_rank_mod(rows, ncols, _ascending=True)) == set(_rank_mod(rows, ncols))
+        assert len(_rank_mod(rows, ncols, ascending=True)) == rank
+        assert set(_rank_mod(rows, ncols, ascending=True)) == set(_rank_mod(rows, ncols))
 
 
 def test_ascending_rows_whose_lead_goes_down_raise():
@@ -999,12 +1008,12 @@ def test_ascending_rows_whose_lead_goes_down_raise():
     p = 1_000_003
     rows = [{0: 1, 1: 1}, {2: 1}, {1: 3}]
     with pytest.raises(InvariantError, match="row lead 1 is below the lead 2"):
-        _rank_mod(rows, 3, _ascending=True)
+        _rank_mod(rows, 3, ascending=True)
     assert len(_rank_mod(rows, 3)) == 3
     # the raw lead counts, even when its entry is 0 mod p
-    assert len(_rank_mod([{1: p, 3: 1}, {2: 1}], 4, _ascending=True)) == 2
+    assert len(_rank_mod([{1: p, 3: 1}, {2: 1}], 4, ascending=True)) == 2
     with pytest.raises(InvariantError, match="row lead 1 is below the lead 2"):
-        _rank_mod([{2: 1}, {1: p, 3: 1}], 4, _ascending=True)
+        _rank_mod([{2: 1}, {1: p, 3: 1}], 4, ascending=True)
 
 
 def test_syzygy_runs_without_numpy():

@@ -291,6 +291,24 @@ def test_euler_difference_with_sign_minus_one_is_the_negation():
         assert _euler_difference(c, a, b, m, k, sign=1) == op
 
 
+def test_equal_laurent_polynomials_hash_equal():
+    a = LaurentPoly({-2: Fraction(3, 4), 5: 1})
+    b = LaurentPoly.term(1, 5) + LaurentPoly.term(Fraction(6, 8), -2)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, LaurentPoly.term(1, 5), LaurentPoly()}) == 3
+
+
+def test_equality_with_a_foreign_type_is_not_implemented():
+    # neither a LaurentPoly nor a WeylOp equals a number, even a constant one
+    three = LaurentPoly.term(3)
+    assert three.__eq__(3) is NotImplemented and three != 3
+    assert three.__eq__(Fraction(3)) is NotImplemented
+    assert LaurentPoly().__eq__(0) is NotImplemented and LaurentPoly() != 0
+    op = WeylOp.constant(3)
+    assert op.__eq__(3) is NotImplemented and op != 3
+    assert op.__eq__(three) is NotImplemented and op != three
+
+
 # -- Fourier substitution -------------------------------------------------------
 
 def test_fourier_generators():
