@@ -30,7 +30,6 @@ arrangement-cohomology tables.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -132,8 +131,9 @@ def singular_fibers(w: WeightsLike) -> SingularFibers:
     return SingularFibers(gamma=g, degree=w.d, rational_roots=roots)
 
 
-def c_set(w: WeightsLike) -> ExpMultiset:
-    """Classes k/d (0 < k < d) equal to some j/w_i with 0 < j < w_i, each once.
+def c_set(w: WeightsLike) -> FactorList:
+    """Classes k/d (0 < k < d) equal to some j/w_i with 0 < j < w_i, each
+    once, as a ``FactorList``: only the classes mod Z matter.
 
     k/d is such a class exactly when d divides k*w_i, that is when k is a
     multiple of d/gcd(d, w_i); the classes are read off those multiples.
@@ -142,19 +142,14 @@ def c_set(w: WeightsLike) -> ExpMultiset:
     w = validate_weights(w)
     d = w.d
     steps = {d // math.gcd(d, wi) for wi in w.w}
-    return ExpMultiset(sorted({k for m in steps for k in range(m, d, m)}), d)
+    return FactorList._counted({k for m in steps for k in range(m, d, m)}, d)
 
 
 def _weight_numerators(w: Weights, k: int = 1) -> tuple[list[int], int]:
     """The list (k*j/w_i : i = 0..n, j = 1..w_i) as plain integer numerators
     over the lcm of the weights."""
-    n = functools.reduce(math.lcm, w.w)
+    n = math.lcm(*w.w)
     return [k * j * (n // wi) for wi in w.w for j in range(1, wi + 1)], n
-
-
-def _weight_exponents(w: Weights, k: int = 1) -> ExpMultiset:
-    """The list (k*j/w_i : i = 0..n, j = 1..w_i) as a multiset."""
-    return ExpMultiset(*_weight_numerators(w, k))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +167,7 @@ def invariant_hyp(w: WeightsLike) -> HypModule:
         raise ValueError("the invariant datum is defined for primitive weights; "
                          "use the pushforward pair for gcd > 1")
     beta = ExpMultiset(range(1, w.d + 1), w.d)
-    return make_hyp(gamma_n(w), _weight_exponents(w), beta, reduce=True)
+    return make_hyp(gamma_n(w), ExpMultiset(*_weight_numerators(w)), beta, reduce=True)
 
 
 @dataclass(frozen=True)
@@ -182,20 +177,24 @@ class GBlock:
 
     ``hyp`` is the irreducible datum of the primitive tuple w/e, and G
     holds its direct image along z -> z^e, the datum itself when e = 1.
-    ``kummer_block`` lists the Kummer composition factors of G (the classes
-    of the C set in the primitive case, their e-fold preimages otherwise);
-    ``c_set`` always records the combinatorial C set of the weights
-    themselves.  ``quotient`` is the constant quotient of H^0(K) by G.
+    The lists of classes are ``FactorList``s.  ``kummer_block`` lists the
+    Kummer composition factors of G (the classes of the C set in the
+    primitive case, their e-fold preimages otherwise); ``c_set`` always
+    records the combinatorial C set of the weights themselves.
+    ``exps_zero`` and ``exps_infinity`` are the exponent classes of G, read
+    off the weights in the primitive case (the classes j/w_i less one class
+    1, and k/d for k = 1..d-1) and the pushforwards of the base block's
+    otherwise.  ``quotient`` is the constant quotient of H^0(K) by G.
     ``base`` is the block of w/e when e > 1.
     """
 
     rank: int
-    c_set: ExpMultiset
+    c_set: FactorList
     hyp: HypModule
     e: int
     kummer_block: FactorList
-    exps_zero: ExpMultiset
-    exps_infinity: ExpMultiset
+    exps_zero: FactorList
+    exps_infinity: FactorList
     chi: int
     finite_singularity: Fraction
     quotient: FactorList
@@ -238,16 +237,18 @@ def g_block(w: WeightsLike) -> GBlock:
     if w.primitive:
         h = invariant_hyp(w)
         gamma = h.gamma  # gamma_n(w), as the datum was just built with it
-        kblock = cs.factors  # each class of C once
-        exps_zero = _weight_exponents(w).remove_class(1)
-        exps_inf = ExpMultiset(range(1, d), d)
+        kblock = cs  # each class of C once
+        nums, n = _weight_numerators(w)
+        nums.remove(n)  # one member of class 1, j = w_i
+        exps_zero = FactorList._counted(nums, n)
+        exps_inf = FactorList._counted(range(1, d), d)
     else:
         base = g_block(w.reduced())
         gamma = gamma_n(w)
         h = base.hyp
         kblock = power_pushforward(base.kummer_block, e)
-        exps_zero = base.exps_zero.pushforward(e)
-        exps_inf = base.exps_infinity.pushforward(e)
+        exps_zero = power_pushforward(base.exps_zero, e)
+        exps_inf = power_pushforward(base.exps_infinity, e)
     return GBlock(
         rank=d - e,
         c_set=cs,
@@ -407,29 +408,28 @@ def _checks(w: Weights, kt: dict[int, FactorList | GBlock], ft: FTPair
     chi_block = irreducible and gb.chi == -1
     if w.primitive:
         h = gb.hyp
-        checks["exps_zero_identity"] = gb.exps_zero.factors == h.alpha.factors + cs.factors
-        checks["exps_infinity_identity"] = gb.exps_infinity.factors == h.beta.factors + cs.factors
-        checks["alpha_count"] = len(h.alpha) == d - 1 - len(cs)
+        checks["exps_zero_identity"] = gb.exps_zero == h.alpha.factors + cs
+        checks["exps_infinity_identity"] = gb.exps_infinity == h.beta.factors + cs
+        checks["alpha_count"] = len(h.alpha) == d - 1 - cs.rank()
         checks["irreducible"] = irreducible
         checks["chi_block"] = chi_block
         # pulled back along z -> z^-d, every class of C becomes O: the
         # minimal denominator of the classes is 1
-        checks["cn_sent_to_structure"] = cs.scaled(-d).factors._den == 1
+        checks["cn_sent_to_structure"] = cs.scaled(-d)._den == 1
         checks.update(_indicial_checks(h, gamma_n(w)))
     else:
         checks["pushforward_gamma"] = gamma_n(w) == gamma_n(w.reduced()) ** e
         # the exponents of a pushforward exist for an irreducible base only
         for place, exps in (("zero", gb.exps_zero), ("infinity", gb.exps_infinity)):
             checks[f"exps_{place}_identity"] = irreducible and (
-                exps.factors == exponents(gb.hyp, place).pushforward(e).factors
-                + gb.kummer_block)
+                exps == power_pushforward(exponents(gb.hyp, place), e) + gb.kummer_block)
         checks["pushforward_exponents"] = (
-            gb.exps_zero == gb.base.exps_zero.pushforward(e)
-            and gb.exps_infinity == gb.base.exps_infinity.pushforward(e)
+            gb.exps_zero == power_pushforward(gb.base.exps_zero, e)
+            and gb.exps_infinity == power_pushforward(gb.base.exps_infinity, e)
         )
         checks["chi_block"] = chi_block
-    checks["rank"] = gb.rank == d - e and len(gb.exps_zero) == d - e \
-        and len(gb.exps_infinity) == d - e
+    checks["rank"] = gb.rank == d - e and gb.exps_zero.rank() == d - e \
+        and gb.exps_infinity.rank() == d - e
     checks["fourier_pair"] = ft_identity_holds(ft)
     checks["k_table_window"] = set(kt) == set(range(-(n - 1), 1))
     if w.primitive:
@@ -451,7 +451,7 @@ def _invariant_statement(w: Weights, gb: GBlock, gjson: dict) -> dict:
     """The invariant statement, quoting the datum that ``gjson``, the
     block's ``as_json()``, printed."""
     # every class is 1 exactly when their minimal denominator is
-    integral = gb.exps_zero.factors._den == 1
+    integral = gb.exps_zero._den == 1
     if not w.primitive:
         return {
             "reduction": (f"gcd {w.e} > 1: wrapped as the pushforward pair "

@@ -6,21 +6,23 @@ and two exponent multisets; it is realized on the operator side as
     gamma * prod_i (D - a_i)  -  t * prod_j (D - b_j),        D = t*d.
 
 Exponents matter modulo the integers, and the canonical representative of
-each class lies in (0, 1], so the trivial class shows up as 1.  An
-``ExpMultiset`` keeps the representatives it was built from (the operator
-depends on them) as integers over one denominator N, and counts its classes
-as a ``FactorList``: residues 1..N over the minimal N, with multiplicity.
-The same type counts Kummer composition factors K_a, class 1 (residue N)
-being the structure sheaf O.  Along z -> z^e the class r/N pushes forward to
-the e classes (r + a*N)/(N*e), a = 0..e-1, in ``power_pushforward`` alone;
-a class pulls back by ``scaled(e)``.  Floats and strings are refused.
+each class lies in (0, 1], so the trivial class shows up as 1.  A list of
+classes is a ``FactorList``: residues 1..N over the minimal N, with
+multiplicity.  The same type counts Kummer composition factors K_a, class 1
+(residue N) being the structure sheaf O.  Along z -> z^e the class r/N
+pushes forward to the e classes (r + a*N)/(N*e), a = 0..e-1, in
+``power_pushforward`` alone; a class pulls back by ``FactorList.scaled(e)``.
+Only the operator depends on the chosen representatives, so only the alpha
+and beta of a datum are ``ExpMultiset``s: the representatives as integers
+over one denominator N, with their classes counted in ``factors``.  Floats
+and strings are refused.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
 exponents at zero and infinity, and pullback and pushforward along power
 maps of the punctured line.  The direct image of an irreducible datum h
-along z -> z^e has exponents ``exponents(h, place).pushforward(e)`` and no
-type of its own.  Everything is pure, and immutable once built.
+along z -> z^e has exponents ``power_pushforward(exponents(h, place), e)``
+and no type of its own.  Everything is pure, and immutable once built.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ from typing import Iterable, Iterator, Mapping
 from . import weyl
 from .weyl import Scalar, WeylOp, _clear_denominators, _exact, _ratio, _refuse_float
 
-_ONE = Fraction(1)
-
-
-def canonical_rep(x: Scalar) -> Fraction:
-    """Representative of x mod Z inside (0, 1]; the trivial class maps to 1."""
-    x = _exact(x)
-    r = x.numerator % x.denominator
-    # numerator and denominator are coprime, so r/den is already reduced
-    return Fraction(r, x.denominator) if r else _ONE
-
 
 class ExpMultiset:
     """Multiset of rational exponent representatives, compared modulo Z.
@@ -57,19 +49,15 @@ class ExpMultiset:
     ``classes()``, ``canonical()``, ``cancel``, ``is_irreducible`` and
     ``exponents`` read.  ``numerators`` is (numerators, N) for the operator
     code; only ``reps``, ``classes()`` and ``canonical()`` build Fractions,
-    for the caller: ``canonical_texts()``, ``str`` and ``repr`` print the
-    residues r/N and the numerators over N as they are.
+    for the caller: ``str`` and ``repr`` print the residues r/N and the
+    numerators over N as they are.
     """
 
     __slots__ = ("_nums", "factors")
 
     def __init__(self, reps: Iterable[Scalar] = (), den: int = 1):
         nums, den = _clear_denominators(reps, den)
-        counts: dict[int, int] = {}
-        for x in nums:
-            r = x % den or den
-            counts[r] = counts.get(r, 0) + 1
-        self.factors = fl = FactorList._residues(den, counts)
+        self.factors = fl = FactorList._counted(nums, den)
         nums.sort()
         g = den // fl._den  # gcd(den, residues) = gcd(den, numerators)
         self._nums = tuple([x // g for x in nums]) if g > 1 else tuple(nums)
@@ -103,11 +91,6 @@ class ExpMultiset:
         n = self.factors._den
         return tuple([Fraction(r, n) for r in _enumerated(self.factors)])
 
-    def canonical_texts(self) -> list[str]:
-        """The classes of ``canonical()`` as text, printed from r/N."""
-        n = self.factors._den
-        return [_ratio(r, n) for r in _enumerated(self.factors)]
-
     def __len__(self) -> int:
         return len(self._nums)
 
@@ -127,28 +110,8 @@ class ExpMultiset:
         n, m = self.factors._den, other.factors._den
         return ExpMultiset([x * m for x in self._nums] + [x * n for x in other._nums], n * m)
 
-    def scaled(self, k: Scalar) -> "ExpMultiset":
-        k = _exact(k)
-        return ExpMultiset([x * k.numerator for x in self._nums],
-                           self.factors._den * k.denominator)
-
-    def pushforward(self, e: int) -> "ExpMultiset":
-        """Classes x with e*x congruent to one of ours, by ``power_pushforward``."""
-        fl = power_pushforward(self.factors, e)
-        return ExpMultiset(_enumerated(fl), fl._den)
-
-    def remove_class(self, x: Scalar) -> "ExpMultiset":
-        """Drop one member of the class of x (the largest representative);
-        ValueError if the class is absent."""
-        target = canonical_rep(x)
-        n = math.lcm(self.factors._den, target.denominator)
-        out = self._without(n, {target.numerator * (n // target.denominator): 1})
-        if len(out) == len(self):
-            raise ValueError(f"class {target} does not occur")
-        return out
-
     def __str__(self) -> str:
-        return "[" + ", ".join(self.canonical_texts()) + "]"
+        return "[" + ", ".join(self.factors.canonical_texts()) + "]"
 
     def __repr__(self) -> str:
         n = self.factors._den
@@ -227,8 +190,9 @@ def is_irreducible(h: HypModule) -> bool:
     return ca.keys().isdisjoint(cb)
 
 
-def exponents(h: HypModule, place: str) -> ExpMultiset:
-    """Exponent classes at zero (alpha) or infinity (beta), with multiplicity.
+def exponents(h: HypModule, place: str) -> FactorList:
+    """Exponent classes at zero (alpha) or infinity (beta), with
+    multiplicity: the datum's own ``factors``.
 
     Defined for irreducible data only; matches the indicial roots of
     ``hyp_operator(h)`` at the same place, class by class.
@@ -237,8 +201,7 @@ def exponents(h: HypModule, place: str) -> ExpMultiset:
         raise ValueError(f"unknown place {place!r}")
     if not is_irreducible(h):
         raise ValueError("exponents are defined for irreducible data only")
-    source = (h.alpha if place == "zero" else h.beta).factors
-    return ExpMultiset(_enumerated(source), source._den)
+    return (h.alpha if place == "zero" else h.beta).factors
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +233,15 @@ class FactorList:
             if m:
                 r = x % den or den
                 counts[r] = counts.get(r, 0) + m
+        return cls._residues(den, counts)
+
+    @classmethod
+    def _counted(cls, nums: Iterable[int], den: int) -> "FactorList":
+        """The classes x/den of the integers x, each counted once per x."""
+        counts: dict[int, int] = {}
+        for x in nums:
+            r = x % den or den
+            counts[r] = counts.get(r, 0) + 1
         return cls._residues(den, counts)
 
     @classmethod
@@ -312,6 +284,22 @@ class FactorList:
         """Generic rank: 1 per Kummer class."""
         return sum(self._counts.values())
 
+    def scaled(self, k: int) -> "FactorList":
+        """K_a -> K_{k*a} for an integer k: the pullback along z -> z^k."""
+        _refuse_float(k)
+        n, k = self._den, operator.index(k)
+        counts: dict[int, int] = {}
+        for r, m in self._counts.items():
+            c = r * k % n or n
+            counts[c] = counts.get(c, 0) + m
+        return FactorList._residues(n, counts)
+
+    def canonical_texts(self) -> list[str]:
+        """The classes in (0, 1] by ascending residue, each once per count,
+        printed from r/N."""
+        n = self._den
+        return [_ratio(r, n) for r in _enumerated(self)]
+
     def __str__(self) -> str:
         """K(a) by ascending a, then O, with ^mult."""
         n = self._den
@@ -342,13 +330,14 @@ def _enumerated(fl: FactorList) -> list[int]:
 # Power maps of the punctured line
 # ---------------------------------------------------------------------------
 
-def power_pullback(h: HypModule, d: int) -> tuple[ExpMultiset, ExpMultiset]:
-    """Exponents (alpha, beta) of the pullback of a hypergeometric datum
-    along z -> z^d (d nonzero), as bookkeeping only: each multiset is
-    ``ExpMultiset.scaled(d)``, as a Kummer class K_a pulls back to K_{d*a}."""
+def power_pullback(h: HypModule, d: int) -> tuple[FactorList, FactorList]:
+    """Exponent classes (alpha, beta) of the pullback of a hypergeometric
+    datum along z -> z^d (d a nonzero integer), as bookkeeping only: each is
+    ``FactorList.scaled(d)`` of the datum's classes, as a Kummer class K_a
+    pulls back to K_{d*a}."""
     if d == 0:
         raise ValueError("pullback power must be nonzero")
-    return h.alpha.scaled(d), h.beta.scaled(d)
+    return h.alpha.factors.scaled(d), h.beta.factors.scaled(d)
 
 
 def power_pushforward(fl: FactorList, e: int) -> FactorList:
@@ -358,6 +347,7 @@ def power_pushforward(fl: FactorList, e: int) -> FactorList:
     e*x congruent to a: residue r over N goes to r + a*N over N*e,
     a = 0..e-1.
     """
+    _refuse_float(e)
     if e < 1:
         raise ValueError("pushforward order must be a positive integer")
     n, counts = fl._den, fl._counts

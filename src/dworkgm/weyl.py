@@ -93,8 +93,9 @@ def _exact(x: Scalar) -> Fraction:
 
 def _clear_denominators(values: Iterable[Scalar], den: int = 1) -> tuple[list[int], int]:
     """The rationals v/den as (integer numerators, one denominator); ints
-    pass as they are, a float or a string (also as ``values``) raises
-    TypeError and den < 1 ValueError."""
+    pass as they are, a float or a string (also as ``values`` or ``den``)
+    raises TypeError and den < 1 ValueError."""
+    _refuse_float(den)
     if den < 1:
         raise ValueError(f"the scale den must be a positive integer, not {den!r}")
     _refuse_float(values)  # a string is not the list of its digits

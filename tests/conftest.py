@@ -29,11 +29,11 @@ def random_hyp_data(count, seed, max_type=5, max_den=12):
     for _ in range(count):
         k = rng.randint(1, max_type)
         alpha = [rand_fraction() for _ in range(k)]
-        taken = {hypergeom.canonical_rep(a) for a in alpha}
+        taken = {a % 1 for a in alpha}  # the classes mod Z
         beta = []
         while len(beta) < k:
             b = rand_fraction()
-            if hypergeom.canonical_rep(b) not in taken:
+            if b % 1 not in taken:
                 beta.append(b)
         gamma = Fraction(0)
         while not gamma:

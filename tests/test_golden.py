@@ -44,6 +44,9 @@ PINNED_EXIT_CODES = GOLDEN / "pinned_exit_codes.txt"
 PINNED = [
     ["report", "--weights", "2,4,6", "--json"],
     ["check", "--weights", "2,4,6"],
+    # the first non-primitive tuple with n = 3
+    ["report", "--weights", "2,2,4,4", "--json"],
+    ["check", "--weights", "2,2,4,4"],
     # every degree of the syzygy table, the zero rows below d - 1 included
     ["syzygy", "--weights", "60,2,1,1", "--bound", "66", "--json"],
     # the one n = 4 tuple the oracle runs at a bound above d

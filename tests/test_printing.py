@@ -139,7 +139,7 @@ def test_multiset_prints_as_its_reference(drawn):
     ms = ExpMultiset(nums, den)
     reps = [Fraction(x, den) for x in nums]
     assert str(ms) == ref_multiset_str(reps)
-    assert ms.canonical_texts() == [str(c) for c in sorted(map(ref_class, reps))]
+    assert ms.factors.canonical_texts() == [str(c) for c in sorted(map(ref_class, reps))]
     assert repr(ms) == f"ExpMultiset({[str(r) for r in sorted(reps)]})"
 
 
