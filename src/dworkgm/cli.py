@@ -336,11 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the library prints numbers of any size itself; the limit is lifted
-    # for parsing, since Python 3.10.7+ refuses to convert text of more
-    # than 4300 digits to an int by default (--gamma, --alpha, --op, ...)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # Python 3.10.7+ refuses to read text of more than 4300 digits as an int
+    # (Fraction(text) for --gamma, --alpha, ...): lifted for the command only
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # argparse before Python 3.12 strips the value of --opt=-- to [], not '--'

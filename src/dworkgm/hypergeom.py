@@ -13,9 +13,9 @@ multiplicity.  The same type counts Kummer composition factors K_a, class 1
 pushes forward to the e classes (r + a*N)/(N*e), a = 0..e-1, in
 ``power_pushforward`` alone; a class pulls back by ``FactorList.scaled(e)``.
 Only the operator depends on the chosen representatives, so only the alpha
-and beta of a datum are ``ExpMultiset``s: the representatives as integers
-over one denominator N, with their classes counted in ``factors``.  Floats
-and strings are refused.
+and beta of a datum are ``ExpMultiset``s: sorted integer numerators over one
+denominator N, which the operator reads, and their classes in ``factors``,
+which everything else reads.  Floats and strings are refused.
 
 Besides the datum itself the module implements cancellation of shared
 classes, the irreducibility criterion (no alpha-beta difference an integer),
@@ -32,25 +32,23 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import weyl
 from .weyl import Scalar, WeylOp, _clear_denominators, _exact, _ratio, _refuse_float
 
 
 class ExpMultiset:
-    """Multiset of rational exponent representatives, compared modulo Z.
+    """A datum's exponent list: rational representatives, compared modulo Z.
 
     ``ExpMultiset(reps, den)`` holds the representatives r/den, for ints and
-    Fractions r and a positive integer scale den (default 1).  It keeps sorted
-    numerators over N, the least common denominator of the representatives,
-    and counts its classes in ``factors``, a ``FactorList`` over the same N.
-    Equal class multisets have equal factor lists, which ``==``, ``hash``,
-    ``classes()``, ``canonical()``, ``cancel``, ``is_irreducible`` and
-    ``exponents`` read.  ``numerators`` is (numerators, N) for the operator
-    code; only ``reps``, ``classes()`` and ``canonical()`` build Fractions,
-    for the caller: ``str`` and ``repr`` print the residues r/N and the
-    numerators over N as they are.
+    Fractions r and a positive integer scale den (default 1), as sorted
+    integer numerators over N, the least common denominator of the
+    representatives; only the operator reads them (``numerators``).  Their
+    classes are counted in ``factors``, a ``FactorList`` over the same N,
+    which ``==``, ``hash``, ``str``, ``cancel``, ``is_irreducible`` and
+    ``exponents`` read.  ``str`` prints the classes in (0, 1], ``repr`` the
+    representatives; no Fraction is built.
     """
 
     __slots__ = ("_nums", "factors")
@@ -67,35 +65,8 @@ class ExpMultiset:
         """The representatives as (sorted integer numerators, N)."""
         return self._nums, self.factors._den
 
-    @property
-    def reps(self) -> tuple[Fraction, ...]:
-        n = self.factors._den
-        return tuple([Fraction(x, n) for x in self._nums])
-
-    def _without(self, n: int, counts: Mapping[int, int]) -> "ExpMultiset":
-        """Over n, a multiple of N: less the counts[c] largest of class c/n."""
-        left, s, keep = dict(counts), n // self.factors._den, []
-        for x in reversed(self._nums):
-            x *= s
-            c = x % n or n
-            if left.get(c):
-                left[c] -= 1
-            else:
-                keep.append(x)
-        return ExpMultiset(keep, n)
-
-    def classes(self) -> Counter:
-        return self.factors.classes
-
-    def canonical(self) -> tuple[Fraction, ...]:
-        n = self.factors._den
-        return tuple([Fraction(r, n) for r in _enumerated(self.factors)])
-
     def __len__(self) -> int:
         return len(self._nums)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.reps)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExpMultiset):
@@ -105,11 +76,6 @@ class ExpMultiset:
     def __hash__(self) -> int:
         return hash(self.factors)
 
-    def __add__(self, other: "ExpMultiset") -> "ExpMultiset":
-        """Multiset union (disjoint sum of representatives)."""
-        n, m = self.factors._den, other.factors._den
-        return ExpMultiset([x * m for x in self._nums] + [x * n for x in other._nums], n * m)
-
     def __str__(self) -> str:
         return "[" + ", ".join(self.factors.canonical_texts()) + "]"
 
@@ -118,20 +84,35 @@ class ExpMultiset:
         return f"ExpMultiset({[_ratio(x, n) for x in self._nums]})"
 
 
+def _multiset(xs: ExpMultiset | Iterable[Scalar]) -> ExpMultiset:
+    return xs if isinstance(xs, ExpMultiset) else ExpMultiset(xs)
+
+
 def cancel(alpha: ExpMultiset | Iterable[Scalar],
            beta: ExpMultiset | Iterable[Scalar]) -> tuple[ExpMultiset, ExpMultiset]:
-    """Remove shared classes from both multisets, one member per coincidence.
+    """Remove shared classes from both lists, one member per coincidence.
 
     For every class c, min(mult_alpha(c), mult_beta(c)) members are removed
-    from each side, leaving lists that are disjoint modulo Z; the length
-    difference is preserved and the result does not depend on element order
-    or on the chosen representatives (at class level).
+    from each side, the largest representatives of c first, leaving lists
+    that are disjoint modulo Z; the length difference is preserved and the
+    result does not depend on element order.  The removal runs over the
+    numerators at the lcm n of the two denominators.
     """
-    a = alpha if isinstance(alpha, ExpMultiset) else ExpMultiset(alpha)
-    b = beta if isinstance(beta, ExpMultiset) else ExpMultiset(beta)
+    a, b = _multiset(alpha), _multiset(beta)
     n, ca, cb = _common(a.factors, b.factors)
     shared = {r: min(m, cb[r]) for r, m in ca.items() if r in cb}
-    return a._without(n, shared), b._without(n, shared)
+    out = []
+    for ms in (a, b):
+        left, s, keep = dict(shared), n // ms.factors._den, []
+        for x in reversed(ms._nums):
+            x *= s
+            c = x % n or n
+            if left.get(c):
+                left[c] -= 1
+            else:
+                keep.append(x)
+        out.append(ExpMultiset(keep, n))
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +151,7 @@ def make_hyp(gamma: Scalar,
     gamma = _exact(gamma)
     if not gamma:
         raise ValueError("gamma must be nonzero")
-    a = alpha if isinstance(alpha, ExpMultiset) else ExpMultiset(alpha)
-    b = beta if isinstance(beta, ExpMultiset) else ExpMultiset(beta)
+    a, b = _multiset(alpha), _multiset(beta)
     if reduce:
         a, b = cancel(a, b)
     return HypModule(gamma=gamma, alpha=a, beta=b)
@@ -297,8 +277,8 @@ class FactorList:
     def canonical_texts(self) -> list[str]:
         """The classes in (0, 1] by ascending residue, each once per count,
         printed from r/N."""
-        n = self._den
-        return [_ratio(r, n) for r in _enumerated(self)]
+        n, counts = self._den, self._counts
+        return [_ratio(r, n) for r in sorted(counts) for _ in range(counts[r])]
 
     def __str__(self) -> str:
         """K(a) by ascending a, then O, with ^mult."""
@@ -318,12 +298,6 @@ def _common(a: FactorList, b: FactorList) -> tuple[int, dict[int, int], dict[int
     n = math.lcm(a._den, b._den)
     return (n, {r * (n // a._den): m for r, m in a._counts.items()},
             {r * (n // b._den): m for r, m in b._counts.items()})
-
-
-def _enumerated(fl: FactorList) -> list[int]:
-    """The residues of fl in ascending order, each repeated by its count."""
-    counts = fl._counts
-    return [r for r in sorted(counts) for _ in range(counts[r])]
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,8 @@ def euler_factorization(d: int) -> WeylOp:
 #   rational := integer ('/' positive-integer)?
 #
 # 'D' desugars to t*d, and an integer is a run of decimal digits in any
-# script (str.isdecimal).  Negative exponents are legal only on the bare 't'.
+# script (str.isdecimal), of any length: ``_int`` reads it without changing
+# the digit limit.  Negative exponents are legal only on the bare 't'.
 # A term is kept as one monomial num/den * t^m * d^k while its factors are
 # rationals, powers of the bare 't' before any 'd', or powers of the bare
 # 'd'; from the first other factor on (a 't' after a 'd', a 'D', a
@@ -542,6 +543,16 @@ _MAX_POWER_WORK = 10 ** 6
 
 # num/den * t^m * d^k: a term of the parser before it needs a product
 _Monomial = tuple[int, int, int, int]
+
+
+def _int(run: str) -> int:
+    """The int of a run of decimal digits, read in two halves past the
+    interpreter's limit on text-to-int conversion, as ``_digits`` splits."""
+    try:
+        return int(run)
+    except ValueError:  # more digits than the limit allows
+        k = len(run) // 2
+        return _int(run[:k]) * 10 ** (len(run) - k) + _int(run[k:])
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -651,13 +662,14 @@ class _Parser:
             self.next()
             neg = True
         num = self.expect("num")
-        n = int(num[1])
+        n = _int(num[1])
         if symbol == "t":
             return (1, 1, -n if neg else n, 0)
         if neg:
             raise ParseError("negative exponents are allowed only on t", num[2])
         if n > _MAX_POWER:
-            raise ParseError(f"exponent {n} is above the limit {_MAX_POWER}", num[2])
+            raise ParseError(f"exponent {_digits(n)} is above the limit {_MAX_POWER}",
+                             num[2])
         if symbol == "d":
             return (1, 1, 0, n)
         if isinstance(base, tuple):
@@ -679,14 +691,15 @@ class _Parser:
                 return (1, 1, 0, 1), "d"
             return euler_op(), None
         if kind == "num":
-            numerator = int(value)
+            numerator = _int(value)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "/":
                 self.next()
                 den = self.expect("num")
-                if int(den[1]) == 0:
+                denominator = _int(den[1])
+                if denominator == 0:
                     raise ParseError("zero denominator in rational literal", den[2])
-                return (numerator, int(den[1]), 0, 0), None
+                return (numerator, denominator, 0, 0), None
             return (numerator, 1, 0, 0), None
         if kind == "(":
             if self.depth == _MAX_NESTING:
@@ -782,7 +795,8 @@ def _power_work(base: WeylOp, n: int) -> int:
 def parse_op(text: str) -> WeylOp:
     """Parse an operator expression into its unique normal form.
 
-    Parsing, printing and re-parsing is the identity on normal forms.
+    Parsing, printing and re-parsing is the identity on normal forms, with
+    numbers of any size; the interpreter's digit limit is never changed.
     """
     return _Parser(text).parse()
 
@@ -1027,7 +1041,7 @@ def format_terms(terms: Iterable[tuple[int, list[tuple[str, int]]]], den: int) -
     for c, factors in terms:
         if not c:
             continue
-        mono = [v if e == 1 else f"{v}^{e}" for v, e in factors if e]
+        mono = [v if e == 1 else f"{v}^{_digits(e)}" for v, e in factors if e]
         a = abs(c)
         if a != den or not mono:
             mono.insert(0, _ratio(a, den))

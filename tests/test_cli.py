@@ -107,6 +107,23 @@ def test_numbers_beyond_the_default_int_string_limit(capsys):
                                "exponents_zero": ["1"], "exponents_infinity": ["1/2"]}
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int-to-text conversion")
+def test_main_restores_the_digit_limit(capsys):
+    # main lifts the limit for its command only, also when argparse exits
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main(["weyl", "parse", "--op", "d"]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
+
+
 def test_arrangement_subcommand(capsys):
     code, out, _ = run_cli(capsys, "arrangement", "--n", "3",
                            "--weights", "1,1,1,1", "--json")

@@ -418,8 +418,8 @@ def test_checks_report_false_on_a_reducible_pushforward_base(monkeypatch):
 # -- the one-pass operator builder against the multiply-and-subtract chain ----
 
 def _chain_hyp_operator(h):
-    return (weyl.euler_product(h.alpha.reps) * h.gamma
-            - weyl.WeylOp.t() * weyl.euler_product(h.beta.reps))
+    return (weyl.euler_product(*h.alpha.numerators) * h.gamma
+            - weyl.WeylOp.t() * weyl.euler_product(*h.beta.numerators))
 
 
 def _chain_ft_pair(w):

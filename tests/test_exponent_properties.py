@@ -2,10 +2,11 @@
 
 ``RefExpMultiset``, ``ref_cancel`` and ``ref_is_irreducible`` keep every
 representative as a ``Fraction`` and compare canonical (0, 1] classes; they
-are the implementation the residues-over-N representation replaced.  Every
-public operation of ``ExpMultiset`` must agree with them on multisets of
-mixed denominators, negative and integer representatives included, and its
-class view ``factors`` must agree with ``RefFactorList`` from
+are the implementation the residues-over-N representation replaced.  An
+``ExpMultiset``'s numerators over N must be the reference's representatives,
+and ``cancel``, ``==``, ``hash``, ``str`` and ``repr`` must agree with it on
+multisets of mixed denominators, negative and integer representatives
+included; its class view ``factors`` must agree with ``RefFactorList`` from
 ``test_factor_list_properties``.  The operations on classes alone, the
 pullback ``FactorList.scaled``, ``power_pushforward`` and ``exponents``,
 must agree with the same reference's ``scaled``, ``pushforward`` and
@@ -61,9 +62,6 @@ class RefExpMultiset:
     def __len__(self):
         return len(self._reps)
 
-    def __iter__(self):
-        return iter(self._reps)
-
     def __bool__(self):
         return bool(self._reps)
 
@@ -74,9 +72,6 @@ class RefExpMultiset:
 
     def __hash__(self):
         return hash(frozenset(self.classes().items()))
-
-    def __add__(self, other):
-        return RefExpMultiset(self._reps + other._reps)
 
     def scaled(self, k):
         k = Fraction(k)
@@ -117,16 +112,21 @@ def ref_is_irreducible(alpha, beta):
     return not (alpha.classes() & beta.classes())
 
 
+def reps_of(ms):
+    """The representatives of an ``ExpMultiset``, read off its numerators."""
+    nums, n = ms.numerators
+    return tuple([Fraction(x, n) for x in nums])
+
+
 def assert_agrees(new, ref):
-    """Every read-only view of ``new`` matches the reference, types included."""
-    assert new.reps == ref.reps
-    assert all(type(r) is Fraction for r in new.reps)
-    assert list(new) == list(ref)
+    """Every view of ``new`` matches the reference: its integer numerators
+    over the least common denominator of the representatives, its classes."""
+    nums, n = new.numerators
+    assert all(type(x) is int for x in nums) and type(n) is int
+    assert n == math.lcm(1, *(r.denominator for r in ref.reps))
+    assert reps_of(new) == ref.reps
     assert len(new) == len(ref) and bool(new) == bool(ref)
-    assert new.classes() == ref.classes()
-    assert all(type(c) is Fraction for c in new.classes())
-    assert new.canonical() == ref.canonical()
-    assert all(type(c) is Fraction for c in new.canonical())
+    assert_classes_agree(new.factors, ref)
     assert str(new) == str(ref)
     assert repr(new) == repr(ref)
     # built again from its own representatives: equal, with an equal hash
@@ -185,14 +185,13 @@ def test_binary_operations_match_the_reference(pair):
     assert (a != b) == (ra != rb)
     if a == b:
         assert hash(a) == hash(b)
-    assert_agrees(a + b, ra + rb)
     ca, cb = cancel(a, b)
     rca, rcb = ref_cancel(ra, rb)
     assert_agrees(ca, rca)
     assert_agrees(cb, rcb)
     # cancel also takes plain iterables
     la, lb = cancel(xs, ys)
-    assert la.reps == rca.reps and lb.reps == rcb.reps
+    assert reps_of(la) == rca.reps and reps_of(lb) == rcb.reps
 
     h = make_hyp(1, a, b)
     assert is_irreducible(h) == ref_is_irreducible(ra, rb)
@@ -237,12 +236,12 @@ def least_den(ref):
 def test_class_view_matches_the_references(xs, e, k, ys):
     new, ref = ExpMultiset(xs), RefExpMultiset(xs)
     # over the least denominator, however the multiset was reached
-    for ms in (new, new + ExpMultiset(ys), ExpMultiset(xs, 6)):
+    for ms in (new, ExpMultiset(xs + ys), ExpMultiset(xs, 6)):
         assert_minimal(ms.factors, ms.numerators[1])
     # and so are the classes scaled or pushed forward: over the least
     # common denominator of the reference's classes
     assert_minimal(new.factors.scaled(k), least_den(ref.scaled(k)))
-    assert new.factors == FactorList(new.classes()) == FactorList(ref.classes())
+    assert new.factors == FactorList(new.factors.classes) == FactorList(ref.classes())
     assert new.factors.classes == RefFactorList(ref.classes()).classes
     assert str(new.factors) == str(RefFactorList(ref.classes()))
     pushed = power_pushforward(new.factors, e)

@@ -266,6 +266,30 @@ def test_operator_prints_past_the_limit(default_digit_limit):
     assert str(op * WeylOp.t(-2) * -1) == "-" + expected + "*t^-2"
 
 
+def test_coefficient_parses_back_past_the_limit(default_digit_limit):
+    op = WeylOp.constant(Fraction(10**5000 + 7, 3)) * WeylOp.d()
+    text = str(op)
+    assert text == "1" + "0" * 4999 + "7/3*d"
+    assert weyl.parse_op(text) == op
+    threes = "3" * 4400
+    den = default_digit_limit(lambda: int(threes))
+    assert weyl.parse_op("1/" + threes + "*d") == WeylOp.constant(Fraction(1, den)) * WeylOp.d()
+    # digits of any script, in a run split in two as in a short one
+    assert weyl.parse_op("\u0661\u0662/\u0663*d") == weyl.parse_op("4*d")
+    arabic = text.translate({0x30 + i: 0x0660 + i for i in range(10)})
+    assert weyl.parse_op(arabic) == op
+
+
+def test_t_exponent_parses_back_past_the_limit(default_digit_limit):
+    op = WeylOp.t(10**5000) - WeylOp.t(-(10**5000) - 1) * WeylOp.d()
+    text = str(op)
+    assert text == "-t^-1" + "0" * 4999 + "1*d + t^1" + "0" * 5000
+    assert weyl.parse_op(text) == op
+    # a power above the limit is refused by name, its exponent printed in full
+    with pytest.raises(weyl.ParseError, match="exponent 1{5000} is above the limit 4096"):
+        weyl.parse_op("d^" + "1" * 5000)
+
+
 def test_hyp_display_prints_past_the_limit(default_digit_limit):
     gamma = dwork.singular_fibers((1600, 1)).gamma
     h = make_hyp(gamma, [Fraction(1, 2)], [Fraction(1, 3)])
