@@ -1,13 +1,13 @@
-"""Exact factorisation of a rational polynomial in one variable.
+"""Exact factorisation of an integer polynomial in one variable.
 
-This is the factoriser behind the root oracle of ``weyl``
-(``_rational_root_split``, which calls ``_factor_integer`` on the integer
-polynomial it already holds), and ``factor_over_q`` is its public entry
-point.
-It uses the classical exact methods on integer polynomials:
+This is the factoriser behind the root oracle of ``weyl``, and its one
+entry point is ``_factor_integer``: a rational polynomial reaches it only
+through ``weyl._rational_root_split``.  It uses the classical exact methods
+on integer polynomials:
 
-1. Clear denominators to a primitive integer polynomial with positive
-   leading coefficient.
+1. ``weyl._rational_root_split`` clears denominators and strips the zero
+   roots; ``_factor_integer`` divides out the content, to a primitive
+   integer polynomial with positive leading coefficient.
 2. Squarefree decomposition (Yun), with the heuristic gcd GCDHEU of Char,
    Geddes and Gonnet: the gcd of two values at a large integer xi, read back
    in base xi and confirmed by exact division unless it reads back as a
@@ -60,10 +60,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
 
-from .weyl import (_clear_denominators, _integer_nthroot, _low_degree_roots,
-                   _primitive, _strip)
+from .weyl import _integer_nthroot, _low_degree_roots, _primitive, _strip
 
 Poly = list[int]  # lowest degree first, nonzero last entry; [] is zero
 
@@ -72,30 +70,18 @@ Poly = list[int]  # lowest degree first, nonzero last entry; [] is zero
 DEGREE_PRIMES = 5
 
 
-def factor_over_q(
-    coeffs: Sequence[int | Fraction],
-) -> tuple[dict[Fraction, int], list[tuple[Poly, int]]]:
-    """Rational roots and nonlinear irreducible factors of a nonzero rational
-    polynomial (coefficients lowest degree first).
-
-    Returns the rational roots as a root -> multiplicity mapping, and the
-    irreducible factors of degree >= 2 with multiplicity, each as a
-    primitive integer polynomial with positive leading coefficient.  The
-    factors are sorted by degree, then by multiplicity, then by their
-    coefficients read from the highest degree.
-    """
-    f = _strip(_clear_denominators(coeffs)[0])
-    if not f:
-        raise ValueError("zero polynomial has no factorisation")
-    roots, factors = _factor_integer(f)
-    return dict(roots), factors
-
-
 def _factor_integer(
     f: Poly,
 ) -> tuple[list[tuple[Fraction, int]], list[tuple[Poly, int]]]:
-    """``factor_over_q`` of the nonzero integer polynomial f, with its
-    rational roots as a list of distinct (root, multiplicity) pairs."""
+    """Rational roots and nonlinear irreducible factors of a nonconstant
+    integer polynomial f (coefficients lowest degree first).
+
+    Returns the rational roots as a list of distinct (root, multiplicity)
+    pairs, and the irreducible factors of degree >= 2 with multiplicity,
+    each as a primitive integer polynomial with positive leading
+    coefficient.  The factors are sorted by degree, then by multiplicity,
+    then by their coefficients read from the highest degree.
+    """
     roots: list[tuple[Fraction, int]] = []
     factors: list[tuple[Poly, int]] = []
     for part, mult in _squarefree(_primitive(f)):
@@ -199,10 +185,9 @@ def _gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's squarefree decomposition of a primitive f of positive
-    leading coefficient: the nonconstant parts a_i with f = prod a_i^i."""
-    if len(f) == 1:
-        return []
+    """Yun's squarefree decomposition of a nonconstant primitive f of
+    positive leading coefficient: the nonconstant parts a_i with
+    f = prod a_i^i."""
     df = _derivative(f)
     a = _gcd(f, _primitive(df))
     if len(a) == 1:

@@ -224,8 +224,8 @@ def _random_op(rng: random.Random, localized: bool = False) -> weyl.WeylOp:
     return weyl.WeylOp(coeffs)
 
 
-def _random_property_checks(seed: int, trials: int = 40) -> dict[str, bool]:
-    rng = random.Random(seed)
+def _random_property_checks() -> dict[str, bool]:
+    rng, trials = random.Random(20240809), 40
 
     def draws(k: int, localized: bool = False):
         return ([_random_op(rng, localized) for _ in range(k)]
@@ -257,7 +257,7 @@ def _cmd_check(args) -> int:
     for w in tuples:
         checks = dwork.consistency_checks(w)
         if not args.sweep:
-            checks.update(_random_property_checks(args.seed))
+            checks.update(_random_property_checks())
             if w.n >= 2:
                 checks["projective_arrangement_oracle"] = \
                     arrangement.projective_arrangement_consistent(w.n)
@@ -328,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="")
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    help="run the primitive sweep 'n_max,w_max' instead")
-    p.add_argument("--seed", type=int, default=20240809,
-                   help="seed for the randomized property sweeps")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
     return parser

@@ -34,8 +34,10 @@ past Python's limit on int-to-text conversion.  ``LaurentPoly`` is the
 public Fraction form, the input of
 ``WeylOp([...])`` and the output of ``coeff``, ``coeffs`` and ``monomials``; a
 float raises ``TypeError`` (0.1 is not 1/10).  Private helpers hold the
-algebra the callers share: ``_leibniz`` moves d^a past t^b, for
-``WeylOp.__mul__``; ``_times_euler`` multiplies by a*D + b on the right, for
+algebra the callers share: ``_sum_terms`` adds signed operators and
+parser monomials in one row map, for ``+``, ``-`` and the parser's
+expressions; ``_leibniz`` moves d^a past t^b, for ``WeylOp.__mul__``;
+``_times_euler`` multiplies by a*D + b on the right, for
 ``_euler_rows``, the one Euler-product recurrence, which ``euler_product``
 and the builder ``_euler_difference`` read; ``_rising_sum`` sums one
 t-weight class of rising products (D+c)(D+c+1)...(D+c+i-1), for
@@ -269,23 +271,15 @@ class WeylOp:
     def __add__(self, other: "WeylOp") -> "WeylOp":
         if not isinstance(other, WeylOp):
             return NotImplemented
-        # meet at lcm(L1, L2): copy the longer operator, add the other in
-        a, b = (self, other) if len(self._rows) >= len(other._rows) else (other, self)
-        den = math.lcm(a._den, b._den)
-        s = den // a._den
-        acc = {k: {m: n * s for m, n in row.items()} for k, row in enumerate(a._rows)}
-        s = den // b._den
-        for k, row in enumerate(b._rows):
-            target = acc[k]
-            for m, n in row.items():
-                target[m] = target.get(m, 0) + n * s
-        return _from_numerators(acc, den)
+        return _sum_terms([(1, self), (1, other)])
 
     def __neg__(self) -> "WeylOp":
         return _make(self._den, [{m: -n for m, n in row.items()} for row in self._rows])
 
     def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
+        if not isinstance(other, WeylOp):
+            return NotImplemented
+        return _sum_terms([(1, self), (-1, other)])
 
     def __mul__(self, other: "WeylOp | Scalar") -> "WeylOp":
         if isinstance(other, (int, Fraction)):
@@ -521,13 +515,14 @@ def euler_factorization(d: int) -> WeylOp:
 # rationals, powers of the bare 't' before any 'd', or powers of the bare
 # 'd'; from the first other factor on (a 't' after a 'd', a 'D', a
 # parenthesised or powered base) it is an operator built by products.  An
-# expression adds its terms into one row map over the lcm of their
-# denominators and normalises it once, so a normal form, as printed, parses
-# without any product or sum of operators.  A power of any other base is
-# raised by repeated products.  Parentheses nest at most _MAX_NESTING = 100
-# levels deep: the parser recurses through four methods per level, and a
-# deeper '(' is a ParseError at its position, not a RecursionError.  An
-# exponent on any base but the bare 't' is at most _MAX_POWER = 4096.  A
+# expression adds its terms as ``+`` and ``-`` add operators, in
+# ``_sum_terms``: one row map over the lcm of their denominators, normalised
+# once, so a normal form, as printed, parses without any product of
+# operators.  A power of any other base is raised by repeated products.
+# Parentheses nest at most _MAX_NESTING = 100 levels deep: the parser
+# recurses through four methods per level, and a deeper '(' is a
+# ParseError at its position, not a RecursionError.  An exponent on any
+# base but the bare 't' is at most _MAX_POWER = 4096.  A
 # power of any base but the bare 't' or 'd' must also keep an a-priori bound
 # on the work of its products (``_power_work``, from the exponent and the
 # base's order, t-weights, term count and coefficient sizes) within
@@ -651,7 +646,9 @@ class _Parser:
         return (num, den, m, k) if op is None else op
 
     def factor(self) -> WeylOp | _Monomial:
-        base, symbol = self.atom()
+        """An atom and its exponent.  The bare 't' and 'd' are the only
+        atoms (1, 1, 1, 0) and (1, 1, 0, 1), and their powers stay monomials."""
+        base = self.atom()
         tok = self.peek()
         if tok is None or tok[0] != "^":
             return base
@@ -663,14 +660,14 @@ class _Parser:
             neg = True
         num = self.expect("num")
         n = _int(num[1])
-        if symbol == "t":
+        if base == (1, 1, 1, 0):  # the bare 't'
             return (1, 1, -n if neg else n, 0)
         if neg:
             raise ParseError("negative exponents are allowed only on t", num[2])
         if n > _MAX_POWER:
             raise ParseError(f"exponent {_digits(n)} is above the limit {_MAX_POWER}",
                              num[2])
-        if symbol == "d":
+        if base == (1, 1, 0, 1):  # the bare 'd'
             return (1, 1, 0, n)
         if isinstance(base, tuple):
             base = _monomial(*base)
@@ -679,17 +676,17 @@ class _Parser:
                              f"{_MAX_POWER_WORK}", num[2])
         return base ** n
 
-    def atom(self) -> tuple[WeylOp | _Monomial, str | None]:
-        """The next atom, with its symbol if it is the bare 't' or 'd'; 't',
-        'd' and a rational come as their monomials."""
+    def atom(self) -> WeylOp | _Monomial:
+        """The next atom: 't', 'd' and a rational as their monomials (a
+        rational has m = k = 0), 'D' and a parenthesised expression as operators."""
         tok = self.next()
         kind, value, pos = tok
         if kind == "sym":
             if value == "t":
-                return (1, 1, 1, 0), "t"
+                return (1, 1, 1, 0)
             if value == "d":
-                return (1, 1, 0, 1), "d"
-            return euler_op(), None
+                return (1, 1, 0, 1)
+            return euler_op()
         if kind == "num":
             numerator = _int(value)
             nxt = self.peek()
@@ -699,8 +696,8 @@ class _Parser:
                 denominator = _int(den[1])
                 if denominator == 0:
                     raise ParseError("zero denominator in rational literal", den[2])
-                return (numerator, denominator, 0, 0), None
-            return (numerator, 1, 0, 0), None
+                return (numerator, denominator, 0, 0)
+            return (numerator, 1, 0, 0)
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError(
@@ -709,7 +706,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             self.depth -= 1
-            return inner, None
+            return inner
         if kind == "/":
             raise ParseError("division token outside a rational literal", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -1107,11 +1104,12 @@ def _rational_root_split(
     multiple with positive leading coefficient (ascending), listed once per
     multiplicity.  Zero roots and a rest of degree <= 2 are handled in
     closed form (``_low_degree_roots``), on the integer numerators; a rest
-    of degree >= 3 goes to the exact factoriser (``_factor``: rational roots
-    by p-adic lifting, Capelli's criterion for binomials, degree analysis
-    and Zassenhaus for the rest).  Factors are ordered by degree, then
-    multiplicity, then the coefficients, highest first, of the primitive
-    integer factor with positive leading coefficient.
+    of degree >= 3 goes to ``_factor._factor_integer``, the factoriser's
+    one entry point (rational roots by p-adic lifting, Capelli's criterion
+    for binomials, degree analysis and Zassenhaus for the rest).  Factors
+    are ordered by degree, then multiplicity, then the coefficients,
+    highest first, of the primitive integer factor with positive leading
+    coefficient.
     """
     coeffs = _strip(_clear_denominators(coeffs)[0])
     if not coeffs:

@@ -428,6 +428,13 @@ def test_a_dash_dash_value_is_a_domain_error(capsys, argv, error):
     assert json.loads(err)["error"]["type"] == error
 
 
+def test_check_has_no_seed_option(capsys):
+    # the randomized property sweeps of check run at one fixed seed
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--weights", "1,2,3", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_check_needs_weights_or_sweep(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check"])

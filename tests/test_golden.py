@@ -119,6 +119,36 @@ def test_sha256_pinned_output(argv):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_ci_pins_only_what_tier1_checks():
+    # the workflow's end-to-end step is not part of tier-1, so each golden
+    # file it compares with, and each sha256 it checks, must be one this
+    # file checks too, written by the command line whose slug names it
+    written = {}  # output file -> argv of the dworkgm line that last wrote it
+    pins = {"cmp": 0, "sha256": 0}
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
+    for line in workflow.read_text().splitlines():
+        run_line = re.search(r'python -m dworkgm (.*?) > "\$RUNNER_TEMP/([^"]+)"', line)
+        if run_line:
+            written[run_line.group(2)] = shlex.split(run_line.group(1))
+        cmp = re.fullmatch(r'\s*cmp "\$RUNNER_TEMP/([^"]+)" tests/golden/(\w+)\.txt', line)
+        sha = re.fullmatch(r'\s*sha256sum -c "\$GITHUB_WORKSPACE/tests/golden/(\w+)\.sha256"',
+                           line)
+        if cmp:
+            argv = written[cmp.group(1)]
+            assert slug(argv) == cmp.group(2)
+            assert argv in readme_commands() + PINNED
+            pins["cmp"] += 1
+        elif sha:
+            name = sha.group(1)
+            assert name in ["check_sweep_4_5"] + [slug(a) for a in SHA256_PINNED]
+            output = (GOLDEN / f"{name}.sha256").read_text().split()[1]
+            assert slug(written[output]) == name
+            pins["sha256"] += 1
+        else:
+            assert "tests/golden/" not in line, line
+    assert pins["cmp"] > 0 and pins["sha256"] > 0
+
+
 def write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for commands, path in ((readme_commands(), EXIT_CODES),

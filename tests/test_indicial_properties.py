@@ -20,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import ref_format_poly
-from dworkgm._factor import factor_over_q
+from dworkgm._factor import _factor_integer
 from dworkgm.weyl import IndicialPolynomial
 
 
@@ -91,7 +91,8 @@ def ref_rational_root_split(coeffs):
             for r in ((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)):
                 roots[r] = roots.get(r, 0) + 1
     elif deg > 2:
-        found, factors = factor_over_q(coeffs)
+        scale = math.lcm(*[c.denominator for c in coeffs])
+        found, factors = _factor_integer([int(c * scale) for c in coeffs])
         roots.update(found)
         for f, m in factors:
             leftovers.extend([tuple(Fraction(c, f[-1]) for c in f)] * m)

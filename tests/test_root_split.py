@@ -38,7 +38,6 @@ import pytest
 
 from conftest import monic, package_env, sympy_root_split
 from dworkgm import _factor
-from dworkgm._factor import factor_over_q
 from dworkgm.weyl import _rational_root_split
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "root_splits.txt"
@@ -77,9 +76,9 @@ def test_split_matches_pinned_sympy_answer(label):
 
 
 def test_factoriser_edge_cases():
-    assert factor_over_q([Fraction(-3, 4)]) == ({}, [])
+    assert _rational_root_split([Fraction(-3, 4)]) == ((), [])
     with pytest.raises(ValueError):
-        factor_over_q([Fraction(0), Fraction(0)])
+        _rational_root_split([Fraction(0), Fraction(0)])
 
 
 def _code_objects(code):
@@ -91,8 +90,9 @@ def _code_objects(code):
 
 def test_corpus_runs_every_line_of_the_factoriser():
     # Line coverage of _factor.py by the corpus without the indicial cases
-    # (degree 96-142, seconds under a tracer) and by the edge cases above:
-    # a stdlib line tracer scoped to the module's code objects.
+    # (degree 96-142, seconds under a tracer) and by the edge cases above,
+    # through the one way in, _rational_root_split: a stdlib line tracer
+    # scoped to the module's code objects.
     codes = {c for f in vars(_factor).values()
              if isinstance(f, types.FunctionType) and f.__module__ == _factor.__name__
              for c in _code_objects(f.__code__)}

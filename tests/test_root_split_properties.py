@@ -9,7 +9,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st
 
 from conftest import sympy_root_split
-from dworkgm._factor import factor_over_q
+from dworkgm._factor import _factor_integer
 from dworkgm.weyl import _rational_root_split
 
 factor = st.tuples(
@@ -78,7 +78,7 @@ binomials = st.one_of(
 def test_binomials_match_sympy(binomial, sign_b):
     a, b, n = binomial
     coeffs = [a] + [0] * (n - 1) + [sign_b * b]
-    roots, factors = factor_over_q(coeffs)
+    roots, factors = _factor_integer(coeffs)
     t = sympy.Symbol("t")
     expected_roots, expected_factors = {}, []
     for g, mult in sympy.Poly(list(reversed(coeffs)), t).factor_list()[1]:
@@ -90,4 +90,4 @@ def test_binomials_match_sympy(binomial, sign_b):
         else:
             expected_factors.append((gc, mult))
     expected_factors.sort(key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
-    assert (roots, factors) == (expected_roots, expected_factors)
+    assert (dict(roots), factors) == (expected_roots, expected_factors)

@@ -525,6 +525,7 @@ def test_printer_is_deterministic():
     lambda: 0.5 * WeylOp.one(),
     lambda: WeylOp.one() + 0.5,
     lambda: IndicialPolynomial((0.5, 1), "zero").roots(),
+    lambda: WeylOp.one() - 0.5,
 ])
 def test_floats_are_refused_by_the_weyl_core(build):
     # WeylOp.constant(0.1) would otherwise hold 3602879701896397/2^55
