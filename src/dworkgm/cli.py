@@ -1,10 +1,14 @@
 """Command-line front end: deterministic text and JSON emitters.
 
 Exit codes: 0 success, 1 domain error (with a machine-readable error object
-on stderr), 2 usage error, 3 internal failure: a program bug, either an
-internal invariant that failed (an error object of type InvariantError on
-stderr) or any other exception (an error object naming its type); the
-object of exit code 3 also carries the traceback.
+on stderr) or a printed verdict that is false (a failed check in report or
+check, generated false in syzygy, projective_arrangement_consistent false
+in arrangement; nothing on stderr), 2 usage error, 3 internal failure: a
+program bug, either an internal invariant that failed (an error object of
+type InvariantError on stderr) or any other exception (an error object
+naming its type); the object of exit code 3 also carries the traceback.
+Every subcommand returns through ``_emit``, which prints its result and
+turns its verdict into the exit code.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ def _parse_fractions(text: str) -> list[Fraction]:
     return [Fraction(part.strip()) for part in text.split(",")]
 
 
-def _emit(doc, as_json: bool, text_lines) -> None:
+def _emit(doc, as_json: bool, text_lines, ok: bool = True) -> int:
+    """Print the document as JSON or the text lines; exit 0 when ok, else 1."""
     if as_json:
         print(json.dumps(doc, indent=2))
     else:
         for line in text_lines:
             print(line)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +66,6 @@ def _emit(doc, as_json: bool, text_lines) -> None:
 def _cmd_report(args) -> int:
     w = _parse_weights(args.weights)
     report = dwork.full_report(w)
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
     g = report["g_block"]
     lines = [
         f"weights      : {report['weights']}  (n={report['n']}, d={report['d']}, e={report['e']})",
@@ -85,8 +88,7 @@ def _cmd_report(args) -> int:
     failed = [k for k, ok in report["checks"].items() if not ok]
     lines.append("checks       : all passed" if not failed
                  else f"checks       : FAILED {failed}")
-    _emit(report, False, lines)
-    return 0 if not failed else 1
+    return _emit(report, args.json, lines, not failed)
 
 
 def _cmd_hyp(args) -> int:
@@ -94,59 +96,54 @@ def _cmd_hyp(args) -> int:
                            _parse_fractions(args.alpha),
                            _parse_fractions(args.beta),
                            reduce=args.reduce)
+    doc = {"hyp": h.display()}
     if args.action == "operator":
-        doc = {"hyp": h.display(), "operator": str(hypergeom.hyp_operator(h))}
-        _emit(doc, args.json, [doc["operator"]])
+        doc["operator"] = str(hypergeom.hyp_operator(h))
+        lines = [doc["operator"]]
     elif args.action == "irreducible":
-        doc = {"hyp": h.display(), "irreducible": hypergeom.is_irreducible(h)}
-        _emit(doc, args.json, [str(doc["irreducible"]).lower()])
+        doc["irreducible"] = hypergeom.is_irreducible(h)
+        lines = [str(doc["irreducible"]).lower()]
     else:
-        doc = {
-            "hyp": h.display(),
-            "exponents_zero": hypergeom.exponents(h, "zero").canonical_texts(),
-            "exponents_infinity": hypergeom.exponents(h, "infinity").canonical_texts(),
-        }
-        _emit(doc, args.json, [
-            f"at zero    : {doc['exponents_zero']}",
-            f"at infinity: {doc['exponents_infinity']}",
-        ])
-    return 0
+        doc["exponents_zero"] = hypergeom.exponents(h, "zero").canonical_texts()
+        doc["exponents_infinity"] = \
+            hypergeom.exponents(h, "infinity").canonical_texts()
+        lines = [f"at zero    : {doc['exponents_zero']}",
+                 f"at infinity: {doc['exponents_infinity']}"]
+    return _emit(doc, args.json, lines)
 
 
 def _cmd_weyl(args) -> int:
     op = weyl.parse_op(args.op)
-    if args.action == "parse":
-        doc = {"op": str(op)}
-        _emit(doc, args.json, [doc["op"]])
-    elif args.action == "ft":
-        image = weyl.fourier(op, args.direction)
-        doc = {"op": str(op), "direction": args.direction, "image": str(image)}
-        _emit(doc, args.json, [doc["image"]])
+    doc = {"op": str(op)}
+    lines = [doc["op"]]
+    if args.action == "ft":
+        doc["direction"] = args.direction
+        doc["image"] = str(weyl.fourier(op, args.direction))
+        lines = [doc["image"]]
     elif args.action == "indicial":
         ind = weyl.indicial_polynomial(op, args.place)
         rational, leftover = ind.roots()
-        roots = [str(r) for r, mult in rational for _ in range(mult)]
-        doc = {"op": str(op), "place": args.place, "polynomial": str(ind),
-               "roots": roots, "irreducible_factors": list(leftover)}
-        _emit(doc, args.json, [
-            f"indicial polynomial at {args.place}: {doc['polynomial']}",
-            f"roots: {roots}",
-        ] + ([f"irreducible factors: {list(leftover)}"] if leftover else []))
-    else:
+        doc["place"] = args.place
+        doc["polynomial"] = str(ind)
+        doc["roots"] = [weyl._ratio(r.numerator, r.denominator)
+                        for r, mult in rational for _ in range(mult)]
+        doc["irreducible_factors"] = list(leftover)
+        lines = [f"indicial polynomial at {args.place}: {doc['polynomial']}",
+                 f"roots: {doc['roots']}"]
+        if leftover:
+            lines.append(f"irreducible factors: {doc['irreducible_factors']}")
+    elif args.action == "singular":
         ss = weyl.singular_support(op)
-        doc = {
-            "op": str(op),
-            "finite_rational": [str(r) for r in ss.finite_rational],
-            "other_factors": list(ss.other_factors),
-            "regular_at_zero": ss.regular_at_zero,
-            "regular_at_infinity": ss.regular_at_infinity,
-        }
-        _emit(doc, args.json, [
-            f"finite rational singularities: {doc['finite_rational']}",
-            f"other factors: {doc['other_factors']}",
-            f"regular at 0: {ss.regular_at_zero}, at infinity: {ss.regular_at_infinity}",
-        ])
-    return 0
+        doc["finite_rational"] = [weyl._ratio(r.numerator, r.denominator)
+                                  for r in ss.finite_rational]
+        doc["other_factors"] = list(ss.other_factors)
+        doc["regular_at_zero"] = ss.regular_at_zero
+        doc["regular_at_infinity"] = ss.regular_at_infinity
+        lines = [f"finite rational singularities: {doc['finite_rational']}",
+                 f"other factors: {doc['other_factors']}",
+                 f"regular at 0: {ss.regular_at_zero}, "
+                 f"at infinity: {ss.regular_at_infinity}"]
+    return _emit(doc, args.json, lines)
 
 
 def _cmd_syzygy(args) -> int:
@@ -180,14 +177,17 @@ def _cmd_syzygy(args) -> int:
         if row.syzygy_dim or row.generated_dim:
             lines.append(f"  degree {row.degree}: syzygies {row.syzygy_dim}, "
                          f"generated {row.generated_dim}")
-    _emit(doc, args.json, lines)
-    return 0 if doc["generation"]["generated"] else 1
+    return _emit(doc, args.json, lines, doc["generation"]["generated"])
 
 
 def _cmd_arrangement(args) -> int:
     n = args.n
     if n < 2:
         raise ValueError(f"--n must be at least 2, got {n}")
+    w = _parse_weights(args.weights) if args.weights else None
+    if w is not None and len(w.w) != n + 1:
+        raise ValueError(
+            f"--weights must have n + 1 = {n + 1} entries, got {len(w.w)}")
     doc: dict = {"n": n}
     doc["projective_arrangement"] = {
         str(i): v
@@ -203,13 +203,11 @@ def _cmd_arrangement(args) -> int:
         "note": "classical Betti indices; the direct-image tables use "
                 "degrees shifted by the ambient dimension",
     }
-    if args.weights:
-        w = _parse_weights(args.weights)
+    if w is not None:
         doc["milnor"] = {str(i): v for i, v in
                          sorted(arrangement.milnor_fiber_dims(w.w).items())}
-    lines = [f"{k}: {v}" for k, v in doc.items()]
-    _emit(doc, args.json, lines)
-    return 0
+    return _emit(doc, args.json, [f"{k}: {v}" for k, v in doc.items()],
+                 doc["projective_arrangement_consistent"])
 
 
 def _random_op(rng: random.Random, localized: bool = False) -> weyl.WeylOp:
@@ -252,7 +250,6 @@ def _cmd_check(args) -> int:
         tuples = dwork.primitive_sweep(*args.sweep)
     else:
         tuples = [_parse_weights(args.weights)]
-    all_ok = True
     docs = []
     for w in tuples:
         checks = dwork.consistency_checks(w)
@@ -261,20 +258,16 @@ def _cmd_check(args) -> int:
             if w.n >= 2:
                 checks["projective_arrangement_oracle"] = \
                     arrangement.projective_arrangement_consistent(w.n)
-        ok = all(checks.values())
-        all_ok = all_ok and ok
-        if args.json:
-            docs.append({"weights": list(w.w), "checks": checks, "passed": ok})
-        else:
+        docs.append({"weights": list(w.w), "checks": checks,
+                     "passed": all(checks.values())})
+        if not args.json:
+            # each tuple's lines are printed as soon as it is checked
             prefix = f"[{','.join(str(x) for x in w.w)}] " if args.sweep else ""
             for name, result in checks.items():
                 print(f"{'PASS' if result else 'FAIL'} {prefix}{name}")
-    if args.json:
-        doc = {"sweep": docs, "passed": all_ok} if args.sweep else docs[0]
-        print(json.dumps(doc, indent=2))
-    elif not all_ok:
-        print("some checks FAILED")
-    return 0 if all_ok else 1
+    all_ok = all(entry["passed"] for entry in docs)
+    doc = {"sweep": docs, "passed": all_ok} if args.sweep else docs[0]
+    return _emit(doc, args.json, [] if all_ok else ["some checks FAILED"], all_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -7,7 +9,7 @@ import time
 import pytest
 
 from conftest import package_env
-from dworkgm import weyl
+from dworkgm import arrangement, syzygy, weyl
 from dworkgm.cli import main
 
 
@@ -139,6 +141,17 @@ def test_arrangement_refuses_n_below_2(capsys, n):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": {
         "type": "ValueError", "message": f"--n must be at least 2, got {n}"}}
+
+
+@pytest.mark.parametrize("n, weights", [("2", "1,1,1,1"), ("3", "1,1"),
+                                        ("3", "1,1,1,1,1")])
+def test_arrangement_refuses_weights_of_another_dimension(capsys, n, weights):
+    code, out, err = run_cli(capsys, "arrangement", "--n", n, "--weights", weights)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ValueError",
+        "message": f"--weights must have n + 1 = {int(n) + 1} entries, "
+                   f"got {len(weights.split(','))}"}}
 
 
 def test_check_passes(capsys):
@@ -404,6 +417,73 @@ def test_check_prints_its_failed_checks(capsys, monkeypatch, kernel, broken, fai
     expected = [f"FAIL {line[5:]}" if line[5:] in failed else line for line in golden]
     assert out.splitlines() == expected + ["some checks FAILED"]
     assert sum(line.startswith("FAIL ") for line in expected) == len(failed)
+
+
+def rising_sum_broken(monkeypatch):
+    monkeypatch.setattr(weyl, "_rising_sum", rising_sum_with_a_stale_carry)
+
+
+def generation_table_with_a_mismatch(monkeypatch):
+    """syzygy._generation_table whose last row counts one generated syzygy
+    more than there are syzygies."""
+    real = syzygy._generation_table
+
+    def mismatched(w, bound):
+        vectors, table = real(w, bound)
+        last = table[-1]
+        return vectors, table[:-1] + [
+            dataclasses.replace(last, generated_dim=last.syzygy_dim + 1)]
+
+    monkeypatch.setattr(syzygy, "_generation_table", mismatched)
+
+
+def projective_table_off_by_one(monkeypatch):
+    real = arrangement.projective_arrangement_dims
+    monkeypatch.setattr(arrangement, "projective_arrangement_dims",
+                        lambda n: {i: v + 1 for i, v in real(n).items()})
+
+
+# each subcommand that prints a verdict exits 1 when it is false, in text
+# and in JSON, with nothing on stderr: the verdict is no error object
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, force_false, verdict", [
+    (["report", "--weights", "1,2,3"], rising_sum_broken,
+     lambda doc: all(doc["checks"].values())),
+    (["check", "--weights", "1,2,3"], rising_sum_broken,
+     lambda doc: doc["passed"]),
+    (["syzygy", "--weights", "1,1,1", "--bound", "8"],
+     generation_table_with_a_mismatch, lambda doc: doc["generation"]["generated"]),
+    (["arrangement", "--n", "3"], projective_table_off_by_one,
+     lambda doc: doc["projective_arrangement_consistent"]),
+], ids=["report", "check", "syzygy", "arrangement"])
+def test_a_false_verdict_exits_1(capsys, monkeypatch, argv, force_false, verdict,
+                                 json_flag):
+    for forced, expected in [(False, 0), (True, 1)]:
+        if forced:
+            force_false(monkeypatch)
+        code, out, err = run_cli(capsys, *argv, *json_flag)
+        assert code == expected and out and err == ""
+        if json_flag:
+            assert verdict(json.loads(out)) is not forced
+
+
+def test_every_subcommand_returns_through_emit():
+    # _emit is the one place that turns a printed verdict into an exit code
+    cli = pathlib.Path(__file__).resolve().parents[1] / "src" / "dworkgm" / "cli.py"
+    handlers = [node for node in ast.parse(cli.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(handlers) == 6
+    for handler in handlers:
+        returns = [node for node in ast.walk(handler) if isinstance(node, ast.Return)]
+        assert returns, handler.name
+        for node in returns:
+            call = node.value
+            assert (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "_emit"), (handler.name, node.lineno)
+        prints = [node for node in ast.walk(handler) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "print"]
+        # check streams one PASS/FAIL line per check as each tuple is checked
+        assert len(prints) == (1 if handler.name == "_cmd_check" else 0), handler.name
 
 
 def test_usage_error_exit_code(capsys):

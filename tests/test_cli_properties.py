@@ -74,6 +74,8 @@ def test_arrangement_exit_codes(n, as_json):
     assert code in (0, 1, 2), (code, err)
     if code == 0:
         assert out and err == ""
+        if as_json:
+            assert json.loads(out)["projective_arrangement_consistent"] is True
     elif code == 1:
         assert n == 1  # no hyperplane arrangement in dimension 0
         error_object(err)
